@@ -23,16 +23,13 @@ command         output
 ``noc``         cycle-level NoC simulation under synthetic traffic
 ``obs``         summarize/validate telemetry sink files
 ``verify``      randomized invariant/golden-model verification campaign
-``serve``       persistent HTTP experiment service (``docs/serving.md``)
-``submit``      submit a job to a running ``repro serve`` daemon
 ==============  =====================================================
 
 All commands accept ``--rows/--cols`` to scale the array and ``--json``
 to emit the result as a machine-readable JSON document instead of text.
 JSON output is wrapped in the versioned ``repro/v1`` envelope
 (``{"schema": "repro/v1", "command": ..., "ok": ..., "manifest": ...,
-"result": {...}}``) — the same shape every ``repro serve`` response
-uses, validated by ``repro obs validate``.
+"result": {...}}``), validated by ``repro obs validate``.
 Every command is split into a structured-result core (``run_<command>``
 returning a plain dict) and a text renderer (``render_<command>``), so
 scripts can import and reuse the computation without scraping stdout.
@@ -805,60 +802,6 @@ def run_verify_cmd(
     return {"command": "verify", "ok": verdict["passed"], **verdict}
 
 
-def run_submit(
-    experiment: str,
-    config: SystemConfig,
-    params: dict[str, Any] | None = None,
-    seed: int = 0,
-    trials: int = 10,
-    engine: str = "fast",
-    verify: bool = False,
-    host: str = "127.0.0.1",
-    port: int = 8787,
-    wait: bool = True,
-    timeout: float = 300.0,
-    client_id: str | None = None,
-) -> dict:
-    """Submit one experiment to a running ``repro serve`` daemon.
-
-    With ``wait`` (the default) the command polls until the run reaches
-    a terminal state and the returned dict carries the experiment result
-    under ``"result"``; ``wait=False`` returns right after admission
-    with the run id to poll later.  A daemon that cannot be reached (or
-    rejects the job) produces a structured ``ok: False`` result instead
-    of a traceback, so scripted callers always get the envelope shape.
-    """
-    from .errors import ServeError
-    from .serve import ServeClient
-
-    client = ServeClient(host=host, port=port, client_id=client_id)
-    try:
-        submitted = client.submit(
-            experiment,
-            config={"rows": config.rows, "cols": config.cols},
-            params=params or {},
-            seed=seed,
-            trials=trials,
-            engine=engine,
-            verify=verify,
-        )
-        body = submitted
-        if wait:
-            final = client.wait(submitted["id"], timeout=timeout)
-            final["outcome"] = submitted["outcome"]
-            body = final
-    except ServeError as exc:
-        return {
-            "command": "submit",
-            "ok": False,
-            "host": host,
-            "port": port,
-            "error": str(exc),
-            "status": exc.status,
-        }
-    return {"command": "submit", "ok": True, "host": host, "port": port, **body}
-
-
 def run_obs(
     action: str,
     paths: list[str],
@@ -1169,26 +1112,6 @@ def render_verify(result: dict) -> str:
     return "\n".join(lines)
 
 
-def render_submit(result: dict) -> str:
-    if not result["ok"]:
-        return (
-            f"submit to {result['host']}:{result['port']} failed "
-            f"(HTTP {result['status']}): {result['error']}"
-        )
-    lines = [
-        f"run {result['id']} [{result['experiment']}]: "
-        f"{result['outcome']}, state {result['state']}"
-    ]
-    if result["state"] == "done" and isinstance(result.get("result"), dict):
-        inner = result["result"]
-        renderer = _RENDERERS.get(inner.get("command"))
-        if renderer is not None and renderer is not render_submit:
-            lines.append(renderer(inner))
-        else:
-            lines.append(json.dumps(_jsonify(inner), indent=2))
-    return "\n".join(lines)
-
-
 def render_obs(result: dict) -> str:
     if result.get("action") == "diff":
         if result.get("error"):
@@ -1278,12 +1201,6 @@ _RUNNERS: dict[str, Callable[[argparse.Namespace], dict]] = {
         threshold=getattr(a, "threshold", 0.1),
         ignore=getattr(a, "ignore", None) or None,
     ),
-    "submit": lambda a: run_submit(
-        a.experiment, _config(a), params=_parse_params(a.param),
-        seed=a.seed, trials=a.trials, engine=a.engine, verify=a.verify,
-        host=a.host, port=a.port, wait=not a.no_wait, timeout=a.timeout,
-        client_id=a.client or None,
-    ),
     "verify": lambda a: run_verify_cmd(
         suite=a.suite, trials=a.trials, seed=a.seed,
         rows=a.rows, cols=a.cols, workers=a.workers,
@@ -1309,20 +1226,8 @@ _RENDERERS: dict[str, Callable[[dict], str]] = {
     "emu": render_emu,
     "collective": render_collective,
     "obs": render_obs,
-    "submit": render_submit,
     "verify": render_verify,
 }
-
-
-def _parse_params(pairs: list[str] | None) -> dict[str, str]:
-    """``--param key=value`` pairs as a dict (types coerced server-side)."""
-    params: dict[str, str] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"--param expects key=value, got {pair!r}")
-        params[key] = value
-    return params
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -1362,60 +1267,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     else:
         print(_RENDERERS[args.command](result))
     return 0 if result.get("ok", True) else 1
-
-
-def _serve_handler(args: argparse.Namespace) -> int:
-    """Run the ``repro serve`` daemon until SIGTERM/SIGINT, then drain."""
-    import asyncio
-
-    from .obs import Telemetry, use_telemetry
-    from .serve import ExperimentService
-    from .serve.http import serve_forever
-
-    telemetry = Telemetry()
-    service = ExperimentService(
-        engine_workers=args.engine_workers,
-        serve_workers=args.serve_workers,
-        queue_size=args.queue_size,
-        cache=None if args.no_cache else True,
-        rate=args.rate,
-        burst=args.burst,
-        telemetry=telemetry,
-        sample_interval_s=getattr(args, "sample_interval", 1.0),
-        metrics_log=getattr(args, "metrics_log", "") or None,
-    )
-    print(
-        f"repro serve listening on http://{args.host}:{args.port} "
-        f"({args.serve_workers} workers, queue {args.queue_size})",
-        file=sys.stderr,
-    )
-    # Install the service telemetry as the ambient one so subsystems the
-    # jobs touch (NoC simulator, PDN solver, ...) record into the same
-    # registry /v1/metrics exposes.
-    with use_telemetry(telemetry):
-        asyncio.run(serve_forever(service, host=args.host, port=args.port))
-    return 0
-
-
-def _top_handler(args: argparse.Namespace) -> int:
-    """Run the ``repro top`` cockpit against a daemon or a sample log."""
-    from .errors import ObsError
-    from .obs.top import DaemonSource, FileSource, run_top
-
-    if args.file:
-        source = FileSource(args.file)
-    else:
-        source = DaemonSource(host=args.host, port=args.port)
-    try:
-        return run_top(
-            source,
-            interval_s=args.interval,
-            frames=args.frames or None,
-            once=args.once,
-        )
-    except ObsError as exc:
-        print(f"repro top: {exc}", file=sys.stderr)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1676,120 +1527,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,
     )
     obs.set_defaults(handler=_dispatch)
-
-    # `serve` runs a persistent daemon (never returns until SIGTERM), so
-    # it has its own handler instead of the run/render dispatch.
-    from .fastpath import ENGINE_KINDS
-
-    serve = sub.add_parser(
-        "serve", help="persistent HTTP experiment service (docs/serving.md)"
-    )
-    serve.add_argument("--host", type=str, default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787)
-    serve.add_argument(
-        "--engine-workers", dest="engine_workers", type=int, default=1,
-        help="experiment-engine processes per job (0 = all CPUs)",
-    )
-    serve.add_argument(
-        "--serve-workers", dest="serve_workers", type=int, default=2,
-        help="concurrent jobs the daemon executes",
-    )
-    serve.add_argument(
-        "--queue-size", dest="queue_size", type=int, default=64,
-        help="bounded job queue depth (full queue -> HTTP 503)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=0.0,
-        help="per-client token-bucket refill rate in requests/s (0 = off)",
-    )
-    serve.add_argument(
-        "--burst", type=float, default=10.0,
-        help="per-client token-bucket burst size",
-    )
-    serve.add_argument(
-        "--no-cache", dest="no_cache", action="store_true",
-        help="bypass the on-disk result cache",
-    )
-    serve.add_argument(
-        "--sample-interval", dest="sample_interval", type=float, default=1.0,
-        help="metrics sampling period in seconds for /v1/metrics/history "
-        "(0 disables the sampler)",
-    )
-    serve.add_argument(
-        "--metrics-log", dest="metrics_log", type=str, default="",
-        metavar="PATH",
-        help="append every metrics sample as a JSONL line "
-        "(tail it live with: repro top --file PATH)",
-    )
-    serve.set_defaults(handler=_serve_handler)
-
-    # `top` is a live cockpit over a running daemon (or a sample log).
-    top = sub.add_parser(
-        "top", help="live cockpit for a repro serve daemon (curses)"
-    )
-    top.add_argument("--host", type=str, default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8787)
-    top.add_argument(
-        "--file", type=str, default="",
-        help="tail a sampler JSONL log instead of polling a daemon",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="refresh period in seconds",
-    )
-    top.add_argument(
-        "--frames", type=int, default=0,
-        help="stop after N redraws (0 = run until q/Ctrl-C)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one plain-text frame and exit (no curses; CI-friendly)",
-    )
-    top.set_defaults(handler=_top_handler)
-
-    # `submit` is a thin client for a running daemon.
-    submit = sub.add_parser(
-        "submit", help="submit an experiment to a repro serve daemon"
-    )
-    submit.add_argument(
-        "experiment", help="experiment name (see repro.engine.jobs.EXPERIMENTS)"
-    )
-    _add_size_args(submit)
-    submit.add_argument("--host", type=str, default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8787)
-    submit.add_argument("--trials", type=int, default=10)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--engine", type=str, default="fast", choices=list(ENGINE_KINDS),
-        help="unified fast-path kind for the job",
-    )
-    submit.add_argument(
-        "--verify", action="store_true",
-        help="run the experiment's per-trial invariant on every value",
-    )
-    submit.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
-        help="experiment parameter override (repeatable)",
-    )
-    submit.add_argument(
-        "--no-wait", dest="no_wait", action="store_true",
-        help="return after admission instead of polling for the result",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="seconds to wait for the run to finish",
-    )
-    submit.add_argument(
-        "--client", type=str, default="",
-        help="rate-limit lane id (X-Repro-Client header)",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    submit.set_defaults(handler=_dispatch)
 
     # `verify` runs randomized campaigns on small arrays, so it takes its
     # own --rows/--cols defaults (8x8, not the paper-scale 32x32).

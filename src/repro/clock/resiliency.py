@@ -123,7 +123,6 @@ def monte_carlo_clock_coverage(
     workers: int = 1,
     cache=None,
     engine=None,
-    progress=None,
 ) -> list[ClockCoverageStats]:
     """Coverage statistics over random fault maps.
 
@@ -148,7 +147,6 @@ def monte_carlo_clock_coverage(
             seed=(seed, count),
             config=config,
             params={"fault_count": count},
-            progress=progress,
         )
         outcomes = [value for value in run.values if value is not None]
         coverages = [coverage for coverage, _ in outcomes]

@@ -23,10 +23,8 @@ See ``docs/engine.md`` for the execution model.
 from .adaptive import CIStop
 from .cache import ResultCache, cache_key, canonicalize, resolve_cache
 from .core import ExperimentEngine, RunResult, TrialContext, default_workers
-from .jobs import EXPERIMENTS, ExperimentAdapter, JobSpec, get_experiment, job_key, run_job
 from .observe import (
     EngineObserver,
-    ProgressCallback,
     RunRecord,
     TelemetryObserver,
     ThroughputObserver,
@@ -36,12 +34,6 @@ from .seeding import as_seed_sequence, rng_from, seed_fingerprint, spawn_trial_s
 __all__ = [
     "CIStop",
     "ExperimentEngine",
-    "EXPERIMENTS",
-    "ExperimentAdapter",
-    "JobSpec",
-    "get_experiment",
-    "job_key",
-    "run_job",
     "RunResult",
     "TrialContext",
     "default_workers",
@@ -50,7 +42,6 @@ __all__ = [
     "canonicalize",
     "resolve_cache",
     "EngineObserver",
-    "ProgressCallback",
     "RunRecord",
     "TelemetryObserver",
     "ThroughputObserver",

@@ -125,10 +125,10 @@ class ResultCache:
 
         The entry is first pickled to a uniquely named temp file in the
         destination directory and then renamed into place, so a reader —
-        another process *or* another thread of a multi-worker server
-        sharing the cache dir — can never observe a torn/partial pickle.
-        (A pid-suffixed temp name is not enough: two server threads share
-        a pid and would interleave writes into one temp file.)
+        another process *or* another thread sharing the cache dir — can
+        never observe a torn/partial pickle.  (A pid-suffixed temp name
+        is not enough: two threads share a pid and would interleave
+        writes into one temp file.)
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -41,10 +41,10 @@ from ..obs.snapshot import (
     merge_snapshot,
     worker_telemetry,
 )
-from ..obs.telemetry import Telemetry, resolve_telemetry, scoped_telemetry
+from ..obs.telemetry import Telemetry, resolve_telemetry, use_telemetry
 from .adaptive import CIStop
 from .cache import ResultCache, cache_key, resolve_cache
-from .observe import EngineObserver, ProgressCallback, TelemetryObserver
+from .observe import EngineObserver, TelemetryObserver
 from .seeding import SeedLike, spawn_trial_seeds
 
 
@@ -162,9 +162,7 @@ def _run_chunk(
 
     if not capture:
         return _execute(), None
-    # Thread-local scope: inline chunks may run concurrently in serve
-    # worker threads, so the capture must never touch the global ambient.
-    with scoped_telemetry(worker_telemetry()) as tel:
+    with use_telemetry(worker_telemetry()) as tel:
         out = _execute()
         return out, capture_snapshot(tel)
 
@@ -243,7 +241,6 @@ class ExperimentEngine:
         seed: SeedLike = 0,
         config: SystemConfig | None = None,
         params: dict[str, Any] | None = None,
-        progress: Callable[[int, int], None] | None = None,
         verify: Callable[[int, Any], None] | None = None,
         batch_fn: Callable[[list[TrialContext]], list[Any]] | None = None,
         adaptive: "CIStop | None" = None,
@@ -287,8 +284,6 @@ class ExperimentEngine:
         observers = list(self.observers)
         if telemetry.enabled:
             observers.append(TelemetryObserver(telemetry))
-        if progress is not None:
-            observers.append(ProgressCallback(progress))
 
         cache_params = params
         if adaptive is not None:

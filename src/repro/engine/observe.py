@@ -13,8 +13,6 @@ rather than private scalars:
 * :class:`ThroughputObserver` accumulates into a
   :class:`~repro.obs.metrics.MetricsRegistry` (its own by default, or a
   shared one passed in) under ``engine.throughput.*`` names;
-* :class:`ProgressCallback` counts with registry instruments and mirrors
-  progress to the ambient telemetry's ``engine.progress_done`` gauge;
 * :class:`TelemetryObserver` bridges the engine events onto a
   :class:`~repro.obs.telemetry.Telemetry` (span per run, counters and a
   trial-time histogram); the engine attaches one automatically whenever
@@ -24,11 +22,11 @@ rather than private scalars:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..obs.metrics import Counter, Gauge, MetricsRegistry, TIME_BUCKETS_S
-from ..obs.telemetry import Telemetry, current_telemetry
+from ..obs.metrics import MetricsRegistry, TIME_BUCKETS_S
+from ..obs.telemetry import Telemetry
 
 if TYPE_CHECKING:                       # pragma: no cover
     from .core import RunResult
@@ -150,40 +148,6 @@ class ThroughputObserver(EngineObserver):
     def summary(self) -> str:
         """Multi-line rendering of every recorded run."""
         return "\n".join(record.describe() for record in self.runs)
-
-
-@dataclass
-class ProgressCallback(EngineObserver):
-    """Adapts a plain ``fn(done, total)`` callable into an observer.
-
-    ``every`` throttles delivery: the callback fires on the first trial,
-    then every ``every`` trials, and always on the last.  Progress state
-    is held in metric instruments; when an ambient telemetry is enabled
-    the current position is also mirrored to its
-    ``engine.progress_done`` / ``engine.progress_total`` gauges.
-    """
-
-    fn: Callable[[int, int], None]
-    every: int = 1
-    _done: Counter = field(default=None, repr=False)        # type: ignore[assignment]
-    _total: Gauge = field(default=None, repr=False)         # type: ignore[assignment]
-    _mirror: Gauge = field(default=None, repr=False)        # type: ignore[assignment]
-
-    def on_run_start(self, experiment: str, trials: int, workers: int) -> None:
-        self._done = Counter("engine.progress_done")
-        self._total = Gauge("engine.progress_total")
-        self._total.set(trials)
-        ambient = current_telemetry()
-        self._mirror = ambient.metrics.gauge("engine.progress_done")
-        ambient.metrics.gauge("engine.progress_total").set(trials)
-
-    def on_trial(self, experiment: str, index: int, elapsed_s: float) -> None:
-        self._done.inc()
-        done = int(self._done.value)
-        total = int(self._total.value)
-        self._mirror.set(done)
-        if done == 1 or done == total or done % max(1, self.every) == 0:
-            self.fn(done, total)
 
 
 class TelemetryObserver(EngineObserver):

@@ -74,11 +74,3 @@ class MemoryMapError(EmulatorError):
 
 class WorkloadError(ReproError):
     """A workload is malformed (disconnected source, bad weights...)."""
-
-
-class ServeError(ReproError):
-    """Experiment-service failure (bad request, queue full, draining...)."""
-
-    def __init__(self, message: str, status: int = 400) -> None:
-        super().__init__(message)
-        self.status = status

@@ -15,9 +15,7 @@ vocabulary they all share now:
 
 The old per-entry-point keywords keep working but emit
 :class:`DeprecationWarning`; :func:`resolve_engine_kind` implements that
-shim uniformly so each entry point deprecates the same way.  The serve
-API (:mod:`repro.serve`) exposes a single ``engine`` request field that
-maps straight onto this vocabulary.
+shim uniformly so each entry point deprecates the same way.
 """
 
 from __future__ import annotations

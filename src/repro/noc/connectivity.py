@@ -479,7 +479,6 @@ def monte_carlo_disconnection(
     workers: int = 1,
     cache=None,
     engine=None,
-    progress=None,
     batch: int | str = 1,
     method: str = "vectorized",
     adaptive=None,
@@ -561,7 +560,6 @@ def monte_carlo_disconnection(
                 seed=(seed, count),
                 config=config,
                 params=params,
-                progress=progress,
                 batch_fn=batch_fn,
                 adaptive=adaptive,
             )

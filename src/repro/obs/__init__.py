@@ -59,14 +59,6 @@ from .diff import (
     diff_files,
     flatten_numeric,
 )
-from .prom import PROM_CONTENT_TYPE, render_prometheus
-from .sampler import (
-    DEFAULT_CAPACITY,
-    SAMPLE_SCHEMA,
-    MetricsSampler,
-    SeriesRing,
-    read_sample_log,
-)
 from .schema import (
     ENVELOPE_SCHEMA,
     make_envelope,
@@ -92,12 +84,10 @@ from .telemetry import (
     NULL_TELEMETRY,
     Telemetry,
     current_telemetry,
-    scoped_telemetry,
     resolve_telemetry,
     set_telemetry,
     use_telemetry,
 )
-from .top import Frame, render_frame, run_top, sparkline
 from .trace import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -128,22 +118,11 @@ __all__ = [
     "capture_snapshot",
     "merge_snapshot",
     "worker_telemetry",
-    "MetricsSampler",
-    "SeriesRing",
-    "SAMPLE_SCHEMA",
-    "DEFAULT_CAPACITY",
-    "read_sample_log",
-    "PROM_CONTENT_TYPE",
-    "render_prometheus",
     "DiffEntry",
     "DiffReport",
     "diff_documents",
     "diff_files",
     "flatten_numeric",
-    "Frame",
-    "render_frame",
-    "run_top",
-    "sparkline",
     "RunManifest",
     "MANIFEST_SCHEMA",
     "build_manifest",
@@ -153,7 +132,6 @@ __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "current_telemetry",
-    "scoped_telemetry",
     "set_telemetry",
     "use_telemetry",
     "resolve_telemetry",

@@ -12,8 +12,8 @@ classified by what the key *means*:
   ``*hits*``, ``*per_s*``, ...) regress when they **decrease**;
 * everything else is reported neutrally as *changed*.
 
-The comparison is structural, so the same code diffs live
-``/v1/metrics`` snapshots, ``--metrics`` files and benchmark documents.
+The comparison is structural, so the same code diffs ``--metrics``
+files and benchmark documents.
 """
 
 from __future__ import annotations

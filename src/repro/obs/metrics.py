@@ -354,10 +354,6 @@ class MetricsRegistry:
         """Look up an existing metric (None when absent)."""
         return self._metrics.get(_label_key(name, labels))
 
-    def lookup(self, key: str):
-        """Look up a metric by its canonical ``name{k=v,...}`` key."""
-        return self._metrics.get(key)
-
     def __len__(self) -> int:
         return len(self._metrics)
 

@@ -10,8 +10,8 @@ the three document kinds the telemetry layer emits:
 * **manifest** — a run-provenance sidecar (see
   :mod:`repro.obs.manifest`);
 * **envelope** — the versioned ``repro/v1`` result envelope every CLI
-  ``--json`` document and every serve response is wrapped in
-  (:func:`make_envelope`), so programmatic clients parse one shape.
+  ``--json`` document is wrapped in (:func:`make_envelope`), so
+  programmatic clients parse one shape.
 
 Each ``validate_*`` function returns a list of human-readable problems
 (empty = valid); :func:`validate_file` sniffs the kind from the content.
@@ -30,14 +30,12 @@ from .manifest import MANIFEST_SCHEMA, RunManifest
 from .metrics import METRICS_SCHEMA
 from .trace import KNOWN_PHASES, read_trace
 
-#: Schema tag of the versioned result envelope shared by the CLI's
-#: ``--json`` output and every :mod:`repro.serve` response body.
+#: Schema tag of the versioned result envelope of the CLI's ``--json``
+#: output.
 ENVELOPE_SCHEMA = "repro/v1"
 
 
-def make_envelope(
-    result: dict, *, command: str | None = None, manifest: dict | None = None
-) -> dict:
+def make_envelope(result: dict, *, manifest: dict | None = None) -> dict:
     """Wrap one structured command result in the ``repro/v1`` envelope.
 
     ``result`` is a ``run_*``-style dict; its ``command`` and ``ok``
@@ -49,7 +47,7 @@ def make_envelope(
     body = {k: v for k, v in result.items() if k not in ("command", "ok")}
     return {
         "schema": ENVELOPE_SCHEMA,
-        "command": command if command is not None else result.get("command", ""),
+        "command": result.get("command", ""),
         "ok": bool(result.get("ok", True)),
         "manifest": manifest,
         "result": body,

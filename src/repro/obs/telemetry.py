@@ -20,7 +20,6 @@ MetricsRegistry`, one :class:`~repro.obs.trace.Tracer` and the list of
 from __future__ import annotations
 
 import json
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -98,28 +97,14 @@ NULL_TELEMETRY = Telemetry.disabled()
 
 _ambient: Telemetry = NULL_TELEMETRY
 
-# Per-thread overlay over the global ambient.  The experiment engine's
-# worker-capture path scopes a fresh telemetry around each trial chunk;
-# when chunks run inline inside *threads* (the serve daemon runs jobs in
-# a thread pool), swapping the process-global ambient would race between
-# threads and could leak a worker telemetry past its scope.  The overlay
-# makes that scope thread-private while `use_telemetry` stays global —
-# the install-once-in-main semantics every CLI entry point relies on.
-_overlay = threading.local()
-
 
 def current_telemetry() -> Telemetry:
-    """The ambient telemetry (NULL_TELEMETRY unless installed).
-
-    A thread-scoped telemetry (:func:`scoped_telemetry`) shadows the
-    global one within its thread.
-    """
-    scoped = getattr(_overlay, "value", None)
-    return scoped if scoped is not None else _ambient
+    """The ambient telemetry (NULL_TELEMETRY unless installed)."""
+    return _ambient
 
 
 def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
-    """Install the *global* ambient telemetry; returns the previous one."""
+    """Install the ambient telemetry; returns the previous one."""
     global _ambient
     previous = _ambient
     _ambient = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -128,34 +113,16 @@ def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
 
 @contextmanager
 def use_telemetry(telemetry: Telemetry) -> Iterator[Telemetry]:
-    """Scope the global ambient telemetry to a ``with`` block.
+    """Scope the ambient telemetry to a ``with`` block.
 
-    Process-wide: every thread without its own :func:`scoped_telemetry`
-    overlay sees it.  Install from the main thread (CLI entry points,
-    the serve daemon); inside worker threads use
-    :func:`scoped_telemetry` instead.
+    The ambient is one process-wide global: install it from the main
+    thread.
     """
     previous = set_telemetry(telemetry)
     try:
         yield telemetry
     finally:
         set_telemetry(previous)
-
-
-@contextmanager
-def scoped_telemetry(telemetry: Telemetry) -> Iterator[Telemetry]:
-    """Scope a telemetry to the *current thread* for a ``with`` block.
-
-    Unlike :func:`use_telemetry` this never touches the global ambient,
-    so concurrent threads can each capture into their own telemetry
-    without racing — the engine's worker-capture path runs under this.
-    """
-    previous = getattr(_overlay, "value", None)
-    _overlay.value = telemetry
-    try:
-        yield telemetry
-    finally:
-        _overlay.value = previous
 
 
 def resolve_telemetry(telemetry: Telemetry | None = None) -> Telemetry:

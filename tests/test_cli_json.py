@@ -39,8 +39,6 @@ COMMANDS = {
     "verify": ["verify", "--suite", "dft", "--trials", "2"],
     # A missing file is still a structured (ok=False) result.
     "obs": ["obs", "validate", "does-not-exist.json"],
-    # An unreachable daemon is still a structured (ok=False) result.
-    "submit": ["submit", "sleep", "--port", "1", "--timeout", "1"],
 }
 
 

@@ -1,4 +1,4 @@
-"""The cross-process telemetry pipeline: capture → merge → sample → expose → diff.
+"""The cross-process telemetry pipeline: capture → merge → diff.
 
 Covers the observability tentpole end to end:
 
@@ -9,10 +9,7 @@ Covers the observability tentpole end to end:
   correctness property: an N-worker engine run's merged telemetry —
   counter totals, histogram bucket counts, label sets and non-meta
   trace-event counts — is **identical** to the single-worker run's;
-* :class:`MetricsSampler` ring buffers and the JSONL sample log;
-* Prometheus text exposition (:mod:`repro.obs.prom`);
 * metrics/bench document diffing (:mod:`repro.obs.diff`);
-* the ``repro top`` frame renderer and sources;
 * truncated-trailing-JSONL tolerance in :func:`read_trace`.
 """
 
@@ -26,24 +23,19 @@ from repro.engine.core import ExperimentEngine
 from repro.errors import ObsError
 from repro.obs import (
     MetricsRegistry,
-    MetricsSampler,
-    SeriesRing,
     Telemetry,
     TelemetrySnapshot,
     Tracer,
     capture_snapshot,
+    current_telemetry,
     diff_documents,
     merge_snapshot,
-    read_sample_log,
     read_trace,
     read_trace_with_warnings,
-    render_frame,
-    render_prometheus,
-    sparkline,
     summarize_file,
+    use_telemetry,
     validate_file,
 )
-from repro.obs.top import FileSource, Frame
 
 
 # ---------------------------------------------------------------------------
@@ -238,118 +230,18 @@ class TestWorkerMergeEquality:
         assert len(result.values) == 4
         assert len(telemetry.metrics) == 0
 
-
-# ---------------------------------------------------------------------------
-# Sampler rings and the JSONL log.
-# ---------------------------------------------------------------------------
-
-
-class TestSampler:
-    def test_ring_bounded_and_ordered(self):
-        ring = SeriesRing("s", capacity=3)
-        for i in range(5):
-            ring.append(float(i), float(i * 10))
-        assert len(ring) == 3
-        assert ring.points() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-        assert ring.values() == [20.0, 30.0, 40.0]
-        assert ring.last() == 40.0
-
-    def test_samples_instruments_and_histogram_counts(self):
-        reg = MetricsRegistry()
-        reg.counter("serve.requests").inc(3)
-        reg.gauge("serve.queue_depth").set(7)
-        reg.histogram("lat", buckets=[1, 2]).observe(0.5)
-        reg.counter("noc.delivered", network="data").inc(2)
-        clock = iter(float(i) for i in range(100))
-        sampler = MetricsSampler(
-            reg,
-            ["serve.requests", "serve.queue_depth", "lat",
-             "noc.delivered{network=data}", "absent.metric"],
-            proc_stats=False,
-            clock=lambda: next(clock),
-        )
-        values = sampler.sample_once()
-        assert values == {
-            "serve.requests": 3.0,
-            "serve.queue_depth": 7.0,
-            "lat": 1.0,                            # histogram → count
-            "noc.delivered{network=data}": 2.0,
-        }
-        reg.counter("serve.requests").inc()
-        sampler.sample_once()
-        history = sampler.history()
-        assert history["samples_taken"] == 2
-        assert history["series"]["serve.requests"] == [[0.0, 3.0], [1.0, 4.0]]
-        assert "absent.metric" not in history["series"]
-
-    def test_proc_sources_present_on_linux(self):
-        sampler = MetricsSampler(MetricsRegistry(), [], proc_stats=True)
-        values = sampler.sample_once()
-        # Linux CI: both /proc reads succeed; elsewhere they are skipped
-        # silently, which is also correct behaviour.
-        if "proc.rss_bytes" in values:
-            assert values["proc.rss_bytes"] > 0
-            assert values["proc.cpu_seconds"] >= 0
-
-    def test_jsonl_log_roundtrip_tolerates_truncation(self, tmp_path):
-        log = tmp_path / "samples.jsonl"
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        sampler = MetricsSampler(
-            reg, ["c"], proc_stats=False, log_path=str(log),
-            clock=lambda: 1.0,
-        )
-        sampler.sample_once()
-        sampler.sample_once()
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro.samples/1", "ts": 2.0, "val')
-        samples = read_sample_log(str(log))
-        assert len(samples) == 2
-        assert samples[0]["values"] == {"c": 1.0}
-        assert read_sample_log(str(log), limit=1) == samples[-1:]
-
-
-# ---------------------------------------------------------------------------
-# Prometheus exposition.
-# ---------------------------------------------------------------------------
-
-
-class TestPrometheus:
-    def test_counters_get_total_suffix_and_labels(self):
-        reg = MetricsRegistry()
-        reg.counter("noc.injected", network="data").inc(5)
-        text = render_prometheus(reg.to_dict())
-        assert "# TYPE noc_injected_total counter" in text
-        assert 'noc_injected_total{network="data"} 5' in text
-
-    def test_histogram_buckets_cumulative_to_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat.s", buckets=[1.0, 10.0])
-        h.observe(0.5)
-        h.observe(5.0)
-        h.observe(100.0)
-        lines = render_prometheus(reg.to_dict()).splitlines()
-        assert 'lat_s_bucket{le="1"} 1' in lines
-        assert 'lat_s_bucket{le="10"} 2' in lines
-        assert 'lat_s_bucket{le="+Inf"} 3' in lines
-        assert "lat_s_count 3" in lines
-        assert "lat_s_sum 105.5" in lines
-
-    def test_type_header_once_per_metric_family(self):
-        reg = MetricsRegistry()
-        reg.counter("noc.delivered", network="a").inc()
-        reg.counter("noc.delivered", network="b").inc()
-        text = render_prometheus(reg.to_dict())
-        assert text.count("# TYPE noc_delivered_total counter") == 1
-
-    def test_label_values_escaped(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", path='a"b\\c').set(1)
-        text = render_prometheus(reg.to_dict())
-        assert 'path="a\\"b\\\\c"' in text
-
-    def test_empty_document_renders_empty(self):
-        assert render_prometheus(MetricsRegistry().to_dict()) == ""
+    def test_inline_capture_restores_ambient(self):
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            ExperimentEngine(workers=1, cache=None).run(
+                _noc_trial,
+                experiment="pipeline-inline",
+                trials=2,
+                seed=3,
+                config=SystemConfig(rows=4, cols=4),
+            )
+            assert current_telemetry() is telemetry
+        assert telemetry.metrics_document()["counters"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,68 +288,6 @@ class TestDiff:
         assert result["ok"]
         with pytest.raises(SystemExit):
             run_obs("diff", [str(a)])
-
-
-# ---------------------------------------------------------------------------
-# The top renderer and its sources.
-# ---------------------------------------------------------------------------
-
-
-class TestTop:
-    def test_sparkline_shape(self):
-        assert sparkline([]) == ""
-        assert sparkline([3.0, 3.0, 3.0]) == "▁▁▁"
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line == "▁▂▃▄▅▆▇█"
-        assert len(sparkline(list(range(100)), width=10)) == 10
-
-    def test_render_frame_panels(self):
-        frame = Frame(
-            source="t",
-            health={"status": "ok", "uptime_s": 5, "workers": 2,
-                    "engine_workers": 1},
-            counters={"serve.requests": 4, "serve.jobs_executed": 2,
-                      "engine.trials": 20,
-                      "engine.cache_hits{experiment=fig6}": 1,
-                      "engine.cache_misses{experiment=fig6}": 1},
-            gauges={"serve.queue_depth": 1, "serve.jobs_running": 1},
-            histograms={"engine.trial_seconds":
-                        {"count": 20, "p50": 0.001, "p99": 0.002, "max": 0.01}},
-            series={"serve.queue_depth": [0, 1, 2]},
-        )
-        text = render_frame(frame, width=100)
-        assert "[queue]" in text
-        assert "[throughput]" in text
-        assert "[cache & coalescing]" in text
-        assert "[latency (engine.trial_seconds)]" in text
-        assert "engine cache hits" in text and "(50%)" in text
-
-    def test_render_frame_error_short_circuits(self):
-        text = render_frame(Frame(source="t", error="unreachable"))
-        assert "!! unreachable" in text
-        assert "[queue]" not in text
-
-    def test_file_source_builds_series(self, tmp_path):
-        log = tmp_path / "s.jsonl"
-        lines = [
-            {"schema": "repro.samples/1", "ts": float(i),
-             "values": {"serve.queue_depth": float(i), "serve.requests": 2.0}}
-            for i in range(4)
-        ]
-        log.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
-        frame = FileSource(str(log)).fetch()
-        assert frame.error is None
-        assert frame.series["serve.queue_depth"] == [0.0, 1.0, 2.0, 3.0]
-        assert frame.gauges["serve.queue_depth"] == 3.0
-        assert frame.counters["serve.requests"] == 2.0
-        text = render_frame(frame)
-        assert "[queue]" in text
-
-    def test_file_source_empty_log(self, tmp_path):
-        log = tmp_path / "empty.jsonl"
-        log.write_text("")
-        frame = FileSource(str(log)).fetch()
-        assert frame.error == "no samples yet"
 
 
 # ---------------------------------------------------------------------------
