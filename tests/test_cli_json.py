@@ -71,6 +71,14 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert text_code == json_code == (0 if payload["ok"] else 1)
 
+    @pytest.mark.parametrize("command", ["serve", "submit", "top"])
+    def test_daemon_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert command not in _RUNNERS
+
     def test_every_command_has_runner_and_renderer(self):
         assert set(_RUNNERS) == set(_RENDERERS) == set(COMMANDS)
 

@@ -9,11 +9,13 @@ import pytest
 from repro.config import SystemConfig
 from repro.clock.resiliency import monte_carlo_clock_coverage
 from repro.engine import (
+    EngineObserver,
     ExperimentEngine,
     ResultCache,
     ThroughputObserver,
     cache_key,
     canonicalize,
+    resolve_cache,
     spawn_trial_seeds,
 )
 from repro.errors import ReproError
@@ -31,6 +33,30 @@ def _draw_trial(ctx):
 
 def _index_trial(ctx):
     return ctx.index
+
+
+def _draw_chunk(contexts):
+    return [_draw_trial(ctx) for ctx in contexts]
+
+
+class _EventLog(EngineObserver):
+    """Records every engine event in the order it was delivered."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_run_start(self, experiment, trials, workers):
+        self.events.append(("start", experiment, trials, workers))
+
+    def on_trial(self, experiment, index, elapsed_s):
+        assert elapsed_s >= 0.0
+        self.events.append(("trial", experiment, index))
+
+    def on_run_end(self, result):
+        self.events.append(("end", result.from_cache, len(result.values)))
+
+    def trial_indices(self):
+        return [event[2] for event in self.events if event[0] == "trial"]
 
 
 class TestSeeding:
@@ -120,6 +146,14 @@ class TestCache:
         with pytest.raises(ReproError):
             canonicalize(object())
 
+    def test_resolve_cache_arguments(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert resolve_cache(None) is None
+        assert resolve_cache(False) is None
+        assert resolve_cache(True).root == tmp_path / "env"
+        explicit = ResultCache(tmp_path / "explicit")
+        assert resolve_cache(explicit) is explicit
+
     def test_canonicalize_handles_numpy(self):
         canon = canonicalize({"a": np.float64(1.5), "b": np.arange(3)})
         assert canon["a"] == 1.5
@@ -194,6 +228,32 @@ class TestObservability:
         engine.run(_draw_trial, experiment="t", trials=5, seed=0)
         assert observer.total_trials == 5
         assert observer.runs[-1].from_cache
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_trial_reports_every_trial_once(self, workers):
+        log = _EventLog()
+        ExperimentEngine(workers=workers, observers=[log]).run(
+            _draw_trial, experiment="t", trials=7, seed=0
+        )
+        assert log.events[0] == ("start", "t", 7, workers)
+        assert log.events[-1] == ("end", False, 7)
+        assert sorted(log.trial_indices()) == list(range(7))
+
+    def test_on_trial_fires_for_batch_dispatch(self):
+        log = _EventLog()
+        ExperimentEngine(observers=[log], chunk_size=3).run(
+            _draw_trial, experiment="t", trials=7, seed=0, batch_fn=_draw_chunk
+        )
+        assert sorted(log.trial_indices()) == list(range(7))
+
+    def test_cached_run_reports_start_and_end_only(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        ExperimentEngine(cache=cache).run(_draw_trial, experiment="t", trials=4, seed=0)
+        log = _EventLog()
+        ExperimentEngine(cache=cache, observers=[log]).run(
+            _draw_trial, experiment="t", trials=4, seed=0
+        )
+        assert log.events == [("start", "t", 4, 1), ("end", True, 4)]
 
     def test_describe_computed_run(self):
         observer = ThroughputObserver()

@@ -12,6 +12,7 @@ Covers the four contract areas the layer promises:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.obs import (
     read_manifest,
     read_trace,
     resolve_telemetry,
+    set_telemetry,
     summarize_file,
     use_telemetry,
     validate_file,
@@ -258,6 +260,40 @@ class TestAmbientTelemetry:
             assert current_telemetry() is telemetry
             assert resolve_telemetry(None) is telemetry
         assert not current_telemetry().enabled
+
+    def test_ambient_is_one_process_wide_global(self):
+        telemetry = Telemetry()
+        seen = []
+        with use_telemetry(telemetry):
+            thread = threading.Thread(target=lambda: seen.append(current_telemetry()))
+            thread.start()
+            thread.join()
+        assert seen == [telemetry]
+
+    def test_use_telemetry_restores_on_exception(self):
+        outer, inner = Telemetry(), Telemetry()
+        with use_telemetry(outer):
+            with pytest.raises(RuntimeError):
+                with use_telemetry(inner):
+                    assert current_telemetry() is inner
+                    raise RuntimeError("boom")
+            assert current_telemetry() is outer
+        assert not current_telemetry().enabled
+
+    def test_set_telemetry_none_installs_disabled_default(self):
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            assert set_telemetry(None) is telemetry
+            assert not current_telemetry().enabled
+        finally:
+            set_telemetry(previous)
+
+    def test_disabled_telemetry_keeps_no_manifests(self, tmp_path):
+        telemetry = Telemetry(enabled=False, manifest_dir=str(tmp_path / "m"))
+        telemetry.record_manifest(build_manifest("off", trials=1))
+        assert telemetry.manifests == []
+        assert not (tmp_path / "m").exists()
 
     def test_explicit_argument_wins_over_ambient(self):
         explicit = Telemetry()

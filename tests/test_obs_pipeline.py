@@ -243,6 +243,19 @@ class TestWorkerMergeEquality:
             assert current_telemetry() is telemetry
         assert telemetry.metrics_document()["counters"]
 
+    def test_pooled_run_leaves_ambient_installed(self):
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            ExperimentEngine(workers=2, cache=None).run(
+                _noc_trial,
+                experiment="pipeline-pooled",
+                trials=2,
+                seed=3,
+                config=SystemConfig(rows=4, cols=4),
+            )
+            assert current_telemetry() is telemetry
+        assert telemetry.metrics_document()["counters"]
+
 
 # ---------------------------------------------------------------------------
 # Document diffing.
