@@ -8,11 +8,13 @@ mirroring ``bench_noc_sim.py`` for the simulator:
 * **PDN** — constant-power fixed point over a batch of activity maps:
   per-map fresh-``spsolve`` solves vs one cached LU factorization shared
   by the whole :meth:`PdnSolver.solve_many` batch (floor: >=5x);
-* **connectivity** — a 32x32 Fig. 6 Monte-Carlo sweep: the per-fault
-  broadcast loop vs the tile/repeat vectorized kernel (floor: >=5x);
+* **connectivity** — the same drawn 32x32 Fig. 6 fault maps through
+  the per-fault broadcast oracle (``_pair_blockage_reference``) and the
+  factorized sparse kernel behind :func:`disconnected_fraction`
+  (floor: >=5x);
 * **emulation** — BFS on a faulty 16x16 wafer, repeated across fresh
-  systems: per-flow ``kernel.assign`` vs the fault-map-keyed route cache
-  (floor: >=2x).
+  systems: ``engine="reference"`` (per-flow ``kernel.assign``) vs
+  ``engine="fast"`` (the fault-map-keyed route cache) (floor: >=2x).
 
 Runnable two ways::
 
@@ -31,8 +33,11 @@ import numpy as np
 from repro.arch.emulator import clear_route_cache
 from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
-from repro.noc.connectivity import monte_carlo_disconnection
-from repro.noc.faults import FaultMap
+from repro.noc.connectivity import (
+    _pair_blockage_reference,
+    disconnected_fraction,
+)
+from repro.noc.faults import FaultMap, random_fault_map
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.pdn.solver import PdnSolver
 from repro.workloads.bfs import DistributedBfs
@@ -41,7 +46,7 @@ from conftest import print_series
 
 SEED = 1
 MIN_SPEEDUP_PDN = 5.0           # constant-power fixed point, 32x32
-MIN_SPEEDUP_CONNECTIVITY = 5.0  # Fig. 6 MC sweep, 32x32
+MIN_SPEEDUP_CONNECTIVITY = 5.0  # Fig. 6 fault maps, 32x32
 MIN_SPEEDUP_EMULATION = 2.0     # BFS over a faulty 16x16 wafer
 
 #: Emulation scenario: faults at the row/column midpoints force detours,
@@ -69,7 +74,7 @@ def _bench_pdn(scale: float) -> dict:
 
     start = time.perf_counter()
     reference = [
-        PdnSolver(cfg, factorize=False).solve(m, load_model="constant_power")
+        PdnSolver(cfg, engine="reference").solve(m, load_model="constant_power")
         for m in maps
     ]
     ref_s = time.perf_counter() - start
@@ -104,33 +109,32 @@ def _bench_pdn(scale: float) -> dict:
 def _bench_connectivity(scale: float) -> dict:
     cfg = SystemConfig()
     fault_counts = [2, 5, 10]
-    trials = max(4, int(20 * scale))
+    per_count = max(4, int(20 * scale))
+    rng = np.random.default_rng(SEED)
+    maps = [
+        random_fault_map(cfg, count, rng)
+        for count in fault_counts
+        for _ in range(per_count)
+    ]
 
     start = time.perf_counter()
-    reference = monte_carlo_disconnection(
-        cfg, fault_counts, trials=trials, seed=SEED, method="reference"
-    )
+    reference = [_pair_blockage_reference(fmap) for fmap in maps]
     ref_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    fast = monte_carlo_disconnection(
-        cfg, fault_counts, trials=trials, seed=SEED, method="vectorized"
-    )
+    fast = [disconnected_fraction(fmap) for fmap in maps]
     fast_s = time.perf_counter() - start
 
-    for ref_stats, fast_stats in zip(reference, fast):
-        if (
-            ref_stats.mean_single_pct != fast_stats.mean_single_pct
-            or ref_stats.mean_dual_pct != fast_stats.mean_dual_pct
-        ):
+    for fmap, ref_pair, fast_pair in zip(maps, reference, fast):
+        if ref_pair != fast_pair:
             raise AssertionError(
-                f"connectivity kernels diverged at fault count "
-                f"{ref_stats.fault_count}"
+                f"connectivity kernel diverged from the oracle at fault "
+                f"count {fmap.fault_count}"
             )
     return {
-        "label": "fig6 MC sweep",
+        "label": "fig6 32x32 fault maps",
         "fault_counts": fault_counts,
-        "trials": trials,
+        "maps": len(maps),
         "reference_s": ref_s,
         "fast_s": fast_s,
         "speedup": ref_s / fast_s,
@@ -144,19 +148,19 @@ def _bench_emulation() -> dict:
         fmap = fmap.with_fault(fault)
     graph = nx.gnm_random_graph(EMU_GRAPH_NODES, EMU_GRAPH_EDGES, seed=SEED)
 
-    def run(route_cache: bool):
+    def run(engine: str):
         system = WaferscaleSystem(cfg, fmap)
-        return DistributedBfs(system, graph).run(0, route_cache=route_cache)
+        return DistributedBfs(system, graph).run(0, engine=engine)
 
     start = time.perf_counter()
-    reference = [run(route_cache=False) for _ in range(EMU_RUNS)]
+    reference = [run("reference") for _ in range(EMU_RUNS)]
     ref_s = time.perf_counter() - start
 
     # Fresh systems each run: only the shared fault-map-keyed route table
     # carries over, so the first run pays the misses and the rest are hits.
     clear_route_cache()
     start = time.perf_counter()
-    fast = [run(route_cache=True) for _ in range(EMU_RUNS)]
+    fast = [run("fast") for _ in range(EMU_RUNS)]
     fast_s = time.perf_counter() - start
 
     for ref_res, fast_res in zip(reference, fast):
@@ -170,7 +174,7 @@ def _bench_emulation() -> dict:
     tel = Telemetry()
     with use_telemetry(tel):
         for _ in range(2):
-            run(route_cache=True)
+            run("fast")
     return {
         "label": "bfs emulation (faulty wafer)",
         "rows": EMU_ROWS,
@@ -251,7 +255,7 @@ def main() -> int:
         "--scale",
         type=float,
         default=1.0,
-        help="scale PDN map and MC trial counts (CI uses < 1 for speed)",
+        help="scale PDN and fault-map counts (CI uses < 1 for speed)",
     )
     args = parser.parse_args()
     result = measure(args.scale)

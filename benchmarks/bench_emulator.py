@@ -1,6 +1,6 @@
-"""Vector emulator engine: full-wafer workloads and batched Fig. 6 MC.
+"""Vector emulator engine: full-wafer workloads and batched trials.
 
-Three gated points plus one informational point, all at the paper's
+Two gated points plus one informational point, all at the paper's
 32x32 (2048-chiplet) array:
 
 * ``wave`` — a :class:`~repro.workloads.waves.FrontierWave` (BFS-shaped
@@ -10,10 +10,6 @@ Three gated points plus one informational point, all at the paper's
 * ``bfs`` — distributed BFS over a random graph, same comparison and
   floor.  Each engine gets a fresh system and cleared route caches, so
   the reference cost is the honest cold cost a new fault map pays.
-* ``fig6_chunk`` — ``monte_carlo_disconnection(batch="chunk")`` (whole
-  worker chunks through the factorized sparse counting kernel) vs the
-  per-trial ``batch=1`` path; identical statistics required, with a
-  trial-throughput floor of ``MIN_FIG6_SPEEDUP``.
 * ``emulate_batch`` — N independent wave trials through one vector
   kernel; per-trial stats must match the individual runs (throughput
   recorded, not gated: per-trial python compute dominates at this size).
@@ -29,7 +25,6 @@ Runnable two ways::
 """
 
 import argparse
-import gc
 import json
 import time
 
@@ -39,8 +34,6 @@ from repro.arch.emulator import clear_route_cache
 from repro.arch.system import WaferscaleSystem
 from repro.arch.vectoremu import emulate_batch
 from repro.config import SystemConfig
-from repro.engine import ExperimentEngine
-from repro.noc.connectivity import monte_carlo_disconnection
 from repro.noc.faults import random_fault_map
 from repro.workloads.bfs import DistributedBfs
 from repro.workloads.graphs import random_graph
@@ -55,12 +48,9 @@ WAVE_FAULTS = 10
 WAVE_WIDTH, WAVE_FANOUT, WAVE_TTL = 8, 4, 4
 BFS_FAULTS = 10
 BFS_NODES = 192
-FIG6_FAULT_COUNTS = (5, 10)
-FIG6_TRIALS = 100
 BATCH_TRIALS = 6
 
 MIN_WORKLOAD_SPEEDUP = 8.0      # vector over reference, wave and bfs
-MIN_FIG6_SPEEDUP = 3.0          # chunk dispatch over per-trial dispatch
 
 STAT_FIELDS = (
     "supersteps",
@@ -169,46 +159,7 @@ def measure(scale: float = 1.0) -> dict:
         "speedup_vs_fast": bfs_s["fast"] / bfs_s["vector"],
     }
 
-    # Point 3: Fig. 6 Monte Carlo, per-trial vs chunk dispatch.  One
-    # chunk per fault count shows the full batching win; gc is paused so
-    # the wave/bfs points' allocations don't bleed into this timing.
-    trials = max(20, int(FIG6_TRIALS * scale))
-    counts = list(FIG6_FAULT_COUNTS)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        per_trial = monte_carlo_disconnection(
-            cfg, counts, trials=trials, seed=SEED
-        )
-        per_trial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        chunked = monte_carlo_disconnection(
-            cfg,
-            counts,
-            trials=trials,
-            seed=SEED,
-            batch="chunk",
-            engine=ExperimentEngine(chunk_size=trials),
-        )
-        chunk_s = time.perf_counter() - start
-    finally:
-        gc.enable()
-    if per_trial != chunked:
-        raise AssertionError("fig6: chunk dispatch changed the statistics")
-    total_maps = trials * len(counts)
-    fig6_point = {
-        "label": "fig6_chunk",
-        "fault_counts": counts,
-        "trials": trials,
-        "per_trial_s": per_trial_s,
-        "chunk_s": chunk_s,
-        "per_trial_maps_per_s": total_maps / per_trial_s,
-        "chunk_maps_per_s": total_maps / chunk_s,
-        "speedup": per_trial_s / chunk_s,
-    }
-
-    # Point 4 (informational): emulate_batch vs individual vector runs.
+    # Point 3 (informational): emulate_batch vs individual vector runs.
     waves = []
     for b in range(BATCH_TRIALS):
         system = WaferscaleSystem(cfg, random_fault_map(cfg, 3, rng=rng))
@@ -240,7 +191,6 @@ def measure(scale: float = 1.0) -> dict:
     ok = (
         wave_point["speedup_vs_reference"] >= MIN_WORKLOAD_SPEEDUP
         and bfs_point["speedup_vs_reference"] >= MIN_WORKLOAD_SPEEDUP
-        and fig6_point["speedup"] >= MIN_FIG6_SPEEDUP
     )
     return {
         "bench": "emulator",
@@ -252,16 +202,15 @@ def measure(scale: float = 1.0) -> dict:
         },
         "thresholds": {
             "workload_speedup_vs_reference": MIN_WORKLOAD_SPEEDUP,
-            "fig6_chunk_speedup": MIN_FIG6_SPEEDUP,
         },
         "stats_identical": True,
-        "points": [wave_point, bfs_point, fig6_point, batch_point],
+        "points": [wave_point, bfs_point, batch_point],
         "ok": ok,
     }
 
 
 def _rows(result: dict) -> list[tuple]:
-    wave, bfs, fig6, batch = result["points"]
+    wave, bfs, batch = result["points"]
     return [
         (
             "wave              ",
@@ -274,12 +223,6 @@ def _rows(result: dict) -> list[tuple]:
             f"ref {bfs['reference_s']:7.3f}s",
             f"vector {bfs['vector_s']:7.3f}s",
             f"{bfs['speedup_vs_reference']:6.1f}x",
-        ),
-        (
-            "fig6 chunk        ",
-            f"per-trial {fig6['per_trial_maps_per_s']:7.1f} maps/s",
-            f"chunk {fig6['chunk_maps_per_s']:8.1f} maps/s",
-            f"{fig6['speedup']:6.2f}x",
         ),
         (
             f"emulate_batch x{batch['trials']} ",
@@ -316,7 +259,7 @@ def main() -> int:
         "--scale",
         type=float,
         default=1.0,
-        help="scale wave width and Fig. 6 trials (CI uses < 1 for speed)",
+        help="scale wave width and BFS graph size (CI uses < 1 for speed)",
     )
     args = parser.parse_args()
     result = measure(args.scale)
@@ -330,8 +273,7 @@ def main() -> int:
     for row in _rows(result):
         print("   ", *row)
     print(
-        f"  floors: {MIN_WORKLOAD_SPEEDUP}x workloads vs reference, "
-        f"{MIN_FIG6_SPEEDUP}x fig6 chunk -> "
+        f"  floors: {MIN_WORKLOAD_SPEEDUP}x workloads vs reference -> "
         f"{'OK' if result['ok'] else 'REGRESSED'}"
     )
     return 0 if result["ok"] else 1

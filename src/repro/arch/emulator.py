@@ -121,7 +121,6 @@ class Emulator:
         system: WaferscaleSystem | None = None,
         telemetry: Telemetry | None = None,
         engine: str | None = None,
-        route_cache: bool | None = None,
         checkers=None,
     ):
         # Factory dispatch (mirrors NocSimulator): Emulator(engine="vector")
@@ -138,17 +137,11 @@ class Emulator:
         system: WaferscaleSystem,
         telemetry: Telemetry | None = None,
         engine: str | None = None,
-        route_cache: bool | None = None,
         checkers=None,
     ):
         self.system = system
         self.engine = resolve_engine_kind(
-            engine,
-            entry_point="Emulator",
-            kinds=VECTOR_ENGINE_KINDS,
-            deprecated_name="route_cache",
-            deprecated_value=route_cache,
-            deprecated_map={True: "fast", False: "reference"},
+            engine, entry_point="Emulator", kinds=VECTOR_ENGINE_KINDS
         )
         self.stats = EmulationStats()
         # Route checkers (``on_route``) fire on shared-route-cache hits —

@@ -294,14 +294,12 @@ class VectorEmulator(Emulator):
         system: WaferscaleSystem,
         telemetry: Telemetry | None = None,
         engine: str | None = None,
-        route_cache: bool | None = None,
         checkers=None,
     ):
         super().__init__(
             system,
             telemetry=telemetry,
             engine="vector" if engine is None else engine,
-            route_cache=route_cache,
             checkers=checkers,
         )
         if self.engine != "vector":

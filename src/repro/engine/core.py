@@ -111,20 +111,12 @@ class RunResult:
 def _run_chunk(
     payload: tuple[
         Callable[[TrialContext], Any],
-        Callable[[list[TrialContext]], list[Any]] | None,
         dict[str, Any],
         list[tuple[int, np.random.SeedSequence]],
         bool,
     ],
 ) -> tuple[list[tuple[int, Any, float]], TelemetrySnapshot | None]:
     """Execute one chunk of trials; runs inside a worker process.
-
-    With ``batch_fn`` set, the whole chunk is consumed by one vectorized
-    call — ``batch_fn(contexts)`` returns per-trial values in context
-    order, each context carrying the same private seed stream its trial
-    would get on the per-trial path, so values must (and, for the
-    shipped batch kernels, bit-identically do) match ``fn`` trial by
-    trial.  The chunk's wall time is charged evenly across its trials.
 
     With ``capture`` set, the chunk runs under a *fresh* ambient
     telemetry — never the one inherited across ``fork``, whose registry
@@ -134,26 +126,10 @@ def _run_chunk(
     (``workers=1``) path uses the very same flow, so merged totals are
     identical by construction regardless of worker count.
     """
-    fn, batch_fn, params, items, capture = payload
+    fn, params, items, capture = payload
 
     def _execute() -> list[tuple[int, Any, float]]:
         out: list[tuple[int, Any, float]] = []
-        if batch_fn is not None:
-            contexts = [
-                TrialContext(index=index, seed=seed, params=params)
-                for index, seed in items
-            ]
-            start = time.perf_counter()
-            values = batch_fn(contexts)
-            per_trial = (time.perf_counter() - start) / max(1, len(items))
-            if len(values) != len(items):
-                raise ReproError(
-                    f"batch_fn returned {len(values)} values for "
-                    f"{len(items)} trials"
-                )
-            for (index, _), value in zip(items, values):
-                out.append((index, value, per_trial))
-            return out
         for index, seed in items:
             start = time.perf_counter()
             value = fn(TrialContext(index=index, seed=seed, params=params))
@@ -242,7 +218,6 @@ class ExperimentEngine:
         config: SystemConfig | None = None,
         params: dict[str, Any] | None = None,
         verify: Callable[[int, Any], None] | None = None,
-        batch_fn: Callable[[list[TrialContext]], list[Any]] | None = None,
         adaptive: "CIStop | None" = None,
     ) -> RunResult:
         """Run ``trials`` independent trials of ``fn`` and collect values.
@@ -258,12 +233,6 @@ class ExperimentEngine:
         Raise from the hook (e.g. an
         :class:`~repro.verify.invariants.InvariantViolation`) to fail
         the run; verified-trial counts are recorded through telemetry.
-
-        ``batch_fn``, when given, consumes each dispatched chunk in one
-        vectorized call (see :func:`_run_chunk`); per-trial seed
-        streams, chunking, caching, and telemetry capture are unchanged,
-        and the caller warrants that ``batch_fn`` reproduces ``fn``'s
-        per-trial values.
 
         ``adaptive`` (a :class:`~repro.engine.adaptive.CIStop`) turns
         ``trials`` into a cap: trials run in deterministic blocks and
@@ -347,7 +316,7 @@ class ExperimentEngine:
 
         def _dispatch(block, pool) -> None:
             payloads = [
-                (fn, batch_fn, run_params, chunk, capture)
+                (fn, run_params, chunk, capture)
                 for chunk in self._chunks(block)
             ]
             if pool is None:

@@ -5,7 +5,6 @@ from .checkpoint import load_noc_state, read_checkpoint_manifest, save_noc_state
 from .connectivity import (
     ConnectivityStats,
     disconnected_fraction,
-    disconnected_fractions,
     monte_carlo_disconnection,
     same_row_col_share,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "AdaptiveRouter",
     "ConnectivityStats",
     "disconnected_fraction",
-    "disconnected_fractions",
     "monte_carlo_disconnection",
     "same_row_col_share",
     "DualNetwork",

@@ -12,20 +12,14 @@ pairs versus fault count for
 The paper's headline point: at five faulty chiplets out of 2048, a single
 network loses >12% of pairs while the dual network loses <2%.
 
-Two computation kernels produce the exact same fractions, selected by
-the library-wide ``engine`` keyword (see :mod:`repro.fastpath`):
-
-* ``engine="fast"`` (default) — per wafer geometry, the coordinate
-  grids, the pair-segment gather indices and the same-row/column mask
-  are precomputed once (:func:`_coord_grid`); per fault map, segment
-  fault counts come from two cumulative-sum tables so the full ordered
-  pair matrix is a handful of whole-array operations with **no loop
-  over faults**.
-* ``engine="reference"`` — the retained per-fault broadcast loop, the
-  golden model the differential tests compare against bit for bit.
-
-The historical ``method="vectorized"|"reference"`` keyword still works
-on every entry point below but emits ``DeprecationWarning``.
+Per fault map, :func:`disconnected_fraction` counts blocked pairs with
+a factorized sparse contraction (:func:`_pair_blockage_sparse`): per
+wafer geometry the coordinate grids are precomputed once
+(:func:`_coord_grid`), per map two cumulative-sum tables give the
+segment fault tables, and the pair counts contract over the faulty rows
+only — **no loop over faults** and no million-entry pair matrix.
+:func:`_pair_blockage_reference`, a per-fault broadcast loop, is the
+oracle the differential tests compare it against bit for bit.
 
 A fault at ``(fr, fc)`` blocks the X-Y pair ``(r1,c1)->(r2,c2)`` iff it
 lies on the source-row segment or the destination-column segment; the
@@ -42,26 +36,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..errors import NetworkError
-from ..fastpath import resolve_engine_kind
 from .faults import FaultMap, random_fault_map
-
-#: Legacy kernel names accepted by the deprecated ``method`` parameters.
-METHODS = ("vectorized", "reference")
-
-#: Deprecated ``method`` value -> unified engine kind.
-_METHOD_TO_ENGINE = {"vectorized": "fast", "reference": "reference"}
-
-
-def _kernel(engine, method, entry_point: str):
-    """The kernel selected by ``engine=`` (or the deprecated ``method=``)."""
-    kind = resolve_engine_kind(
-        engine,
-        entry_point=entry_point,
-        deprecated_name="method",
-        deprecated_value=method,
-        deprecated_map=_METHOD_TO_ENGINE,
-    )
-    return _KERNELS["vectorized" if kind == "fast" else "reference"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +101,25 @@ def _coord_grid(rows: int, cols: int) -> dict:
     }
 
 
+def _segment_tables(
+    fault_arr: np.ndarray, grid: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-map segment fault tables from two cumulative-sum tables.
+
+    ``tbl_row[r, a, b]``: any fault in row ``r``, columns
+    ``[min(a,b), max(a,b)]``; ``tbl_col[a, b, c]``: any fault in column
+    ``c``, rows ``[min(a,b), max(a,b)]``.
+    """
+    rows, cols = fault_arr.shape
+    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
+    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
+    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
+    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
+    tbl_row = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
+    tbl_col = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    return tbl_row, tbl_col
+
+
 def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid X-Y blocked-pair matrix and healthy-tile mask.
 
@@ -141,16 +135,7 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     n = rows * cols
     grid = _coord_grid(rows, cols)
     fault_arr = fault_map.as_bool_array()
-
-    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
-    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
-    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
-    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
-
-    # tbl_row[r, a, b]: any fault in row r, columns [min(a,b), max(a,b)].
-    # tbl_col[a, b, c]: any fault in column c, rows [min(a,b), max(a,b)].
-    tbl_row = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
-    tbl_col = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    tbl_row, tbl_col = _segment_tables(fault_arr, grid)
 
     # Row-segment term: depends on (source tile, destination column), and
     # tbl_row reshaped to (n, cols) is already indexed by source flat id,
@@ -163,46 +148,14 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     return xy_blocked, ~fault_arr.reshape(-1)
 
 
-def _pair_blockage(fault_map: FaultMap) -> PairDisconnection:
-    """Exact disconnection fractions for one fault map (vectorised).
-
-    Counts run over the full grid and subtract the analytically-known
-    contribution of faulty-endpoint pairs (``f`` faulty of ``n`` tiles
-    leave ``f * (2n - f)`` ordered pairs with a faulty endpoint, all of
-    them blocked in both directions), avoiding any per-map mask builds.
-    """
-    xy_blocked, healthy = _blockage_matrix(fault_map)
-    n = healthy.size
-    h = int(healthy.sum())
-    if h < 2:
-        raise NetworkError("need at least two healthy tiles")
-    f = n - h
-    endpoint_pairs = f * (2 * n - f)
-
-    one_way_count = int(np.count_nonzero(xy_blocked)) - endpoint_pairs
-    dual_count = (
-        int(np.count_nonzero(xy_blocked & xy_blocked.T)) - endpoint_pairs
-    )
-    # |A or B| = |A| + |B| - |A and B|, and |B| = |A| by symmetry.
-    single_count = 2 * one_way_count - dual_count
-
-    pair_count = h * (h - 1)
-    return PairDisconnection(
-        fault_count=fault_map.fault_count,
-        one_way_xy=one_way_count / pair_count,
-        single=single_count / pair_count,
-        dual=dual_count / pair_count,
-        healthy_pairs=pair_count,
-    )
-
-
 def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     """Exact disconnection fractions via a factorized sparse contraction.
 
-    Same integer counts as :func:`_pair_blockage` — so bit-identical
-    fractions — without ever materialising the million-entry pair
-    matrices.  The blocked-pair counts are sums of products of the two
-    small segment tables ``R[a, c, e]`` (fault in row ``a``, columns
+    Same integer counts as the pair-matrix oracle
+    :func:`_pair_blockage_reference` — so bit-identical fractions —
+    without ever materialising the million-entry pair matrices.  The
+    blocked-pair counts are sums of products of the two small segment
+    tables ``R[a, c, e]`` (fault in row ``a``, columns
     ``c..e``) and ``C[a, b, e]`` (fault in column ``e``, rows ``a..b``),
     and those sums factor:
 
@@ -216,8 +169,9 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
       because every entry is a 0/1 sum over at most ``cols`` terms).
 
     At Fig. 6 fault counts (a handful of faulty rows out of 32) this is
-    ~5-8x the tiled pair-matrix kernel per map; it degrades gracefully
-    toward the dense cost as faults approach full coverage.
+    tens of times faster than the reference loop per map; it degrades
+    gracefully toward a dense contraction as faults approach full
+    coverage.
     """
     cfg = fault_map.config
     rows, cols = cfg.rows, cfg.cols
@@ -226,14 +180,7 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     h = n - int(fault_arr.sum())
     if h < 2:
         raise NetworkError("need at least two healthy tiles")
-    grid = _coord_grid(rows, cols)
-
-    row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
-    np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
-    col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
-    np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
-    R = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
-    C = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    R, C = _segment_tables(fault_arr, _coord_grid(rows, cols))
     c_open = (~C).astype(np.float32)         # (a, b, e): column segment clear
 
     # one_way_full = n^2 - sum_{a,c,b,e} (1-R[a,c,e]) (1-C[a,b,e]).
@@ -282,6 +229,7 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     endpoint_pairs = f * (2 * n - f)
     one_way_count = one_way_full - endpoint_pairs
     dual_count = dual_full - endpoint_pairs
+    # |A or B| = |A| + |B| - |A and B|, and |B| = |A| by symmetry.
     single_count = 2 * one_way_count - dual_count
     pair_count = h * (h - 1)
     return PairDisconnection(
@@ -294,7 +242,7 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
 
 
 def _pair_blockage_reference(fault_map: FaultMap) -> PairDisconnection:
-    """The retained per-fault broadcast loop (golden differential model)."""
+    """Per-fault broadcast loop over the healthy pair matrix (test oracle)."""
     cfg = fault_map.config
     rows, cols = cfg.rows, cfg.cols
     coords = np.array(
@@ -339,34 +287,9 @@ def _pair_blockage_reference(fault_map: FaultMap) -> PairDisconnection:
     )
 
 
-_KERNELS = {"vectorized": _pair_blockage, "reference": _pair_blockage_reference}
-
-
-def disconnected_fraction(
-    fault_map: FaultMap, engine: str | None = None, method: str | None = None
-) -> PairDisconnection:
+def disconnected_fraction(fault_map: FaultMap) -> PairDisconnection:
     """Exact disconnection fractions for one fault map."""
-    return _kernel(engine, method, "disconnected_fraction")(fault_map)
-
-
-def disconnected_fractions(
-    fault_maps: list[FaultMap],
-    engine: str | None = None,
-    method: str | None = None,
-) -> list[PairDisconnection]:
-    """Batched exact disconnection fractions for many fault maps.
-
-    The fast kind routes every map through the factorized sparse
-    kernel (:func:`_pair_blockage_sparse`) — bit-identical counts to
-    :func:`disconnected_fraction`'s tiled pair-matrix kernel, several
-    times faster per map at realistic fault densities, and all
-    per-geometry precompute (coordinate grids, gather indices) is
-    cached across the batch.
-    """
-    kernel = _kernel(engine, method, "disconnected_fractions")
-    if kernel is _pair_blockage:
-        kernel = _pair_blockage_sparse
-    return [kernel(fmap) for fmap in fault_maps]
+    return _pair_blockage_sparse(fault_map)
 
 
 @dataclass(frozen=True)
@@ -397,9 +320,8 @@ def _disconnection_trial(ctx) -> tuple[float, float]:
     """
     fault_count = ctx.params["fault_count"]
     fmap = random_fault_map(ctx.config, fault_count, ctx.rng)
-    kernel = _KERNELS[ctx.params.get("method", "vectorized")]
     try:
-        result = kernel(fmap)
+        result = _pair_blockage_sparse(fmap)
     except NetworkError as err:
         raise NetworkError(
             f"degenerate fault map in Fig. 6 Monte Carlo "
@@ -408,66 +330,9 @@ def _disconnection_trial(ctx) -> tuple[float, float]:
     return result.single * 100.0, result.dual * 100.0
 
 
-def _disconnection_batch_trial(ctx) -> list[tuple[float, float]]:
-    """One batched Fig. 6 trial: draw and measure several maps at once.
-
-    Trial ``i`` of a batched run covers maps ``i*batch .. i*batch+k-1``
-    (``k`` shrinks on the final trial so exactly ``trials_total`` maps
-    are drawn across the run).
-    """
-    fault_count = ctx.params["fault_count"]
-    batch = ctx.params["batch"]
-    total = ctx.params["trials_total"]
-    n_maps = min(batch, total - ctx.index * batch)
-    kernel = _KERNELS[ctx.params.get("method", "vectorized")]
-    out: list[tuple[float, float]] = []
-    for offset in range(n_maps):
-        fmap = random_fault_map(ctx.config, fault_count, ctx.rng)
-        try:
-            result = kernel(fmap)
-        except NetworkError as err:
-            raise NetworkError(
-                f"degenerate fault map in Fig. 6 Monte Carlo (trial "
-                f"{ctx.index}, map {offset} of the batch, fault_count "
-                f"{fault_count}): {err}"
-            ) from err
-        out.append((result.single * 100.0, result.dual * 100.0))
-    return out
-
-
 def _fig6_single_pct(value: tuple[float, float]) -> float:
     """Default adaptive statistic: a trial's single-network percentage."""
     return float(value[0])
-
-
-def _disconnection_chunk(contexts) -> list[tuple[float, float]]:
-    """Whole-chunk Fig. 6 kernel (an experiment-engine ``batch_fn``).
-
-    Draws each trial's fault map from that trial's private rng — so
-    every per-trial value is bit-identical to
-    :func:`_disconnection_trial` — then measures the whole chunk in one
-    :func:`disconnected_fractions` call, amortising dispatch and
-    per-geometry precompute across the chunk.
-    """
-    if not contexts:
-        return []
-    params = contexts[0].params
-    fault_count = params["fault_count"]
-    method = params.get("method", "vectorized")
-    fmaps = [
-        random_fault_map(ctx.config, fault_count, ctx.rng) for ctx in contexts
-    ]
-    try:
-        results = disconnected_fractions(fmaps, engine=_METHOD_TO_ENGINE[method])
-    except NetworkError as err:
-        # A degenerate draw leaves < 2 healthy tiles, which depends only
-        # on (geometry, fault_count) — every map in the chunk is equally
-        # degenerate, so attribute the error to the chunk's first trial.
-        raise NetworkError(
-            f"degenerate fault map in Fig. 6 Monte Carlo "
-            f"(trial {contexts[0].index}, fault_count {fault_count}): {err}"
-        ) from err
-    return [(r.single * 100.0, r.dual * 100.0) for r in results]
 
 
 def monte_carlo_disconnection(
@@ -479,8 +344,6 @@ def monte_carlo_disconnection(
     workers: int = 1,
     cache=None,
     engine=None,
-    batch: int | str = 1,
-    method: str = "vectorized",
     adaptive=None,
 ) -> list[ConnectivityStats]:
     """Reproduce Fig. 6: mean disconnected-pair percentage vs fault count.
@@ -489,92 +352,45 @@ def monte_carlo_disconnection(
     generated fault maps".  Trials run on the experiment engine: pass
     ``workers`` to parallelise (statistics are identical at any worker
     count for the same ``seed``) and ``cache=True`` to reuse recorded
-    runs; an explicit ``engine`` overrides both.
-
-    ``batch`` > 1 evaluates that many maps per engine trial (amortising
-    per-trial dispatch for large sweeps).  ``trials`` always counts maps,
-    but batched runs consume each trial rng stream ``batch`` times, so
-    their statistics match other runs of the same ``batch`` — not the
-    per-map (``batch=1``) stream.  ``batch="chunk"`` instead dispatches
-    each worker chunk as one :func:`disconnected_fractions` call via the
-    engine's ``batch_fn`` path: per-trial values (and hence statistics,
-    seeds and the cache key) stay bit-identical to ``batch=1`` while the
-    dispatch overhead amortises across the chunk.  ``method`` selects
-    the connectivity kernel and accepts the unified engine names
-    (``"fast"`` — the default ``"vectorized"`` kernel — or
-    ``"reference"``, the retained loop); ``engine`` here is an
-    :class:`~repro.engine.ExperimentEngine` *executor*, not the kernel
-    kind.
+    runs; an explicit ``engine`` (an
+    :class:`~repro.engine.ExperimentEngine` executor) overrides both.
+    Trial ``i`` of fault count ``k`` draws its map from the ``i``-th
+    child of ``SeedSequence((seed, k))``.
 
     ``adaptive`` takes a :class:`~repro.engine.CIStop` rule: ``trials``
     becomes a cap, and each fault count stops as soon as the bootstrap
     CI on the rule's statistic (default: the single-network disconnected
-    percentage) closes.  Adaptive runs require per-map trials
-    (``batch=1`` or ``"chunk"``), and their :class:`ConnectivityStats`
-    report the executed trial count.
+    percentage) closes.  Adaptive :class:`ConnectivityStats` report the
+    executed trial count.
 
     A degenerate draw (< 2 healthy tiles) raises :class:`NetworkError`
     naming the trial index, fault count and run seed that produced it.
     """
     from ..engine import ExperimentEngine
 
-    if batch != "chunk" and (not isinstance(batch, int) or batch < 1):
-        raise NetworkError("batch must be >= 1 or 'chunk'")
-    if method == "fast":
-        method = "vectorized"
-    if method not in _KERNELS:
-        raise NetworkError(f"unknown connectivity method {method!r}")
-    if adaptive is not None:
-        if batch not in (1, "chunk"):
-            raise NetworkError(
-                "adaptive sampling needs per-map trials: use batch=1 or 'chunk'"
-            )
-        if adaptive.statistic is None:
-            adaptive = replace(adaptive, statistic=_fig6_single_pct)
+    if adaptive is not None and adaptive.statistic is None:
+        adaptive = replace(adaptive, statistic=_fig6_single_pct)
     eng = engine or ExperimentEngine(workers=workers, cache=cache)
     out: list[ConnectivityStats] = []
     for count in fault_counts:
-        # Default-parameter runs keep their historical engine cache
-        # identity; batched or reference-kernel runs get their own.
-        # Chunk dispatch intentionally shares the batch=1 identity: the
-        # per-trial values are bit-identical.
-        params: dict = {"fault_count": count}
-        if method != "vectorized":
-            params["method"] = method
-        batch_fn = None
-        if batch == "chunk":
-            trial_fn, engine_trials = _disconnection_trial, trials
-            batch_fn = _disconnection_chunk
-        elif batch == 1:
-            trial_fn, engine_trials = _disconnection_trial, trials
-        else:
-            params["batch"] = batch
-            params["trials_total"] = trials
-            trial_fn = _disconnection_batch_trial
-            engine_trials = -(-trials // batch)
         try:
             run = eng.run(
-                trial_fn,
+                _disconnection_trial,
                 experiment="noc.fig6_disconnection",
-                trials=engine_trials,
+                trials=trials,
                 seed=(seed, count),
                 config=config,
-                params=params,
-                batch_fn=batch_fn,
+                params={"fault_count": count},
                 adaptive=adaptive,
             )
         except NetworkError as err:
             raise NetworkError(f"{err} [run seed {(seed, count)!r}]") from err
-        if batch in (1, "chunk"):
-            pairs = run.values
-        else:
-            pairs = [pair for chunk in run.values for pair in chunk]
-        singles = [single for single, _ in pairs]
-        duals = [dual for _, dual in pairs]
+        singles = [single for single, _ in run.values]
+        duals = [dual for _, dual in run.values]
         out.append(
             ConnectivityStats(
                 fault_count=count,
-                trials=len(pairs),
+                trials=len(run.values),
                 mean_single_pct=float(np.mean(singles)),
                 mean_dual_pct=float(np.mean(duals)),
                 std_single_pct=float(np.std(singles)),
@@ -584,26 +400,15 @@ def monte_carlo_disconnection(
     return out
 
 
-def same_row_col_share(
-    fault_map: FaultMap, engine: str | None = None, method: str | None = None
-) -> float:
+def same_row_col_share(fault_map: FaultMap) -> float:
     """Among dual-network-disconnected pairs, the share in a common row/column.
 
     The paper notes the residual disconnections under two networks "mostly
     connect those pairs of chiplets that are in the same row/column" —
     those pairs have no second disjoint path to begin with.  Built on the
-    vectorized blockage matrices; ``engine="reference"`` walks every
-    pair's two DoR paths explicitly (the differential golden model).
+    vectorized blockage matrices; :func:`_same_row_col_share_reference`
+    walks every pair's two DoR paths explicitly (the test oracle).
     """
-    kind = resolve_engine_kind(
-        engine,
-        entry_point="same_row_col_share",
-        deprecated_name="method",
-        deprecated_value=method,
-        deprecated_map=_METHOD_TO_ENGINE,
-    )
-    if kind == "reference":
-        return _same_row_col_share_reference(fault_map)
     cfg = fault_map.config
     xy_blocked, healthy = _blockage_matrix(fault_map)
     valid = healthy[:, None] & healthy[None, :]
@@ -617,7 +422,7 @@ def same_row_col_share(
 
 
 def _same_row_col_share_reference(fault_map: FaultMap) -> float:
-    """Pure-Python per-pair path walk (golden differential model)."""
+    """Pure-Python per-pair path walk (test oracle)."""
     healthy = fault_map.healthy_tiles()
     blocked_same = 0
     blocked_total = 0

@@ -25,8 +25,7 @@ subsequent solve — each fixed-point iteration, every new power map, all
 columns of a :meth:`PdnSolver.solve_many` batch — costs a pair of
 triangular solves instead of a fresh factorization.  Pass
 ``engine="reference"`` to keep the historical fresh-``spsolve``-per-call
-path (the reference the differential tests compare against); the legacy
-``factorize=`` knob still works but emits ``DeprecationWarning`` (see
+path (the reference the differential tests compare against; see
 :mod:`repro.fastpath`).
 """
 
@@ -155,9 +154,6 @@ class PdnSolver:
         instance performs; ``"reference"`` keeps the historical
         fresh-``spsolve``-per-call path used by the differential tests
         and benchmarks.
-    factorize:
-        Deprecated alias for ``engine``: ``True`` = ``"fast"``,
-        ``False`` = ``"reference"``.  Emits ``DeprecationWarning``.
     checkers:
         Optional :class:`~repro.verify.invariants.InvariantChecker`
         instances (e.g. ``KclResidualChecker``, ``DroopBoundChecker``);
@@ -172,7 +168,6 @@ class PdnSolver:
         stack: PlaneStack | None = None,
         edge_connector_ohm: float = DEFAULT_EDGE_CONNECTOR_OHM,
         engine: str | None = None,
-        factorize: bool | None = None,
         checkers=None,
     ):
         self.config = config or SystemConfig()
@@ -180,14 +175,7 @@ class PdnSolver:
         if edge_connector_ohm <= 0:
             raise PdnError("edge connector resistance must be positive")
         self.edge_connector_ohm = edge_connector_ohm
-        self.engine = resolve_engine_kind(
-            engine,
-            entry_point="PdnSolver",
-            deprecated_name="factorize",
-            deprecated_value=factorize,
-            deprecated_map={True: "fast", False: "reference"},
-        )
-        self.factorize = self.engine == "fast"
+        self.engine = resolve_engine_kind(engine, entry_point="PdnSolver")
         self.checkers = list(checkers or ())
         self._laplacian: csr_matrix | None = None
         self._edge_conductance: np.ndarray | None = None
@@ -267,12 +255,12 @@ class PdnSolver:
     def _linear_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``laplacian @ x = rhs`` (``rhs`` may be a matrix of columns).
 
-        With ``factorize=True`` the first call LU-factorizes the
+        On the fast engine the first call LU-factorizes the
         Laplacian and every call afterwards is a pair of triangular
         solves; telemetry counts the factorizations and their reuses.
         """
         laplacian, _ = self._ensure_system()
-        if not self.factorize:
+        if self.engine != "fast":
             if rhs.ndim == 1:
                 return spsolve(laplacian, rhs)
             return np.column_stack(

@@ -21,8 +21,6 @@ Scope and limits
   (compare with ``atol≈1e-8``), not bit-exactly.
 * :func:`golden_bfs` / :func:`golden_sssp` are textbook pure-Python
   graph routines; distances are exact and compared for equality.
-* :func:`golden_disconnected_fraction` walks both L-shaped paths of
-  every ordered pair; O(pairs · path length), exact.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import Coord, SystemConfig
-from ..errors import ConvergenceError, NetworkError, PdnError
+from ..errors import ConvergenceError, PdnError
 from ..noc.dualnetwork import NetworkId
 from ..noc.faults import FaultMap
 from ..noc.packets import Packet, PacketKind
@@ -388,59 +386,6 @@ def golden_sssp(graph, source) -> dict:
                     distance[b] = distance[a] + w
                     changed = True
     return distance
-
-
-# ---------------------------------------------------------------------------
-# Connectivity (Fig. 6)
-# ---------------------------------------------------------------------------
-
-
-def golden_disconnected_fraction(fault_map: FaultMap) -> tuple[float, float]:
-    """``(single_pct_fraction, dual_pct_fraction)`` by explicit path walks.
-
-    For every ordered healthy pair, walks the X-Y and Y-X L-paths tile
-    by tile and marks each blocked when any intermediate tile is faulty.
-    Mirrors the quantity behind Fig. 6: the fraction of pairs losing one
-    (``single``) or both (``dual``) networks.
-    """
-    healthy = fault_map.healthy_tiles()
-    if len(healthy) < 2:
-        raise NetworkError("degenerate fault map: fewer than two healthy tiles")
-
-    def blocked(path: list[Coord]) -> bool:
-        return any(fault_map.is_faulty(t) for t in path[1:-1])
-
-    def xy(src: Coord, dst: Coord) -> list[Coord]:
-        (r1, c1), (r2, c2) = src, dst
-        step_c = 1 if c2 > c1 else -1
-        step_r = 1 if r2 > r1 else -1
-        path = [src]
-        path.extend((r1, c) for c in range(c1 + step_c, c2 + step_c, step_c) if c1 != c2)
-        path.extend((r, c2) for r in range(r1 + step_r, r2 + step_r, step_r) if r1 != r2)
-        return path
-
-    def yx(src: Coord, dst: Coord) -> list[Coord]:
-        (r1, c1), (r2, c2) = src, dst
-        step_c = 1 if c2 > c1 else -1
-        step_r = 1 if r2 > r1 else -1
-        path = [src]
-        path.extend((r, c1) for r in range(r1 + step_r, r2 + step_r, step_r) if r1 != r2)
-        path.extend((r2, c) for c in range(c1 + step_c, c2 + step_c, step_c) if c1 != c2)
-        return path
-
-    pairs = single = dual = 0
-    for src in healthy:
-        for dst in healthy:
-            if src == dst:
-                continue
-            pairs += 1
-            xy_blocked = blocked(xy(src, dst))
-            yx_blocked = blocked(yx(src, dst))
-            if xy_blocked or yx_blocked:
-                single += 1
-            if xy_blocked and yx_blocked:
-                dual += 1
-    return single / pairs, dual / pairs
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Frontier-synchronous BFS in the owner-computes style:
 * the run converges when no messages remain — the emulator's quiescence
   test.
 
-Results are validated against NetworkX in the test suite.
+``DistributedBfs.run(engine=...)`` runs on any emulator kind
+(``"fast"``, ``"reference"`` or ``"vector"``); results are validated
+against NetworkX in the test suite.
 """
 
 from __future__ import annotations
@@ -65,21 +67,17 @@ class DistributedBfs:
         source: int,
         max_supersteps: int = 10_000,
         engine: str | None = None,
-        route_cache: bool | None = None,
     ) -> BfsResult:
         """Run BFS from ``source``; returns distances and stats.
 
-        ``engine="reference"`` selects the emulator's reference routing
-        path (per-flow assignment) for differential testing; the legacy
-        ``route_cache=`` knob still works but emits
-        ``DeprecationWarning``.
+        ``engine`` picks the emulator kind (see :class:`Emulator`);
+        ``engine="reference"`` selects its reference routing path
+        (per-flow assignment) for differential testing.
         """
         if source not in self.graph:
             raise WorkloadError(f"source {source} not in graph")
 
-        emulator = Emulator(
-            self.system, engine=engine, route_cache=route_cache
-        )
+        emulator = Emulator(self.system, engine=engine)
         distance: dict[int, int] = {}
         owner = self.partition.owner_of
 

@@ -35,10 +35,6 @@ def _index_trial(ctx):
     return ctx.index
 
 
-def _draw_chunk(contexts):
-    return [_draw_trial(ctx) for ctx in contexts]
-
-
 class _EventLog(EngineObserver):
     """Records every engine event in the order it was delivered."""
 
@@ -237,13 +233,6 @@ class TestObservability:
         )
         assert log.events[0] == ("start", "t", 7, workers)
         assert log.events[-1] == ("end", False, 7)
-        assert sorted(log.trial_indices()) == list(range(7))
-
-    def test_on_trial_fires_for_batch_dispatch(self):
-        log = _EventLog()
-        ExperimentEngine(observers=[log], chunk_size=3).run(
-            _draw_trial, experiment="t", trials=7, seed=0, batch_fn=_draw_chunk
-        )
         assert sorted(log.trial_indices()) == list(range(7))
 
     def test_cached_run_reports_start_and_end_only(self, tmp_path):

@@ -1,10 +1,9 @@
-"""Tests for the engine's batch dispatch and variance-adaptive sampling.
+"""Tests for the engine's variance-adaptive sampling.
 
-``batch_fn`` routes whole worker chunks through one callable (the Fig. 6
-chunk kernel and ``emulate_batch`` ride on it); ``adaptive=CIStop(...)``
-turns ``trials`` into a cap with a bootstrap-CI stopping rule.  Both
-must preserve the engine's core contract: results are a pure function of
-``(fn, params, seed)`` — independent of worker count and dispatch order.
+``adaptive=CIStop(...)`` turns ``trials`` into a cap with a bootstrap-CI
+stopping rule.  It must preserve the engine's core contract: results
+are a pure function of ``(fn, params, seed)`` — independent of worker
+count and dispatch order.
 """
 
 import numpy as np
@@ -18,20 +17,8 @@ def _draw_trial(ctx):
     return float(ctx.rng.normal())
 
 
-def _draw_chunk(contexts):
-    return [float(ctx.rng.normal()) for ctx in contexts]
-
-
 def _offset_trial(ctx):
     return float(10.0 + ctx.rng.normal())
-
-
-def _offset_chunk(contexts):
-    return [float(10.0 + ctx.rng.normal()) for ctx in contexts]
-
-
-def _bad_chunk(contexts):
-    return [0.0] * (len(contexts) + 1)
 
 
 def _pair_trial(ctx):
@@ -40,32 +27,6 @@ def _pair_trial(ctx):
 
 def _first_element(value):
     return value[0]
-
-
-class TestBatchFn:
-    def test_batch_fn_matches_per_trial_dispatch(self):
-        base = ExperimentEngine().run(
-            _draw_trial, experiment="t", trials=12, seed=5
-        )
-        for workers in (1, 3):
-            batched = ExperimentEngine(workers=workers, chunk_size=4).run(
-                _draw_trial,
-                experiment="t",
-                trials=12,
-                seed=5,
-                batch_fn=_draw_chunk,
-            )
-            assert batched.values == base.values
-
-    def test_batch_fn_length_mismatch_is_an_error(self):
-        with pytest.raises(ReproError, match="batch_fn"):
-            ExperimentEngine().run(
-                _draw_trial,
-                experiment="t",
-                trials=4,
-                seed=0,
-                batch_fn=_bad_chunk,
-            )
 
 
 class TestCIStopRule:
@@ -132,21 +93,6 @@ class TestAdaptiveRuns:
             _offset_trial, experiment="t", trials=500, seed=2
         )
         assert adaptive.values == fixed.values[: adaptive.trials]
-
-    def test_adaptive_with_batch_fn(self):
-        rule = CIStop(rel_halfwidth=0.2, min_trials=16, block=8)
-        plain = ExperimentEngine().run(
-            _offset_trial, experiment="t", trials=500, seed=2, adaptive=rule
-        )
-        batched = ExperimentEngine(workers=3).run(
-            _offset_trial,
-            experiment="t",
-            trials=500,
-            seed=2,
-            adaptive=rule,
-            batch_fn=_offset_chunk,
-        )
-        assert batched.values == plain.values
 
     def test_custom_statistic(self):
         rule = CIStop(

@@ -1,31 +1,19 @@
 """Tests for the unified ``engine="fast"|"reference"`` selection.
 
 One vocabulary across every dual-implementation entry point
-(:mod:`repro.fastpath`), with deprecation shims for the historical
-per-entry-point knobs: ``PdnSolver(factorize=)``, emulator/BFS
-``route_cache=``, connectivity ``method=``.  Each shim must (a) keep
-producing the old behaviour, (b) emit :class:`DeprecationWarning`, and
-(c) refuse a conflicting combination with the new keyword.
+(:mod:`repro.fastpath`): each entry point's kinds must agree on their
+results, and an unknown kind must be refused with the entry point named.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 import networkx as nx
 
-from repro.arch.emulator import Emulator
 from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
 from repro.errors import ReproError
 from repro.fastpath import ENGINE_KINDS, resolve_engine_kind
-from repro.noc.connectivity import (
-    disconnected_fraction,
-    disconnected_fractions,
-    monte_carlo_disconnection,
-    same_row_col_share,
-)
 from repro.noc.faults import random_fault_map
 from repro.noc.simulator import NocSimulator
 from repro.pdn.solver import PdnSolver
@@ -55,59 +43,19 @@ class TestResolver:
         with pytest.raises(ReproError, match="unknown engine"):
             resolve_engine_kind("warp", entry_point="X")
 
-    def test_legacy_value_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="use engine='fast'"):
-            kind = resolve_engine_kind(
-                None, entry_point="X", deprecated_name="turbo",
-                deprecated_value=True, deprecated_map={True: "fast", False: "reference"},
-            )
-        assert kind == "fast"
 
-    def test_conflicting_keywords_raise(self):
-        with pytest.raises(ReproError, match="conflicts"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            resolve_engine_kind(
-                "reference", entry_point="X", deprecated_name="turbo",
-                deprecated_value=True, deprecated_map={True: "fast", False: "reference"},
-            )
-
-    def test_consistent_keywords_allowed(self):
-        with pytest.warns(DeprecationWarning):
-            kind = resolve_engine_kind(
-                "fast", entry_point="X", deprecated_name="turbo",
-                deprecated_value=True, deprecated_map={True: "fast", False: "reference"},
-            )
-        assert kind == "fast"
-
-    def test_unknown_legacy_value_raises(self):
-        with pytest.raises(ReproError, match="turbo"):
-            resolve_engine_kind(
-                None, entry_point="X", deprecated_name="turbo",
-                deprecated_value="sideways", deprecated_map={True: "fast"},
-            )
-
-
-class TestPdnSolverShim:
+class TestPdnSolverKinds:
     def test_engine_kinds_agree(self, cfg):
         fast = PdnSolver(cfg, engine="fast").solve()
         reference = PdnSolver(cfg, engine="reference").solve()
         np.testing.assert_allclose(fast.voltages, reference.voltages)
 
-    def test_factorize_warns_and_maps(self, cfg):
-        with pytest.warns(DeprecationWarning, match="use engine='fast'"):
-            solver = PdnSolver(cfg, factorize=True)
-        assert solver.engine == "fast" and solver.factorize is True
-        with pytest.warns(DeprecationWarning, match="use engine='reference'"):
-            solver = PdnSolver(cfg, factorize=False)
-        assert solver.engine == "reference" and solver.factorize is False
-
-    def test_conflict_raises(self, cfg):
-        with pytest.raises(ReproError, match="conflicts"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            PdnSolver(cfg, engine="reference", factorize=True)
+    def test_unknown_kind_names_solver(self, cfg):
+        with pytest.raises(ReproError, match="PdnSolver: unknown engine"):
+            PdnSolver(cfg, engine="vector")
 
 
-class TestEmulatorShim:
+class TestEmulatorKinds:
     def _bfs(self, cfg, fmap):
         system = WaferscaleSystem(cfg, fmap)
         graph = nx.gnm_random_graph(40, 80, seed=9)
@@ -117,67 +65,6 @@ class TestEmulatorShim:
         fast = self._bfs(cfg, fmap).run(0, engine="fast")
         reference = self._bfs(cfg, fmap).run(0, engine="reference")
         assert fast.distance == reference.distance
-
-    def test_route_cache_warns_and_maps(self, cfg, fmap):
-        system = WaferscaleSystem(cfg, fmap)
-        with pytest.warns(DeprecationWarning, match="use engine='fast'"):
-            emulator = Emulator(system, route_cache=True)
-        assert emulator.engine == "fast"
-        with pytest.warns(DeprecationWarning, match="use engine='reference'"):
-            emulator = Emulator(system, route_cache=False)
-        assert emulator.engine == "reference"
-
-    def test_bfs_run_forwards_shim(self, cfg, fmap):
-        with pytest.warns(DeprecationWarning, match="route_cache"):
-            legacy = self._bfs(cfg, fmap).run(0, route_cache=False)
-        reference = self._bfs(cfg, fmap).run(0, engine="reference")
-        assert legacy.distance == reference.distance
-
-    def test_conflict_raises(self, cfg, fmap):
-        system = WaferscaleSystem(cfg, fmap)
-        with pytest.raises(ReproError, match="conflicts"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            Emulator(system, engine="fast", route_cache=False)
-
-
-class TestConnectivityShim:
-    def test_engine_kinds_agree(self, fmap):
-        fast = disconnected_fraction(fmap, engine="fast")
-        reference = disconnected_fraction(fmap, engine="reference")
-        assert fast.single == pytest.approx(reference.single)
-        assert fast.dual == pytest.approx(reference.dual)
-        assert same_row_col_share(fmap, engine="fast") == pytest.approx(
-            same_row_col_share(fmap, engine="reference")
-        )
-        np.testing.assert_allclose(
-            [p.single for p in disconnected_fractions([fmap, fmap], engine="fast")],
-            [p.single for p in disconnected_fractions([fmap, fmap], engine="reference")],
-        )
-
-    def test_method_warns_and_maps(self, fmap):
-        baseline = disconnected_fraction(fmap)
-        with pytest.warns(DeprecationWarning, match="use engine='fast'"):
-            legacy = disconnected_fraction(fmap, method="vectorized")
-        assert legacy == baseline
-        with pytest.warns(DeprecationWarning, match="use engine='reference'"):
-            legacy_ref = disconnected_fraction(fmap, method="reference")
-        assert legacy_ref == pytest.approx(baseline)
-
-    def test_conflict_raises(self, fmap):
-        with pytest.raises(ReproError, match="conflicts"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            disconnected_fraction(fmap, engine="fast", method="reference")
-
-    def test_monte_carlo_accepts_unified_value(self, cfg):
-        base = monte_carlo_disconnection(
-            cfg, fault_counts=[2], trials=3, seed=1, cache=None
-        )
-        unified = monte_carlo_disconnection(
-            cfg, fault_counts=[2], trials=3, seed=1, cache=None, method="fast"
-        )
-        assert [s.mean_single_pct for s in base] == [
-            s.mean_single_pct for s in unified
-        ]
 
 
 class TestNocSimulatorKinds:
