@@ -8,14 +8,13 @@ Two gated points plus one informational point, all at the paper's
   ``engine="vector"``; stats must be field-for-field identical and the
   vector engine must be >= ``MIN_WORKLOAD_SPEEDUP`` faster.
 * ``bfs`` — distributed BFS over a random graph, same comparison and
-  floor.  Each engine gets a fresh system and cleared route caches, so
-  the reference cost is the honest cold cost a new fault map pays.
+  floor.  Each engine gets a fresh system and cleared route tables, so
+  each cost is the honest cold cost a new fault map pays.
 * ``emulate_batch`` — N independent wave trials through one vector
   kernel; per-trial stats must match the individual runs (throughput
   recorded, not gated: per-trial python compute dominates at this size).
 
-The ``fast`` engine's time is recorded alongside for context; the gated
-floors compare against ``reference`` — the retained golden model.
+The gated floors compare against ``reference`` — the scalar oracle.
 
 Runnable two ways::
 
@@ -25,6 +24,7 @@ Runnable two ways::
 """
 
 import argparse
+import gc
 import json
 import time
 
@@ -75,9 +75,15 @@ def _assert_identical(stats_by_engine: dict, context: str) -> None:
                 )
 
 
+def _cold_start() -> None:
+    """Drop route tables and collect the previous run's garbage, untimed."""
+    clear_route_cache()
+    gc.collect()
+
+
 def _timed_wave(cfg, fmap, width, engine):
     """(seconds, stats) for one cold wave run on a fresh system."""
-    clear_route_cache()
+    _cold_start()
     system = WaferscaleSystem(cfg, fmap)    # fresh KernelRouter memo too
     wave = FrontierWave(
         system, width=width, fanout=WAVE_FANOUT, ttl=WAVE_TTL, seed=SEED
@@ -88,7 +94,7 @@ def _timed_wave(cfg, fmap, width, engine):
 
 
 def _timed_bfs(cfg, fmap, graph, engine):
-    clear_route_cache()
+    _cold_start()
     system = WaferscaleSystem(cfg, fmap)
     bfs = DistributedBfs(system, graph)
     start = time.perf_counter()
@@ -110,11 +116,11 @@ def measure(scale: float = 1.0) -> dict:
     cfg = SystemConfig(rows=ROWS, cols=COLS)
     rng = np.random.default_rng(SEED)
 
-    # Point 1: frontier wave, reference vs fast vs vector.
+    # Point 1: frontier wave, reference vs vector.
     width = max(2, int(WAVE_WIDTH * scale))
     wave_fmap = random_fault_map(cfg, WAVE_FAULTS, rng=rng)
     wave_s, wave_stats = {}, {}
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "vector"):
         wave_s[engine], wave_stats[engine] = _timed_wave(
             cfg, wave_fmap, width, engine
         )
@@ -128,17 +134,15 @@ def measure(scale: float = 1.0) -> dict:
         "messages": wave_stats["vector"].messages_sent,
         "detoured": wave_stats["vector"].detoured_messages,
         "reference_s": wave_s["reference"],
-        "fast_s": wave_s["fast"],
         "vector_s": wave_s["vector"],
         "speedup_vs_reference": wave_s["reference"] / wave_s["vector"],
-        "speedup_vs_fast": wave_s["fast"] / wave_s["vector"],
     }
 
-    # Point 2: distributed BFS, reference vs fast vs vector.
+    # Point 2: distributed BFS, reference vs vector.
     bfs_fmap = random_fault_map(cfg, BFS_FAULTS, rng=rng)
     graph = random_graph(nodes=max(32, int(BFS_NODES * scale)), seed=SEED)
     bfs_s, bfs_results = {}, {}
-    for engine in ("reference", "fast", "vector"):
+    for engine in ("reference", "vector"):
         bfs_s[engine], bfs_results[engine] = _timed_bfs(
             cfg, bfs_fmap, graph, engine
         )
@@ -153,10 +157,8 @@ def measure(scale: float = 1.0) -> dict:
         "faults": BFS_FAULTS,
         "messages": bfs_results["vector"].stats.messages_sent,
         "reference_s": bfs_s["reference"],
-        "fast_s": bfs_s["fast"],
         "vector_s": bfs_s["vector"],
         "speedup_vs_reference": bfs_s["reference"] / bfs_s["vector"],
-        "speedup_vs_fast": bfs_s["fast"] / bfs_s["vector"],
     }
 
     # Point 3 (informational): emulate_batch vs individual vector runs.

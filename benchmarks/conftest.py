@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 
 @pytest.fixture(autouse=True)
 def _fresh_route_caches():
-    """Benchmarks must not inherit another bench's warmed route cache."""
+    """Benchmarks must not inherit another bench's warmed route tables."""
     clear_route_cache()
     yield
     clear_route_cache()

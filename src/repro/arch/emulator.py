@@ -16,14 +16,12 @@ faulty wafer exercises the dual-network resiliency machinery end to end.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..config import Coord
 from ..errors import EmulatorError, NetworkError
 from ..fastpath import VECTOR_ENGINE_KINDS, resolve_engine_kind
-from ..noc.faults import FaultMap
 from ..noc.routing import dor_path
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from .system import (
@@ -34,45 +32,42 @@ from .system import (
     WaferscaleSystem,
 )
 
-#: Engine kinds the emulator implements (mirrors ``noc.simulator.ENGINES``).
-ENGINES = ("reference", "fast", "vector")
-
-#: Route entry: (one-way hops, is_detour, reachable).
-_Route = tuple[int, bool, bool]
-
-# Shared per-fault-map route tables.  The flow cost of a (src, dst) pair —
-# hop count, detour flag, reachability — is a pure function of the fault
-# map (the kernel's network *choice* balances load but never changes the
-# DoR hop count, which is the Manhattan distance), so emulators running
-# over the same map share one table and each pair is derived exactly once.
-_ROUTE_CACHE: OrderedDict[FaultMap, dict[tuple[Coord, Coord], _Route]] = (
-    OrderedDict()
-)
-_ROUTE_CACHE_MAPS = 8
-
-
-def _shared_routes(fault_map: FaultMap) -> dict[tuple[Coord, Coord], _Route]:
-    """The shared route table for ``fault_map`` (LRU-bounded registry)."""
-    routes = _ROUTE_CACHE.get(fault_map)
-    if routes is None:
-        routes = _ROUTE_CACHE[fault_map] = {}
-        while len(_ROUTE_CACHE) > _ROUTE_CACHE_MAPS:
-            _ROUTE_CACHE.popitem(last=False)
-    else:
-        _ROUTE_CACHE.move_to_end(fault_map)
-    return routes
-
-
-# Additional per-fault-map caches (the vector engine's route tables)
-# register a clearer here so ``clear_route_cache`` drops them too.
-_EXTRA_CACHE_CLEARERS: list[Callable[[], None]] = []
+#: Engine kinds the emulator accepts.  ``"fast"`` and ``"reference"``
+#: both run the scalar oracle below; ``"vector"`` builds
+#: :class:`~repro.arch.vectoremu.VectorEmulator`.
+ENGINES = VECTOR_ENGINE_KINDS
 
 
 def clear_route_cache() -> None:
-    """Drop all shared route tables (benchmark / test isolation)."""
-    _ROUTE_CACHE.clear()
-    for clearer in _EXTRA_CACHE_CLEARERS:
-        clearer()
+    """Drop the vector engine's shared route tables (test/bench isolation)."""
+    from .vectoremu import _TABLE_CACHE
+
+    _TABLE_CACHE.clear()
+
+
+def reference_route(
+    system: WaferscaleSystem, src: Coord, dst: Coord
+) -> tuple[int, bool, bool]:
+    """One-way hops, detour flag and reachability of one flow, from scratch.
+
+    The oracle derivation: the kernel's fault-aware network assignment,
+    then an explicit ``dor_path`` walk for a direct route or the
+    two-leg Manhattan sum through the detour tile.  An unreachable pair
+    is ``(0, False, False)``.
+    """
+    assignment = system.kernel.assign(src, dst, allow_detour=True)
+    if assignment.is_detour:
+        via = assignment.detour_via
+        assert via is not None
+        hops = (
+            abs(via[0] - src[0]) + abs(via[1] - src[1])
+            + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
+        )
+        return hops, True, True
+    if assignment.reachable:
+        assert assignment.network is not None
+        return len(dor_path(src, dst, assignment.network.policy)) - 1, False, True
+    return 0, False, False
 
 
 @dataclass
@@ -111,7 +106,13 @@ class EmulationStats:
 
 
 class Emulator:
-    """Superstep-driven task-level emulator over a waferscale system."""
+    """Superstep-driven task-level emulator over a waferscale system.
+
+    This class is the scalar oracle (``engine="reference"`` or
+    ``"fast"``): every flow is routed from scratch by
+    :func:`reference_route`.  ``engine="vector"`` builds
+    :class:`~repro.arch.vectoremu.VectorEmulator` instead.
+    """
 
     #: Histogram buckets for one-way hops per message.
     HOP_BUCKETS = tuple(float(2**i) for i in range(0, 8))
@@ -141,11 +142,12 @@ class Emulator:
     ):
         self.system = system
         self.engine = resolve_engine_kind(
-            engine, entry_point="Emulator", kinds=VECTOR_ENGINE_KINDS
+            engine, entry_point="Emulator", kinds=ENGINES
         )
         self.stats = EmulationStats()
-        # Route checkers (``on_route``) fire on shared-route-cache hits —
-        # e.g. RouteCoherenceChecker re-deriving sampled cached entries.
+        # Route checkers (``on_route``) fire on the vector engine's route
+        # table lookups; the scalar path derives every route from scratch
+        # and has no cached routes to check.
         self.checkers = list(checkers or ())
         fns = [c.on_route for c in self.checkers if hasattr(c, "on_route")]
         self._chk_route = fns or None
@@ -153,9 +155,6 @@ class Emulator:
             coord: [] for coord in system.healthy_coords()
         }
         self._outbox: list[Message] = []
-        self._routes = (
-            _shared_routes(system.fault_map) if self.engine == "fast" else None
-        )
 
         tel = resolve_telemetry(telemetry)
         self.telemetry = tel
@@ -166,8 +165,6 @@ class Emulator:
             self._m_messages = metrics.counter("emu.messages_sent")
             self._m_detoured = metrics.counter("emu.detoured_messages")
             self._m_supersteps = metrics.counter("emu.supersteps")
-            self._m_route_hits = metrics.counter("emu.route_cache_hits")
-            self._m_route_misses = metrics.counter("emu.route_cache_misses")
             self._m_hops = metrics.histogram(
                 "emu.hops_per_message", buckets=self.HOP_BUCKETS
             )
@@ -207,54 +204,8 @@ class Emulator:
             self.send(src, dst, payload, words=words)
 
     def _route(self, src: Coord, dst: Coord) -> tuple[int, bool]:
-        """One-way hops and detour flag for one flow.
-
-        With the route cache enabled (the default), each (src, dst) pair
-        is derived once per fault map — `kernel.assign` plus, for detours,
-        the two-leg Manhattan sum — and every later flow is a dict hit.
-        Non-detour hop counts use the closed form directly: DoR paths are
-        minimal, so their hop count *is* the Manhattan distance.  The
-        reference path (``engine="reference"``) keeps the explicit
-        per-flow assignment and `dor_path` walk for differential testing.
-        """
-        routes = self._routes
-        if routes is not None:
-            cached = routes.get((src, dst))
-            if cached is not None:
-                if self._obs is not None:
-                    self._m_route_hits.inc()
-                if self._chk_route is not None:
-                    for fn in self._chk_route:
-                        fn(self, src, dst, cached)
-                hops, is_detour, reachable = cached
-                if not reachable:
-                    raise NetworkError(f"no path for messages {src} -> {dst}")
-                return hops, is_detour
-
-        assignment = self.system.kernel.assign(src, dst, allow_detour=True)
-        reachable = assignment.reachable or assignment.is_detour
-        if assignment.is_detour:
-            via = assignment.detour_via
-            assert via is not None
-            hops = (
-                abs(via[0] - src[0]) + abs(via[1] - src[1])
-                + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
-            )
-            is_detour = True
-        elif reachable:
-            assert assignment.network is not None
-            if routes is None:
-                hops = len(dor_path(src, dst, assignment.network.policy)) - 1
-            else:
-                hops = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
-            is_detour = False
-        else:
-            hops, is_detour = 0, False
-
-        if routes is not None:
-            if self._obs is not None:
-                self._m_route_misses.inc()
-            routes[(src, dst)] = (hops, is_detour, reachable)
+        """One-way hops and detour flag for one flow (:func:`reference_route`)."""
+        hops, is_detour, reachable = reference_route(self.system, src, dst)
         if not reachable:
             raise NetworkError(f"no path for messages {src} -> {dst}")
         return hops, is_detour

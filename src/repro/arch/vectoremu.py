@@ -1,7 +1,7 @@
 """Struct-of-arrays whole-wafer emulator engine (``engine="vector"``).
 
-The reference and fast emulators walk the delivery barrier flow by flow
-in Python: a dict groups the outbox into (src, dst) flows, and each flow
+The scalar emulator (``engine="reference"``, also run for ``"fast"``)
+walks the delivery barrier flow by flow in Python: a dict groups the outbox into (src, dst) flows, and each flow
 pays a route lookup, an integer cost expression, and a handful of stat
 increments.  On a full-wafer frontier (a BFS wave touching most of the
 2048-chiplet array) that loop is the dominant cost of a superstep.
@@ -60,7 +60,7 @@ from ..errors import EmulatorError, NetworkError
 from ..noc.connectivity import _blockage_matrix
 from ..noc.faults import FaultMap
 from ..obs.telemetry import Telemetry
-from .emulator import _EXTRA_CACHE_CLEARERS, EmulationStats, Emulator, Message
+from .emulator import EmulationStats, Emulator, Message
 from .system import (
     DETOUR_SOFTWARE_PENALTY,
     HOP_LATENCY,
@@ -78,9 +78,10 @@ class _RouteTable:
     of ``d -> s`` (request and response of the two networks traverse the
     same two Ls, so round-trip reachability collapses to the symmetric
     ``~(xy_blocked & xy_blocked.T)`` of the Fig. 6 blockage matrix).
-    Detours are derived lazily per blocked pair and memoised — the same
-    "pure function of the fault map" argument as the fast engine's
-    shared route table.
+    Detours are derived lazily per blocked pair and memoised: a flow's
+    hop count, detour flag and reachability are a pure function of the
+    fault map (the kernel's network choice balances load but never
+    changes the DoR hop count, which is the Manhattan distance).
     """
 
     def __init__(self, fault_map: FaultMap) -> None:
@@ -127,8 +128,8 @@ class _RouteTable:
         return int(cost[via]), True
 
 
-# Shared per-fault-map tables, LRU-bounded like the fast engine's
-# _ROUTE_CACHE; cleared alongside it by arch.emulator.clear_route_cache.
+# Shared per-fault-map tables, LRU-bounded; emptied by
+# arch.emulator.clear_route_cache.
 _TABLE_CACHE: OrderedDict[FaultMap, _RouteTable] = OrderedDict()
 _TABLE_CACHE_MAPS = 8
 
@@ -143,14 +144,6 @@ def _shared_table(fault_map: FaultMap) -> _RouteTable:
     else:
         _TABLE_CACHE.move_to_end(fault_map)
     return table
-
-
-def clear_table_cache() -> None:
-    """Drop the shared vector route tables (test/benchmark isolation)."""
-    _TABLE_CACHE.clear()
-
-
-_EXTRA_CACHE_CLEARERS.append(clear_table_cache)
 
 
 class _BatchSend:
@@ -282,7 +275,7 @@ def _flow_kernel(
 class VectorEmulator(Emulator):
     """Whole-wafer struct-of-arrays emulator (``Emulator(engine="vector")``).
 
-    Drop-in for the reference/fast engines: identical ``EmulationStats``
+    Drop-in for the scalar engine: identical ``EmulationStats``
     (bit-for-bit), identical inbox ordering, identical telemetry
     counters, identical error messages for unreachable flows.  Adds a
     vectorized :meth:`send_batch` so frontier workloads can queue a

@@ -564,10 +564,10 @@ def run_emu(
     """Run one emulated workload end to end and report its accounting.
 
     Mirrors ``repro noc``'s engine parity: ``--engine`` picks the
-    emulator tier (``fast`` routing cache, ``reference`` per-flow
-    assignment, or the struct-of-arrays ``vector`` engine) and the
-    resolved kind is echoed in the result envelope.  All tiers produce
-    bit-identical :class:`~repro.arch.emulator.EmulationStats` — this
+    emulator (``fast``, the default, and ``reference`` both run the
+    scalar per-flow oracle; ``vector`` the struct-of-arrays engine) and
+    the resolved kind is echoed in the result envelope.  Every engine
+    produces bit-identical :class:`~repro.arch.emulator.EmulationStats` — this
     command exists to eyeball that, and to give traced runs
     (``--trace``/``--metrics``) a workload-level span source.
     """
@@ -664,7 +664,7 @@ def run_collective(
     drives the selected :class:`~repro.noc.simulator.NocSimulator`
     engine; ``--backend emu`` runs the live
     :class:`~repro.workloads.collectives.CollectiveDriver` on the
-    matching emulator tier.  Either way the completion oracle verifies
+    matching emulator engine.  Either way the completion oracle verifies
     every participant tile's final reduced value in-simulation, and the
     resolved ``engine`` kind is echoed in the result.
 
@@ -1390,9 +1390,9 @@ def build_parser() -> argparse.ArgumentParser:
                 type=str,
                 default=None,
                 choices=list(EMULATOR_ENGINES),
-                help="emulator tier: reference per-flow assignment, "
-                "fast cached routing (default), or the struct-of-arrays "
-                "vector engine — all bit-identical",
+                help="emulator: reference or fast (default) run the "
+                "scalar per-flow oracle, vector the struct-of-arrays "
+                "engine — all bit-identical",
             )
         if "workload" in extras:
             p.add_argument(

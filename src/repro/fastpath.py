@@ -22,8 +22,9 @@ from .errors import ReproError
 ENGINE_KINDS = ("fast", "reference")
 
 #: The three-tier vocabulary for entry points that also ship a batched
-#: whole-array numpy kernel (the NoC simulator and the emulator).
-VECTOR_ENGINE_KINDS = ("fast", "reference", "vector")
+#: whole-array numpy kernel.  ``noc.simulator.ENGINES`` and
+#: ``arch.emulator.ENGINES`` re-export this tuple.
+VECTOR_ENGINE_KINDS = ("reference", "fast", "vector")
 
 FAST = "fast"
 REFERENCE = "reference"

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..config import Coord, SystemConfig
 from ..errors import NetworkError
+from ..fastpath import VECTOR_ENGINE_KINDS
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from .dualnetwork import NetworkId
 from .faults import FaultMap
@@ -54,7 +55,7 @@ LATENCY_BUCKETS = tuple(float(2**i) for i in range(0, 14))
 OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(0, 15))
 
 #: Valid values for :class:`NocSimulator`'s ``engine`` argument.
-ENGINES = ("reference", "fast", "vector")
+ENGINES = VECTOR_ENGINE_KINDS
 
 #: Port -> integer code in ``list(Port)`` order (N=0, S=1, W=2, E=3, LOCAL=4),
 #: the encoding checker hooks and the fast engine share.

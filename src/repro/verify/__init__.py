@@ -1,8 +1,8 @@
 """Runtime invariant checking and golden-model verification.
 
 Every fast engine in this codebase (the struct-of-arrays NoC simulator,
-the cached-LU PDN solver, the route-cached emulator, the vectorized
-connectivity kernels) is a performance rewrite of a reference model, and
+the cached-LU PDN solver, the vector emulator, the factorized
+connectivity kernel) is a performance rewrite of a reference model, and
 its correctness claim rests on differential evidence.  This package
 turns that evidence from one-shot tests into standing infrastructure:
 
@@ -11,7 +11,7 @@ turns that evidence from one-shot tests into standing infrastructure:
   checkers=[...])``, ``Emulator(..., checkers=[...])``) and raise a
   structured :class:`InvariantViolation` the moment a run breaks flit
   conservation, DoR legality, FIFO bounds, KCL, droop bounds, chain
-  permutation integrity or route-cache coherence;
+  permutation integrity or vector-emulator route coherence;
 * :mod:`.golden` — deliberately naive reference oracles (a loop-based
   mini-NoC, a dense ``numpy.linalg.solve`` PDN, pure-Python BFS/SSSP,
   per-collective reduction models) used as ground truth in randomized

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from ..arch.emulator import Emulator, clear_route_cache
+from ..arch.emulator import ENGINES as EMULATOR_ENGINES, Emulator, clear_route_cache
 from ..arch.system import WaferscaleSystem
 from ..arch.vectoremu import emulate_batch
 from ..config import SystemConfig
@@ -353,7 +353,7 @@ def _pdn_trial(ctx: TrialContext) -> dict[str, Any]:
 
 
 def _emu_trial(ctx: TrialContext) -> dict[str, Any]:
-    """Route-cache coherence plus BFS/SSSP cached-vs-reference-vs-oracle."""
+    """BFS/SSSP against the oracles, PageRank/stencil reference-vs-vector."""
     rng = ctx.rng
     rows = ctx.params["rows"]
     cols = ctx.params["cols"]
@@ -361,31 +361,10 @@ def _emu_trial(ctx: TrialContext) -> dict[str, Any]:
     fmap = _campaign_fault_map(cfg, rng, max_faults=3)
     clear_route_cache()
     system = WaferscaleSystem(cfg, fmap)
+    checks = 0
 
-    # Phase 1: synthetic flows through a checked emulator.  The second
-    # round of sends replays every pair, so each flow hits the shared
-    # route cache and RouteCoherenceChecker(sample=1) re-derives it.
-    checker = RouteCoherenceChecker(sample=1)
-    emulator = Emulator(system, checkers=[checker])
-    healthy = system.healthy_coords()
-    pair_count = min(24, len(healthy) * (len(healthy) - 1))
-    pairs = []
-    for _ in range(pair_count):
-        src = healthy[int(rng.integers(len(healthy)))]
-        dst = healthy[int(rng.integers(len(healthy)))]
-        if src != dst:
-            pairs.append((src, dst))
-
-    def deliver_round() -> None:
-        for src, dst in pairs:
-            emulator.send(src, dst, payload=None)
-        emulator.superstep(lambda tile, inbox, em: 0)
-
-    deliver_round()
-    deliver_round()
-
-    # Phase 2: whole-workload differential — distributed BFS/SSSP with
-    # the route cache on and off, against the pure-python oracles.
+    # Phase 1: whole-workload differential — distributed BFS/SSSP on the
+    # scalar and vector engines against the pure-python oracles.
     graph = random_graph(
         nodes=int(rng.integers(24, 49)),
         seed=int(rng.integers(0, 2**31)),
@@ -394,20 +373,22 @@ def _emu_trial(ctx: TrialContext) -> dict[str, Any]:
     source = int(rng.integers(graph.number_of_nodes()))
 
     bfs = DistributedBfs(system, graph)
-    cached = bfs.run(source, engine="fast").distance
-    uncached = bfs.run(source, engine="reference").distance
+    reference = bfs.run(source, engine="reference").distance
+    vector = bfs.run(source, engine="vector").distance
     oracle = golden_bfs(graph, source)
-    if cached != uncached or cached != oracle:
+    checks += 1
+    if reference != vector or reference != oracle:
         raise InvariantViolation(
             "emu",
             "bfs_differential",
             "distributed BFS distances diverged",
-            {"source": source, "cached": len(cached), "oracle": len(oracle)},
+            {"source": source, "reference": len(reference), "oracle": len(oracle)},
         )
 
     sssp = DistributedSssp(system, graph)
     sssp_distance = sssp.run(source).distance
     sssp_oracle = golden_sssp(graph, source)
+    checks += 1
     if set(sssp_distance) != set(sssp_oracle) or any(
         abs(sssp_distance[v] - sssp_oracle[v]) > 1e-9 for v in sssp_oracle
     ):
@@ -418,51 +399,50 @@ def _emu_trial(ctx: TrialContext) -> dict[str, Any]:
             {"source": source},
         )
 
-    # Phase 3: PageRank fuzz across all three emulator tiers on the
-    # trial's faulty system — ranks and every EmulationStats field must
-    # be bit-identical.
+    # Phase 2: PageRank fuzz, reference vs vector on the trial's faulty
+    # system — ranks and every EmulationStats field must be
+    # bit-identical.
     pagerank = DistributedPageRank(system, graph)
     pr = {
         engine: pagerank.run(iterations=4, engine=engine)
-        for engine in ("fast", "reference", "vector")
+        for engine in ("reference", "vector")
     }
-    for other in ("reference", "vector"):
-        if (
-            pr["fast"].ranks != pr[other].ranks
-            or pr["fast"].stats != pr[other].stats
-        ):
-            raise InvariantViolation(
-                "emu",
-                "pagerank_differential",
-                f"PageRank diverged between the fast and {other} engines",
-                {"source": source, "engines": ["fast", other]},
-            )
+    checks += 1
+    if (
+        pr["reference"].ranks != pr["vector"].ranks
+        or pr["reference"].stats != pr["vector"].stats
+    ):
+        raise InvariantViolation(
+            "emu",
+            "pagerank_differential",
+            "PageRank diverged between the reference and vector engines",
+            {"source": source, "engines": ["reference", "vector"]},
+        )
 
-    # Phase 4: stencil fuzz across the tiers (stencil blocks pin to
+    # Phase 3: stencil fuzz, reference vs vector (stencil blocks pin to
     # physical tiles, so it runs on a fault-free system).
     clean = WaferscaleSystem(cfg)
     field = rng.random((rows * 2, cols * 2))
     sweeps = int(rng.integers(1, 4))
     st = {
         engine: DistributedStencil(clean, field).run(sweeps, engine=engine)
-        for engine in ("fast", "reference", "vector")
+        for engine in ("reference", "vector")
     }
-    for other in ("reference", "vector"):
-        if (
-            not np.array_equal(st["fast"].field, st[other].field)
-            or st["fast"].stats != st[other].stats
-        ):
-            raise InvariantViolation(
-                "emu",
-                "stencil_differential",
-                f"stencil diverged between the fast and {other} engines",
-                {"sweeps": sweeps, "engines": ["fast", other]},
-            )
+    checks += 1
+    if (
+        not np.array_equal(st["reference"].field, st["vector"].field)
+        or st["reference"].stats != st["vector"].stats
+    ):
+        raise InvariantViolation(
+            "emu",
+            "stencil_differential",
+            "stencil diverged between the reference and vector engines",
+            {"sweeps": sweeps, "engines": ["reference", "vector"]},
+        )
     return {
-        "checks": checker.checks,
-        "flows": len(pairs),
-        "bfs_reached": len(cached),
-        "pagerank_iterations": pr["fast"].iterations,
+        "checks": checks,
+        "bfs_reached": len(reference),
+        "pagerank_iterations": pr["reference"].iterations,
     }
 
 
@@ -485,10 +465,11 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
     Four phases per randomized scenario:
 
     1. synthetic flows through a checked ``engine="vector"`` emulator
-       (every cached route re-derived by RouteCoherenceChecker);
-    2. BFS and SSSP across all three tiers — distances *and* every
-       :class:`~repro.arch.emulator.EmulationStats` field bit-identical;
-    3. a :class:`FrontierWave` across the tiers, where unreachable
+       (every route-table lookup re-derived by RouteCoherenceChecker);
+    2. BFS and SSSP on the reference and vector engines — distances
+       *and* every :class:`~repro.arch.emulator.EmulationStats` field
+       bit-identical;
+    3. a :class:`FrontierWave` on both engines, where unreachable
        destinations must raise the identical :class:`NetworkError`;
     4. :func:`emulate_batch` over three independent wave trials, each
        trial's stats bit-identical to its own individual vector run.
@@ -513,7 +494,7 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
                 emulator.send(src, dst, payload=None)
         emulator.superstep(lambda tile, inbox, em: 0)
 
-    # Phase 2: BFS + SSSP stats differential across the three tiers.
+    # Phase 2: BFS + SSSP stats differential, reference vs vector.
     graph = random_graph(
         nodes=int(rng.integers(24, 49)),
         seed=int(rng.integers(0, 2**31)),
@@ -522,51 +503,49 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
     source = int(rng.integers(graph.number_of_nodes()))
     bfs = DistributedBfs(system, graph)
     sssp = DistributedSssp(system, graph)
-    bfs_runs = {e: bfs.run(source, engine=e) for e in ("fast", "reference", "vector")}
-    sssp_runs = {e: sssp.run(source, engine=e) for e in ("fast", "reference", "vector")}
-    for other in ("reference", "vector"):
-        if (
-            bfs_runs["fast"].distance != bfs_runs[other].distance
-            or bfs_runs["fast"].stats != bfs_runs[other].stats
-        ):
-            raise InvariantViolation(
-                "emu-vector",
-                "bfs_stats_differential",
-                f"BFS stats diverged between the fast and {other} engines",
-                {
-                    "source": source,
-                    "fast": bfs_runs["fast"].stats,
-                    other: bfs_runs[other].stats,
-                },
-            )
-        if (
-            sssp_runs["fast"].distance != sssp_runs[other].distance
-            or sssp_runs["fast"].stats != sssp_runs[other].stats
-        ):
-            raise InvariantViolation(
-                "emu-vector",
-                "sssp_stats_differential",
-                f"SSSP stats diverged between the fast and {other} engines",
-                {"source": source},
-            )
+    bfs_runs = {e: bfs.run(source, engine=e) for e in ("reference", "vector")}
+    sssp_runs = {e: sssp.run(source, engine=e) for e in ("reference", "vector")}
+    if (
+        bfs_runs["reference"].distance != bfs_runs["vector"].distance
+        or bfs_runs["reference"].stats != bfs_runs["vector"].stats
+    ):
+        raise InvariantViolation(
+            "emu-vector",
+            "bfs_stats_differential",
+            "BFS stats diverged between the reference and vector engines",
+            {
+                "source": source,
+                "reference": bfs_runs["reference"].stats,
+                "vector": bfs_runs["vector"].stats,
+            },
+        )
+    if (
+        sssp_runs["reference"].distance != sssp_runs["vector"].distance
+        or sssp_runs["reference"].stats != sssp_runs["vector"].stats
+    ):
+        raise InvariantViolation(
+            "emu-vector",
+            "sssp_stats_differential",
+            "SSSP stats diverged between the reference and vector engines",
+            {"source": source},
+        )
 
     # Phase 3: send_batch-heavy wave traffic, including error parity on
     # maps that disconnect a drawn destination.
     wave_seed = int(rng.integers(0, 2**31))
     wave = FrontierWave(system, width=4, fanout=3, ttl=3, seed=wave_seed)
-    outcomes = {e: _wave_outcome(wave, e) for e in ("fast", "reference", "vector")}
-    for other in ("reference", "vector"):
-        if outcomes["fast"] != outcomes[other]:
-            raise InvariantViolation(
-                "emu-vector",
-                "wave_differential",
-                f"wave outcome diverged between the fast and {other} engines",
-                {
-                    "wave_seed": wave_seed,
-                    "fast": outcomes["fast"],
-                    other: outcomes[other],
-                },
-            )
+    outcomes = {e: _wave_outcome(wave, e) for e in ("reference", "vector")}
+    if outcomes["reference"] != outcomes["vector"]:
+        raise InvariantViolation(
+            "emu-vector",
+            "wave_differential",
+            "wave outcome diverged between the reference and vector engines",
+            {
+                "wave_seed": wave_seed,
+                "reference": outcomes["reference"],
+                "vector": outcomes["vector"],
+            },
+        )
 
     # Phase 4: batched trials — emulate_batch over three independent
     # scenarios must match each scenario's individual vector run.  Maps
@@ -605,8 +584,8 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
 
     return {
         "checks": checker.checks,
-        "bfs_reached": len(bfs_runs["fast"].distance),
-        "detoured": bfs_runs["fast"].stats.detoured_messages,
+        "bfs_reached": len(bfs_runs["reference"].distance),
+        "detoured": bfs_runs["reference"].stats.detoured_messages,
         "batch_trials": len(trials),
     }
 
@@ -712,8 +691,8 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
        spec], each batched report bit-identical to its own individual
        ``engine="vector"`` run and each trial's oracle re-checked on the
        batch's delivered packets;
-    4. the live :class:`CollectiveDriver` across all three emulator
-       tiers — per-tile finals verified in-simulation and
+    4. the live :class:`CollectiveDriver` under every emulator engine
+       name — per-tile finals verified in-simulation and
        :class:`~repro.arch.emulator.EmulationStats` bit-identical.
     """
     rng = ctx.rng
@@ -792,23 +771,25 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
                 {"trial": trial, "batched": got, "individual": want},
             )
 
-    # Phase 4: the live emulator driver across all three tiers.
+    # Phase 4: the live emulator driver under every accepted engine name
+    # ("fast" runs the same scalar oracle as "reference"), each against
+    # the reference run.
     clear_route_cache()
     system = WaferscaleSystem(cfg, fmap)
     driver = CollectiveDriver(system, spec)
     stats = {}
-    for engine in ("fast", "reference", "vector"):
+    for engine in EMULATOR_ENGINES:
         stats[engine] = driver.run(engine=engine)
         checks += driver.verify()
-    for other in ("reference", "vector"):
-        if stats["fast"] != stats[other]:
+    for other in ("fast", "vector"):
+        if stats["reference"] != stats[other]:
             raise InvariantViolation(
                 "collective",
                 "emu_stats_differential",
-                f"driver stats diverged between the fast and {other} engines",
+                f"driver stats diverged between the reference and {other} engines",
                 {
                     "pattern": pattern,
-                    "fast": stats["fast"],
+                    "reference": stats["reference"],
                     other: stats[other],
                 },
             )

@@ -23,8 +23,8 @@ hook           fired
 PDN checkers implement ``check_solution(solver, solution)`` and are run
 by :class:`~repro.pdn.solver.PdnSolver` on every solve (including every
 :meth:`~repro.pdn.solver.PdnSolver.solve_many` column).  Emulator
-checkers implement ``on_route(emulator, src, dst, cached)``, fired on
-route-cache hits.  DfT chain integrity is stateless and exposed as
+checkers implement ``on_route(emulator, src, dst, cached)``, fired by
+the vector emulator on every route-table lookup.  DfT chain integrity is stateless and exposed as
 :class:`ChainIntegrityChecker` methods usable on any plan/session.
 
 Violations are counted through the ambient :mod:`repro.obs` telemetry
@@ -403,13 +403,16 @@ class DroopBoundChecker(InvariantChecker):
 
 
 class RouteCoherenceChecker(InvariantChecker):
-    """Cached emulator routes agree with a from-scratch recomputation.
+    """Vector emulator routes agree with the scalar oracle's derivation.
 
-    The emulator's shared route table (PR 4) asserts that a flow's hop
-    count/detour flag is a pure function of the fault map.  On every
-    ``sample``-th cache hit this checker re-derives the route the
-    reference way — kernel assignment plus an explicit ``dor_path``
-    walk — and compares.  ``sample=1`` checks every hit (campaigns);
+    :class:`~repro.arch.vectoremu.VectorEmulator` resolves flows from a
+    per-fault-map route table (direct-reachability matrix, closed-form
+    Manhattan hops, memoised detours).  On every ``sample``-th routed
+    flow this checker re-derives the route with
+    :func:`~repro.arch.emulator.reference_route` — kernel assignment
+    plus an explicit ``dor_path`` walk — and compares.  The scalar
+    emulator derives every route that way already and has no cached
+    routes to check.  ``sample=1`` checks every flow (campaigns);
     larger values amortise the cost on long runs.
     """
 
@@ -433,25 +436,10 @@ class RouteCoherenceChecker(InvariantChecker):
         self._hits += 1
         if self._hits % self.sample:
             return
-        from ..noc.routing import dor_path
+        from ..arch.emulator import reference_route
 
         self.checks += 1
-        assignment = emulator.system.kernel.assign(src, dst, allow_detour=True)
-        reachable = assignment.reachable or assignment.is_detour
-        if assignment.is_detour:
-            via = assignment.detour_via
-            assert via is not None
-            hops = (
-                abs(via[0] - src[0]) + abs(via[1] - src[1])
-                + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
-            )
-            expected = (hops, True, True)
-        elif reachable:
-            assert assignment.network is not None
-            hops = len(dor_path(src, dst, assignment.network.policy)) - 1
-            expected = (hops, False, True)
-        else:
-            expected = (0, False, False)
+        expected = reference_route(emulator.system, src, dst)
         if tuple(cached) != expected:
             self.fail(
                 "cached route disagrees with recomputation",

@@ -70,9 +70,9 @@ class DistributedBfs:
     ) -> BfsResult:
         """Run BFS from ``source``; returns distances and stats.
 
-        ``engine`` picks the emulator kind (see :class:`Emulator`);
-        ``engine="reference"`` selects its reference routing path
-        (per-flow assignment) for differential testing.
+        ``engine`` picks the emulator kind (see :class:`Emulator`):
+        ``"fast"`` (the default) and ``"reference"`` run the scalar
+        oracle, ``"vector"`` the whole-array kernel.
         """
         if source not in self.graph:
             raise WorkloadError(f"source {source} not in graph")

@@ -63,8 +63,9 @@ class DistributedPageRank:
     ) -> PageRankResult:
         """Run power iterations until convergence or the iteration cap.
 
-        ``engine`` selects the emulator tier (``"fast"`` — the default —
-        ``"reference"`` or ``"vector"``); results are identical.
+        ``engine`` selects the emulator: the scalar oracle (``"fast"``,
+        the default, or ``"reference"``) or ``"vector"``; results are
+        identical.
         """
         if iterations < 1:
             raise WorkloadError("need at least one iteration")

@@ -65,8 +65,9 @@ class DistributedSssp:
     ) -> SsspResult:
         """Run SSSP from ``source``.
 
-        ``engine`` selects the emulator tier (``"fast"`` — the default —
-        ``"reference"`` or ``"vector"``); results are identical.
+        ``engine`` selects the emulator: the scalar oracle (``"fast"``,
+        the default, or ``"reference"``) or ``"vector"``; results are
+        identical.
         """
         if source not in self.graph:
             raise WorkloadError(f"source {source} not in graph")

@@ -73,8 +73,9 @@ class DistributedStencil:
     def run(self, iterations: int, engine: str | None = None) -> StencilResult:
         """Run ``iterations`` Jacobi sweeps; returns the final field.
 
-        ``engine`` selects the emulator tier (``"fast"`` — the default —
-        ``"reference"`` or ``"vector"``); results are identical.
+        ``engine`` selects the emulator: the scalar oracle (``"fast"``,
+        the default, or ``"reference"``) or ``"vector"``; results are
+        identical.
         """
         if iterations < 0:
             raise WorkloadError("iterations must be non-negative")

@@ -9,12 +9,12 @@ from repro.noc.faults import FaultMap
 
 @pytest.fixture(autouse=True)
 def _fresh_route_caches():
-    """Clear the emulator's process-wide route caches around every test.
+    """Clear the vector emulator's route tables around every test.
 
-    ``_ROUTE_CACHE`` (and the vector engine's route-table LRU) are keyed
-    by fault map, so entries seeded by one test would otherwise leak
-    into the next — invisible under the default ordering but flaky
-    under ``pytest-randomly``.
+    The route-table LRU is process-wide and keyed by fault map, so
+    entries seeded by one test would otherwise leak into the next —
+    invisible under the default ordering but flaky under
+    ``pytest-randomly``.
     """
     clear_route_cache()
     yield

@@ -5,7 +5,7 @@ oracle — the per-fault connectivity loop, the fresh-``spsolve``-per-call
 PDN solve, the per-flow emulator routing — and these tests prove the
 fast results identical to it: randomized and adversarial fault maps for
 connectivity, both load models for the PDN (at 1e-12), and
-field-for-field emulation stats for the route cache.
+field-for-field emulation stats for the vector engine's route tables.
 """
 
 import numpy as np
@@ -365,7 +365,7 @@ class TestActivitySweep:
 
 
 # ---------------------------------------------------------------------------
-# emulator: fault-map-keyed route cache vs per-flow assignment
+# emulator: vector route tables vs per-flow assignment
 # ---------------------------------------------------------------------------
 
 
@@ -387,9 +387,9 @@ class TestEmulatorRouteCache:
     def test_stats_identical_with_and_without_cache(self):
         clear_route_cache()
         reference = self._run_bfs(engine="reference")
-        fast_cold = self._run_bfs(engine="fast")
-        fast_warm = self._run_bfs(engine="fast")
-        assert reference.distance == fast_cold.distance == fast_warm.distance
+        vector_cold = self._run_bfs(engine="vector")
+        vector_warm = self._run_bfs(engine="vector")
+        assert reference.distance == vector_cold.distance == vector_warm.distance
         for field in (
             "supersteps",
             "messages_sent",
@@ -401,34 +401,10 @@ class TestEmulatorRouteCache:
         ):
             assert (
                 getattr(reference.stats, field)
-                == getattr(fast_cold.stats, field)
-                == getattr(fast_warm.stats, field)
+                == getattr(vector_cold.stats, field)
+                == getattr(vector_warm.stats, field)
             ), field
         assert reference.stats.detoured_messages > 0
-
-    def test_route_cache_telemetry_counters(self):
-        clear_route_cache()
-        system = _detour_system()
-        tel = Telemetry()
-        with use_telemetry(tel):
-            emulator = Emulator(system, telemetry=tel)
-            emulator.send((0, 0), (3, 3), "ping")
-            emulator.superstep(lambda tile, inbox, em: 0)
-            emulator.send((0, 0), (3, 3), "ping")
-            emulator.superstep(lambda tile, inbox, em: 0)
-        assert tel.metrics.counter("emu.route_cache_misses").value == 1
-        assert tel.metrics.counter("emu.route_cache_hits").value == 1
-
-    def test_unreachable_pair_error_is_cached(self):
-        cfg = SystemConfig(rows=2, cols=2)
-        fmap = FaultMap(cfg).with_fault((0, 1)).with_fault((1, 0))
-        system = WaferscaleSystem(cfg, fmap)
-        clear_route_cache()
-        for _ in range(2):     # second pass hits the cached entry
-            emulator = Emulator(system)
-            emulator.send((0, 0), (1, 1), "ping")
-            with pytest.raises(NetworkError, match=r"no path for messages"):
-                emulator.superstep(lambda tile, inbox, em: 0)
 
     def test_cache_disabled_matches_legacy_error(self):
         cfg = SystemConfig(rows=2, cols=2)

@@ -127,6 +127,22 @@ class TestTextRendering:
         assert "coverage %" in out.splitlines()[0]
 
 
+class TestEmuCommand:
+    @pytest.mark.parametrize("workload", ["wave", "bfs", "pagerank"])
+    def test_engines_agree_apart_from_echo(self, workload, capsys):
+        results = {}
+        for engine in ("reference", "fast", "vector"):
+            cmd = ["emu", "--rows", "6", "--cols", "6", "--faults", "2",
+                   "--seed", "1", "--workload", workload, "--engine", engine,
+                   "--json"]
+            assert main(cmd) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result.pop("engine") == engine
+            results[engine] = result
+        assert results["reference"]["messages_sent"] > 0
+        assert results["reference"] == results["fast"] == results["vector"]
+
+
 class TestCollectiveCommand:
     """Smoke for the collective paths: envelope validity + engine echo."""
 

@@ -16,14 +16,15 @@ Four layers, mirroring the verify architecture:
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.system import WaferscaleSystem
-from repro.arch.emulator import clear_route_cache
+from repro.arch.emulator import ENGINES as EMULATOR_ENGINES, clear_route_cache
 from repro.config import SystemConfig
-from repro.errors import WorkloadError
+from repro.errors import NetworkError, WorkloadError
 from repro.noc.faults import FaultMap, random_fault_map
+from repro.noc.simulator import ENGINES
 from repro.verify.campaign import _collective_golden_check, _collective_trial
 from repro.verify.golden import (
     golden_all_reduce,
@@ -58,8 +59,6 @@ from repro.workloads.collectives import (
     tree_reduce,
 )
 from repro.workloads.dataflow import DataflowGraph, demo_graph
-
-ENGINES = ("fast", "reference", "vector")
 
 
 def _golden_for(program):
@@ -208,7 +207,7 @@ class TestHypothesisConformance:
         )
         try:
             coll = compile_noc(cfg, fmap, spec)
-        except Exception:
+        except NetworkError:
             fmap = FaultMap(cfg)
             coll = compile_noc(cfg, fmap, spec)
 
@@ -234,6 +233,8 @@ class TestHypothesisConformance:
         seed=st.integers(0, 2**31 - 1),
         pattern=st.sampled_from(PATTERNS),
     )
+    # Tile (0, 4) loses both neighbours: the rank there is walled in.
+    @example(faults=3, seed=100000, pattern="ring-all-reduce")
     @settings(max_examples=10, deadline=None)
     def test_emulator_driver_matches_noc_and_golden(self, faults, seed, pattern):
         cfg = SystemConfig(rows=5, cols=5)
@@ -242,11 +243,24 @@ class TestHypothesisConformance:
             pattern=pattern, seed=seed, ranks=min(6, fmap.healthy_count),
             segments=2, root=1, stages=2, microbatches=3,
         )
+        try:
+            compile_noc(cfg, fmap, spec)
+        except NetworkError:
+            # Every emulator engine must refuse the map with one message;
+            # the conformance run then proceeds fault-free.
+            driver = CollectiveDriver(WaferscaleSystem(cfg, fmap), spec)
+            messages = set()
+            for engine in EMULATOR_ENGINES:
+                with pytest.raises(NetworkError) as excinfo:
+                    driver.run(engine=engine)
+                messages.add(str(excinfo.value))
+            assert len(messages) == 1
+            fmap = FaultMap(cfg)
         clear_route_cache()
         system = WaferscaleSystem(cfg, fmap)
         driver = CollectiveDriver(system, spec)
-        stats = {e: driver.run(engine=e) for e in ENGINES}
-        assert stats["fast"] == stats["reference"] == stats["vector"]
+        stats = {e: driver.run(engine=e) for e in ("reference", "vector")}
+        assert stats["reference"] == stats["vector"]
         _assert_matches_golden(driver.program, driver.state)
 
 
@@ -321,7 +335,7 @@ class TestOracleMustTrip:
         driver = CollectiveDriver(
             system, CollectiveSpec(pattern="rd-all-reduce", ranks=5, seed=1)
         )
-        driver.run(engine="fast")
+        driver.run(engine="reference")
         driver.state[2][0] ^= 1
         with pytest.raises(InvariantViolation) as exc:
             driver.verify()
@@ -444,8 +458,8 @@ class TestDataflow:
         driver = CollectiveDriver(
             system, CollectiveSpec(seed=5), program=graph.build_program()
         )
-        stats = {e: driver.run(engine=e) for e in ENGINES}
-        assert stats["fast"] == stats["reference"] == stats["vector"]
+        stats = {e: driver.run(engine=e) for e in ("reference", "vector")}
+        assert stats["reference"] == stats["vector"]
         assert graph.layer_finals(driver.state) == self._golden(graph)
 
     def test_demo_graph_covers_every_edge_kind(self):

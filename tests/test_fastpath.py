@@ -13,7 +13,7 @@ import networkx as nx
 from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
 from repro.errors import ReproError
-from repro.fastpath import ENGINE_KINDS, resolve_engine_kind
+from repro.fastpath import ENGINE_KINDS, VECTOR_ENGINE_KINDS, resolve_engine_kind
 from repro.noc.faults import random_fault_map
 from repro.noc.simulator import NocSimulator
 from repro.pdn.solver import PdnSolver
@@ -43,6 +43,13 @@ class TestResolver:
         with pytest.raises(ReproError, match="unknown engine"):
             resolve_engine_kind("warp", entry_point="X")
 
+    def test_one_three_tier_tuple(self):
+        from repro.arch import emulator
+        from repro.noc import simulator
+
+        assert emulator.ENGINES is VECTOR_ENGINE_KINDS
+        assert simulator.ENGINES is VECTOR_ENGINE_KINDS
+
 
 class TestPdnSolverKinds:
     def test_engine_kinds_agree(self, cfg):
@@ -65,6 +72,13 @@ class TestEmulatorKinds:
         fast = self._bfs(cfg, fmap).run(0, engine="fast")
         reference = self._bfs(cfg, fmap).run(0, engine="reference")
         assert fast.distance == reference.distance
+
+    def test_fast_runs_the_scalar_oracle(self, cfg, fmap):
+        from repro.arch.emulator import Emulator
+
+        system = WaferscaleSystem(cfg, fmap)
+        assert type(Emulator(system, engine="fast")) is Emulator
+        assert type(Emulator(system, engine="reference")) is Emulator
 
 
 class TestNocSimulatorKinds:

@@ -295,7 +295,7 @@ class TestRouteCoherenceMutation:
         cfg = SystemConfig(rows=6, cols=6)
         fmap = FaultMap(cfg).with_fault((2, 2))
         system = WaferscaleSystem(cfg, fmap)
-        return Emulator(system, checkers=[checker])
+        return Emulator(system, engine="vector", checkers=[checker])
 
     @staticmethod
     def _exchange(emulator):
@@ -306,17 +306,19 @@ class TestRouteCoherenceMutation:
     def test_clean_cache_hits_pass(self):
         checker = RouteCoherenceChecker(sample=1)
         emulator = self._emulator(checker)
-        self._exchange(emulator)                # cache misses populate
-        self._exchange(emulator)                # hits fire the checker
+        self._exchange(emulator)                # every routed flow fires
+        self._exchange(emulator)
         assert checker.checks >= 2
         assert checker.violations == 0
 
-    def test_poisoned_cache_entry_trips(self):
+    def test_poisoned_route_table_cell_trips(self):
         checker = RouteCoherenceChecker(sample=1)
         emulator = self._emulator(checker)
         self._exchange(emulator)
-        hops, is_detour, reachable = emulator._routes[((0, 0), (4, 4))]
-        emulator._routes[((0, 0), (4, 4))] = (hops + 3, is_detour, reachable)
+        # (0, 0) -> (4, 4) clears the fault at (2, 2) on both networks;
+        # marking the pair blocked sends it down the detour search.
+        table = emulator._table
+        table.direct_flat[0 * table.n + 4 * table.cols + 4] = False
         with pytest.raises(InvariantViolation, match="disagrees with recomputation"):
             self._exchange(emulator)
 
