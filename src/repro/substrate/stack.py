@@ -63,6 +63,13 @@ class LayerStack:
         indices = [layer.index for layer in self.layers]
         if indices != sorted(indices) or len(set(indices)) != len(indices):
             raise SubstrateError("layer indices must be unique and ordered")
+        # Derived once per stack (not a field: equality and hash still
+        # compare ``layers`` only); ``signal_layer`` runs once per wire.
+        object.__setattr__(
+            self,
+            "_signal_layers",
+            tuple(l for l in self.layers if l.role is LayerRole.SIGNAL),
+        )
 
     @property
     def power_layers(self) -> tuple[MetalLayer, ...]:
@@ -72,11 +79,11 @@ class LayerStack:
     @property
     def signal_layers(self) -> tuple[MetalLayer, ...]:
         """Layers dedicated to inter-chiplet signal routing."""
-        return tuple(l for l in self.layers if l.role is LayerRole.SIGNAL)
+        return self._signal_layers
 
     def signal_layer(self, routing_layer: int) -> MetalLayer:
         """The nth signal layer (1-based)."""
-        sigs = self.signal_layers
+        sigs = self._signal_layers
         if not 1 <= routing_layer <= len(sigs):
             raise SubstrateError(
                 f"routing layer {routing_layer} not in 1..{len(sigs)}"

@@ -1,19 +1,23 @@
 """Tests for repro.substrate (stack, netlist, router, DRC, degraded, fanout)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import DrcError, RoutingError, SubstrateError
+from repro.geometry.reticle import ReticlePlan
 from repro.substrate.degraded import degraded_mode_report
 from repro.substrate.drc import assert_clean, run_drc
 from repro.substrate.fanout import plan_edge_fanout
 from repro.substrate.netlist import (
     ChannelKind,
+    InterChipletNet,
     NetClass,
     extract_netlist,
     netlist_summary,
 )
-from repro.substrate.router import SubstrateRouter
+from repro.substrate.router import SubstrateRouter, _route_per_net
 from repro.substrate.stack import LayerRole, default_stack
 from repro.substrate.stitching import (
     check_constant_pitch,
@@ -62,6 +66,18 @@ class TestStack:
     def test_invalid_layer_count(self):
         with pytest.raises(SubstrateError):
             default_stack(signal_layers=0)
+
+    def test_signal_layers_computed_once(self):
+        stack = default_stack()
+        assert stack.signal_layers is stack.signal_layers
+        assert all(l.role is LayerRole.SIGNAL for l in stack.signal_layers)
+        assert stack.signal_layer(2) is stack.signal_layers[1]
+
+    def test_cached_layers_leave_identity_alone(self):
+        a, b = default_stack(), default_stack()
+        assert a == b and hash(a) == hash(b)
+        assert a != default_stack(signal_layers=1)
+        assert "_signal_layers" not in repr(a)
 
 
 class TestStitching:
@@ -148,12 +164,95 @@ class TestRouter:
             assert (wire.width_um, wire.space_um) == stitch_geometry()
 
     def test_capacity_overflow_raises_for_essential(self):
-        cfg = SystemConfig(rows=2, cols=2, link_width_bits=4000,
-                           packet_width_bits=100,
-                           ios_per_compute_chiplet=20000)
-        router = SubstrateRouter(cfg)
+        router = SubstrateRouter(OVERFLOW_CFG)
         with pytest.raises(RoutingError):
-            router.route(extract_netlist(cfg))
+            router.route(extract_netlist(OVERFLOW_CFG))
+
+
+OVERFLOW_CFG = SystemConfig(rows=2, cols=2, link_width_bits=4000,
+                            packet_width_bits=100,
+                            ios_per_compute_chiplet=20000)
+
+
+def _routing_fields(result):
+    """Everything a routing result says, in order."""
+    return (
+        result.wires,
+        result.unrouted,
+        list(result.channel_utilization.items()),
+        result.signal_layers,
+    )
+
+
+class TestRouterOracle:
+    """``route`` (per-channel records) against ``_route_per_net``."""
+
+    @pytest.mark.parametrize(
+        "rows, cols, signal_layers",
+        [
+            (6, 6, 2),      # both layers, no reticle boundary
+            (12, 12, 2),    # spans reticles: stitch wires
+            (6, 6, 1),      # one layer: extended nets stay unrouted
+        ],
+        ids=["6x6", "12x12-stitch", "6x6-one-layer"],
+    )
+    def test_route_matches_oracle(self, rows, cols, signal_layers):
+        cfg = SystemConfig(rows=rows, cols=cols)
+        router = SubstrateRouter(cfg, stack=default_stack(signal_layers))
+        nets = extract_netlist(cfg)
+        result = router.route(nets)
+        expected = _route_per_net(router, nets)
+        assert _routing_fields(result) == _routing_fields(expected)
+        if rows == 12:
+            assert result.stitch_wire_count() > 0
+        if signal_layers == 1:
+            assert result.unrouted
+
+    def test_overflow_names_same_net(self):
+        router = SubstrateRouter(OVERFLOW_CFG)
+        nets = extract_netlist(OVERFLOW_CFG)
+        with pytest.raises(RoutingError) as kernel:
+            router.route(nets)
+        with pytest.raises(RoutingError) as oracle:
+            _route_per_net(router, nets)
+        assert str(kernel.value) == str(oracle.value)
+
+    def test_channel_work_done_once(self, monkeypatch):
+        # Per-channel work (capacity, reticle crossing) once per
+        # (channel, layer) and channel_key once per net: a rescan of the
+        # wires per channel fails this without timing anything.
+        calls = {"channel_key": 0}
+        capacity_calls: Counter = Counter()
+        crossing_calls: Counter = Counter()
+        channel_key = InterChipletNet.channel_key
+        channel_capacity = SubstrateRouter.channel_capacity
+        crosses_boundary = ReticlePlan.crosses_boundary
+
+        def counted_key(net):
+            calls["channel_key"] += 1
+            return channel_key(net)
+
+        def counted_capacity(router, net, layer):
+            capacity_calls[(net.channel, net.tile_a, net.tile_b, layer)] += 1
+            return channel_capacity(router, net, layer)
+
+        def counted_crossing(plan, a, b):
+            crossing_calls[(a, b)] += 1
+            return crosses_boundary(plan, a, b)
+
+        cfg = SystemConfig(rows=7, cols=7)
+        nets = extract_netlist(cfg)
+        router = SubstrateRouter(cfg)
+        monkeypatch.setattr(InterChipletNet, "channel_key", counted_key)
+        monkeypatch.setattr(SubstrateRouter, "channel_capacity", counted_capacity)
+        monkeypatch.setattr(ReticlePlan, "crosses_boundary", counted_crossing)
+        result = router.route(nets)
+
+        assert result.success
+        assert calls["channel_key"] <= len(nets)
+        assert len(capacity_calls) == len(result.channel_utilization)
+        assert max(capacity_calls.values()) == 1
+        assert crossing_calls and max(crossing_calls.values()) == 1
 
 
 class TestDrc:
