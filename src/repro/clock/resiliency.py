@@ -11,13 +11,24 @@ subgraph of healthy tiles.  This module provides:
   induction claim on arbitrary fault maps;
 * :func:`monte_carlo_clock_coverage` — coverage statistics versus fault
   count, the clock-network analogue of Fig. 6.
+
+Because the claim holds, the Monte Carlo never runs the per-tile
+forwarding simulation: :func:`_clocked_tiles` takes the generators'
+component of the healthy-tile grid graph with one sparse breadth-first
+search, and :func:`~repro.clock.forwarding.simulate_clock_setup` stays
+the oracle it is checked against (it alone models hop depth, arrival
+time and inversion parity).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..config import Coord, SystemConfig
 from ..errors import ClockError
@@ -62,23 +73,61 @@ def clock_coverage_theorem_holds(
     the special case "all four neighbours faulty"; disconnection is the
     general condition its induction actually proves.)
     """
-    import networkx as nx
-
     result = simulate_clock_setup(config, generators=generators, faulty=faulty)
-    graph = nx.Graph()
-    healthy = [c for c in config.tile_coords() if c not in result.faulty]
-    graph.add_nodes_from(healthy)
-    for coord in healthy:
-        for nbr in config.neighbors(coord):
-            if nbr not in result.faulty:
-                graph.add_edge(coord, nbr)
+    healthy = np.ones(config.tiles, dtype=bool)
+    healthy[[r * config.cols + c for r, c in result.faulty]] = False
+    reached = _clocked_tiles(
+        config, healthy, [r * config.cols + c for r, c in result.generators]
+    )
+    return set(result.clocked_tiles) == {divmod(int(i), config.cols) for i in reached}
 
-    reachable_ref: set[Coord] = set()
-    for gen in result.generators:
-        reachable_ref |= nx.node_connected_component(graph, gen)
 
-    simulated = {c for c in healthy if result.states[c].has_fast_clock}
-    return simulated == reachable_ref
+@lru_cache(maxsize=4)
+def _grid_graph(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-geometry precompute shared by every fault map of one array.
+
+    Returns ``(src, dst, edge_tiles)``: the 4-connected mesh as directed
+    flat-index edges (both directions) sorted by source, so a masked
+    subset is still CSR-ordered, and the edge tiles in row-major order.
+    """
+    flat = np.arange(rows * cols, dtype=np.int32).reshape(rows, cols)
+    west, east = flat[:, :-1].ravel(), flat[:, 1:].ravel()
+    north, south = flat[:-1, :].ravel(), flat[1:, :].ravel()
+    src = np.concatenate([west, east, north, south])
+    dst = np.concatenate([east, west, south, north])
+    order = np.argsort(src, kind="stable")
+    border = np.ones((rows, cols), dtype=bool)
+    border[1:-1, 1:-1] = False
+    arrays = (src[order], dst[order], np.flatnonzero(border))
+    for arr in arrays:
+        arr.flags.writeable = False     # shared by every caller of the cache
+    return arrays
+
+
+def _clocked_tiles(
+    config: SystemConfig, healthy: np.ndarray, generators
+) -> np.ndarray:
+    """Flat indices of the tiles the forwarded clock reaches.
+
+    ``healthy`` is the row-major healthy-tile mask and ``generators`` the
+    flat indices of (healthy) generator tiles.  The result is the union of
+    the generators' components in the healthy-tile grid graph — exactly
+    the clocked set of :func:`simulate_clock_setup`, by the paper's
+    induction.  One breadth-first search from a virtual source wired to
+    every generator covers several generators at once.
+    """
+    n = config.tiles
+    src, dst, _ = _grid_graph(config.rows, config.cols)
+    keep = healthy[src] & healthy[dst]
+    indices = np.concatenate([dst[keep], np.asarray(generators, dtype=np.int32)])
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1 : n + 1])
+    indptr[n + 1] = indices.size
+    graph = csr_matrix(
+        (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n + 1, n + 1)
+    )
+    order = breadth_first_order(graph, n, directed=True, return_predecessors=False)
+    return order[1:]
 
 
 @dataclass(frozen=True)
@@ -95,23 +144,23 @@ class ClockCoverageStats:
 def _coverage_trial(ctx) -> tuple[float, int] | None:
     """One coverage trial: random fault map, single edge generator.
 
-    Returns ``None`` for pathological maps with no healthy edge tile (no
-    generator can be placed), which the aggregator skips — matching the
-    serial implementation's ``continue``.
+    The generator is the first healthy edge tile in row-major order and
+    the clocked count comes from :func:`_clocked_tiles`, so a trial is a
+    handful of array operations, never a per-tile walk.  Returns ``None``
+    for pathological maps with no healthy edge tile (no generator can be
+    placed), which the aggregator skips.
     """
     config = ctx.config
     count = ctx.params["fault_count"]
-    all_coords = list(config.tile_coords())
-    idx = ctx.rng.choice(len(all_coords), size=count, replace=False)
-    faulty = {all_coords[i] for i in idx}
-    edge_ok = [
-        c for c in all_coords
-        if config.is_edge_tile(c) and c not in faulty
-    ]
-    if not edge_ok:
+    healthy = np.ones(config.tiles, dtype=bool)
+    healthy[ctx.rng.choice(config.tiles, size=count, replace=False)] = False
+    edge_tiles = _grid_graph(config.rows, config.cols)[2]
+    edge_ok = edge_tiles[healthy[edge_tiles]]
+    if not edge_ok.size:
         return None
-    result = simulate_clock_setup(config, generators=[edge_ok[0]], faulty=faulty)
-    return result.coverage, len(result.unclocked_tiles)
+    clocked = int(_clocked_tiles(config, healthy, edge_ok[:1]).size)
+    alive = config.tiles - count
+    return clocked / alive, alive - clocked
 
 
 def monte_carlo_clock_coverage(
@@ -129,14 +178,21 @@ def monte_carlo_clock_coverage(
     Faults are drawn uniformly over the array; the generator is the first
     healthy edge tile (matching the single-generator bring-up of Fig. 4 —
     resiliency does not depend on multiple generators, only availability
-    does).  Trials run on the experiment engine; ``workers``, ``cache``
-    and ``engine`` as in :class:`repro.engine.ExperimentEngine`.
+    does).  Each fault count must be an integer in ``[0, tiles)``.
+    Trials run on the experiment engine; ``workers``, ``cache`` and
+    ``engine`` as in :class:`repro.engine.ExperimentEngine`.
     """
     from ..engine import ExperimentEngine
 
     for count in fault_counts:
-        if count >= config.tiles:
-            raise ClockError("cannot fault every tile")
+        if (
+            not isinstance(count, numbers.Integral)
+            or isinstance(count, bool)
+            or not 0 <= count < config.tiles
+        ):
+            raise ClockError(
+                f"fault_counts: {count!r} is not an integer in [0, {config.tiles})"
+            )
     eng = engine or ExperimentEngine(workers=workers, cache=cache)
     stats: list[ClockCoverageStats] = []
     for count in fault_counts:

@@ -1,7 +1,9 @@
 """Tests for repro.clock (PLL, passive CDN, forwarding, DCD, resiliency)."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,11 @@ from repro.clock.passive_cdn import (
     passive_cdn_is_viable,
 )
 from repro.clock.pll import PllModel
+from repro.clock import resiliency
 from repro.clock.resiliency import (
+    ClockCoverageStats,
+    _clocked_tiles,
+    _coverage_trial,
     clock_coverage_theorem_holds,
     fig4_fault_map,
     isolated_tiles,
@@ -25,6 +31,7 @@ from repro.clock.resiliency import (
     unreachable_tiles,
 )
 from repro.config import SystemConfig
+from repro.engine import spawn_trial_seeds
 from repro.errors import ClockError
 
 
@@ -262,6 +269,148 @@ class TestResiliency:
     def test_cannot_fault_everything(self, small_cfg):
         with pytest.raises(ClockError):
             monte_carlo_clock_coverage(small_cfg, [64], trials=1)
+
+
+def _kernel_clocked(config, generators, faulty):
+    """The component kernel's clocked set, as coordinates."""
+    healthy = np.ones(config.tiles, dtype=bool)
+    healthy[[r * config.cols + c for r, c in faulty]] = False
+    flat = [r * config.cols + c for r, c in generators]
+    reached = _clocked_tiles(config, healthy, flat)
+    return {divmod(int(i), config.cols) for i in reached}
+
+
+def _oracle_coverage(config, fault_counts, trials, seed):
+    """Monte Carlo stats recomputed trial by trial with the forwarding sim.
+
+    Trial ``i`` of fault count ``k`` redraws its map from the ``i``-th
+    child of ``SeedSequence((seed, k))``, as the engine does; the default
+    generator of :func:`simulate_clock_setup` is the first healthy edge
+    tile, and a map without one (``ClockError``) is skipped.
+    """
+    coords = list(config.tile_coords())
+    out = []
+    for count in fault_counts:
+        outcomes = []
+        for child in spawn_trial_seeds((seed, count), trials):
+            rng = np.random.default_rng(child)
+            idx = rng.choice(config.tiles, size=count, replace=False)
+            try:
+                result = simulate_clock_setup(config, faulty={coords[i] for i in idx})
+            except ClockError:
+                continue
+            outcomes.append((result.coverage, len(result.unclocked_tiles)))
+        covs = [c for c, _ in outcomes]
+        out.append(
+            ClockCoverageStats(
+                fault_count=count,
+                trials=len(outcomes),
+                mean_coverage=float(np.mean(covs)) if covs else 0.0,
+                min_coverage=float(np.min(covs)) if covs else 0.0,
+                mean_unreachable=float(np.mean([u for _, u in outcomes]))
+                if outcomes else 0.0,
+            )
+        )
+    return out
+
+
+def _random_cases():
+    """Seeded random 32x32 maps, generator = first healthy edge tile."""
+    config = SystemConfig(rows=32, cols=32)
+    coords = list(config.tile_coords())
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 400))
+        faulty = {coords[i] for i in rng.choice(config.tiles, size=count, replace=False)}
+        gen = next(c for c in coords if config.is_edge_tile(c) and c not in faulty)
+        cases.append(pytest.param(32, 32, [gen], faulty, id=f"random-32x32-s{seed}"))
+    return cases
+
+
+_FIG4_CFG, _FIG4_GENS, _FIG4_FAULTY = fig4_fault_map()
+
+_KERNEL_CASES = [
+    pytest.param(8, 8, [(0, 0)], set(), id="clean"),
+    pytest.param(8, 8, _FIG4_GENS, _FIG4_FAULTY, id="fig4"),
+    pytest.param(8, 8, [(0, 3)], {(0, 2), (0, 4), (1, 3)}, id="generator-walled-in"),
+    pytest.param(
+        4, 4, [(0, 0)], {(r, c) for r in range(4) for c in range(4)} - {(0, 0)},
+        id="all-faulty-but-generator",
+    ),
+    pytest.param(1, 1, [(0, 0)], set(), id="1x1"),
+    pytest.param(1, 6, [(0, 0)], {(0, 3)}, id="1xN"),
+    pytest.param(2, 2, [(0, 0)], {(1, 1)}, id="2x2"),
+    pytest.param(
+        6, 6, [(0, 0), (0, 5)], {(r, 2) for r in range(6)} | {(r, 4) for r in range(6)},
+        id="two-generators-disconnected",
+    ),
+    *_random_cases(),
+]
+
+
+class TestCoverageKernel:
+    """The component kernel against the forwarding-simulation oracle."""
+
+    @pytest.mark.parametrize("rows, cols, generators, faulty", _KERNEL_CASES)
+    def test_kernel_matches_oracle(self, rows, cols, generators, faulty):
+        config = SystemConfig(rows=rows, cols=cols)
+        result = simulate_clock_setup(config, generators=generators, faulty=faulty)
+        oracle = {c for c, s in result.states.items() if s.has_fast_clock}
+        kernel = _kernel_clocked(config, generators, faulty)
+        assert len(kernel) == len(oracle)
+        assert kernel == oracle
+        assert clock_coverage_theorem_holds(config, faulty, generators)
+
+    def test_case_table_shapes(self):
+        # The named cases exercise what they claim to.
+        cfg = SystemConfig(rows=8, cols=8)
+        assert _kernel_clocked(cfg, [(0, 3)], {(0, 2), (0, 4), (1, 3)}) == {(0, 3)}
+        cfg = SystemConfig(rows=6, cols=6)
+        walls = {(r, 2) for r in range(6)} | {(r, 4) for r in range(6)}
+        clocked = _kernel_clocked(cfg, [(0, 0), (0, 5)], walls)
+        assert len(clocked) == 18                     # columns 0, 1 and 5
+        assert not any(c == 3 for _, c in clocked)    # the walled-off column
+
+    def test_no_healthy_edge_tile_returns_none(self):
+        config = SystemConfig(rows=3, cols=3)
+        edge = [i for i in range(9) if i != 4]        # every tile but the centre
+        ctx = SimpleNamespace(
+            config=config,
+            params={"fault_count": 8},
+            rng=SimpleNamespace(choice=lambda n, size, replace: np.array(edge)),
+        )
+        assert _coverage_trial(ctx) is None
+        with pytest.raises(ClockError, match="no healthy edge tile"):
+            simulate_clock_setup(config, faulty={divmod(i, 3) for i in edge})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_matches_trial_recompute(self, workers):
+        config = SystemConfig(rows=8, cols=8)
+        counts = [0, 6, 30, 60]
+        stats = monte_carlo_clock_coverage(
+            config, counts, trials=12, seed=5, workers=workers
+        )
+        assert stats == _oracle_coverage(config, counts, 12, 5)
+        assert stats[-1].trials < 12                  # some maps had no generator
+
+    def test_monte_carlo_never_runs_forwarding_sim(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran the per-tile forwarding sim")
+
+        monkeypatch.setattr(resiliency, "simulate_clock_setup", forbidden)
+        stats = monte_carlo_clock_coverage(
+            SystemConfig(rows=8, cols=8), [0, 4, 12], trials=10, seed=2
+        )
+        assert [s.trials for s in stats] == [10, 10, 10]
+
+    def test_negative_fault_count_rejected(self, small_cfg):
+        with pytest.raises(ClockError, match=r"fault_counts: -1 "):
+            monte_carlo_clock_coverage(small_cfg, [-1], trials=1)
+
+    def test_fractional_fault_count_rejected(self, small_cfg):
+        with pytest.raises(ClockError, match=r"fault_counts: 2\.5 "):
+            monte_carlo_clock_coverage(small_cfg, [2.5], trials=1)
 
 
 class TestGeneratorPlacement:
