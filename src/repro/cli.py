@@ -1374,7 +1374,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="reference",
                 choices=list(ENGINES),
                 help="simulation core: the object-model reference engine "
-                "or the active-set struct-of-arrays fast engine",
+                "or the batched numpy vector engine (fast is an alias of "
+                "reference) — all bit-identical",
             )
             p.add_argument(
                 "--check",
@@ -1426,7 +1427,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=str,
                 default=None,
                 choices=list(NOC_ENGINES),
-                help="simulation/emulation engine tier (default: reference "
+                help="simulation/emulation engine: reference or vector, "
+                "fast being an alias of reference (default: reference "
                 "for --backend noc, resolved default for --backend emu)",
             )
             p.add_argument(
@@ -1572,10 +1574,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ReproError` (bad input the library rejected)
+    prints one ``repro: error: <message>`` line to stderr and exits 2,
+    like an argparse usage error, instead of a traceback.
+    """
+    from .errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":     # pragma: no cover

@@ -1,14 +1,18 @@
-"""The unified fast-path selector: ``engine="fast" | "reference"``.
+"""The unified engine-name selector.
 
-Every dual-implementation entry point in the library — the cycle-level
-NoC simulator, the task-level emulator and the PDN solver — keeps two
-interchangeable implementations: a *reference* path (simple, explicit,
-the golden model differential tests compare against) and a *fast* path
-(the optimised kernel with committed speedup floors).  They all share
-one selection vocabulary:
+Every dual-implementation entry point in the library keeps a
+*reference* path (simple, explicit, the oracle differential tests
+compare against) and one optimised kernel with committed speedup
+floors.  They share one selection vocabulary:
 
-* ``engine="fast"`` — the optimised kernel (the default everywhere);
-* ``engine="reference"`` — the retained reference implementation.
+* :data:`ENGINE_KINDS` — ``"fast" | "reference"`` for the PDN solver,
+  whose ``"fast"`` cached-LU kernel is its default;
+* :data:`VECTOR_ENGINE_KINDS` — ``"reference" | "fast" | "vector"`` for
+  the cycle-level NoC simulator and the task-level emulator, whose
+  kernel is ``"vector"``.  There ``"fast"`` is an accepted alias of
+  ``"reference"`` and runs the scalar oracle.  The NoC default is
+  ``"reference"``; the emulator's default name is ``"fast"``, i.e. the
+  oracle too.
 
 :func:`resolve_engine_kind` checks a caller's choice against the kinds
 an entry point implements.
@@ -21,9 +25,10 @@ from .errors import ReproError
 #: The two implementation kinds every dual-path entry point accepts.
 ENGINE_KINDS = ("fast", "reference")
 
-#: The three-tier vocabulary for entry points that also ship a batched
-#: whole-array numpy kernel.  ``noc.simulator.ENGINES`` and
-#: ``arch.emulator.ENGINES`` re-export this tuple.
+#: The vocabulary for entry points whose kernel is a batched whole-array
+#: numpy engine (``"fast"`` aliases ``"reference"`` there).
+#: ``noc.simulator.ENGINES`` and ``arch.emulator.ENGINES`` re-export
+#: this tuple.
 VECTOR_ENGINE_KINDS = ("reference", "fast", "vector")
 
 FAST = "fast"
@@ -42,8 +47,8 @@ def resolve_engine_kind(
 
     ``kinds`` lists the kinds the entry point implements —
     :data:`ENGINE_KINDS` for the common dual-path case,
-    :data:`VECTOR_ENGINE_KINDS` for entry points with a third
-    batched-numpy tier.  An unknown kind raises
+    :data:`VECTOR_ENGINE_KINDS` for entry points with a batched-numpy
+    kernel.  An unknown kind raises
     :class:`~repro.errors.ReproError` naming ``entry_point``.
     """
     if engine is None:

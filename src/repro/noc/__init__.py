@@ -9,7 +9,6 @@ from .connectivity import (
     same_row_col_share,
 )
 from .dualnetwork import DualNetwork, NetworkId
-from .fastsim import FastNocSimulator
 from .faults import FaultMap, random_fault_map
 from .kernel import KernelRouter, NetworkAssignment
 from .loadlatency import LoadLatencyCurve, LoadPoint, measure_load_latency
@@ -39,7 +38,6 @@ __all__ = [
     "same_row_col_share",
     "DualNetwork",
     "ENGINES",
-    "FastNocSimulator",
     "NetworkId",
     "FaultMap",
     "random_fault_map",

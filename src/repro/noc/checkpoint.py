@@ -1,8 +1,8 @@
 """Checkpoint/restore for the cycle-level NoC simulator.
 
 A checkpoint is one ``.npz`` archive holding the complete simulation
-state in an **engine-neutral** layout, so a run checkpointed on the fast
-engine can resume on the vector engine (or vice versa) and continue
+state in an **engine-neutral** layout, so a run checkpointed on the
+reference engine can resume on the vector engine (or vice versa) and continue
 bit-identically:
 
 * a flat **packet table** — one row per live or delivered packet, with a

@@ -99,8 +99,9 @@ def measure_load_latency(
     network failed to drain in a bounded horizon — the standard knee
     detection for load-latency curves.
 
-    ``engine`` selects the simulation core (``"reference"``, ``"fast"``
-    or ``"vector"``); all produce identical curves.  With
+    ``engine`` selects the simulation core (``"reference"`` or
+    ``"vector"``; ``"fast"`` is an alias of ``"reference"``); both
+    produce identical curves.  With
     ``engine="vector"`` every swept rate becomes one trial of a single
     :class:`~repro.noc.vectorsim.BatchNocSimulator`, so the whole sweep
     advances through one batched numpy kernel instead of R sequential

@@ -29,7 +29,7 @@ class RoutingPolicy(enum.Enum):
     YX = "yx"       # column first, then row
 
 
-#: Integer port codes used by the struct-of-arrays fast engine.  The
+#: Integer port codes used by the struct-of-arrays vector engine.  The
 #: order matches ``list(repro.noc.router.Port)`` exactly (N, S, W, E,
 #: LOCAL) so a code doubles as an index into per-port arrays, and the
 #: N/S and W/E pairs differ only in the low bit: the downstream entry

@@ -58,7 +58,7 @@ OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(0, 15))
 ENGINES = VECTOR_ENGINE_KINDS
 
 #: Port -> integer code in ``list(Port)`` order (N=0, S=1, W=2, E=3, LOCAL=4),
-#: the encoding checker hooks and the fast engine share.
+#: the encoding checker hooks and the vector engine share.
 PORT_CODE = {port: code for code, port in enumerate(Port)}
 
 
@@ -157,27 +157,23 @@ class SimulationReport:
 class NocSimulator:
     """Cycle-level dual-network mesh simulator.
 
-    Two interchangeable engines compute the same semantics:
+    One oracle and one kernel compute the same semantics:
 
     * ``engine="reference"`` (default) — the explicit object model: one
       :class:`~repro.noc.router.Router` per healthy tile per network,
       every router arbitrated every cycle.  Easy to inspect (the
-      ``routers`` grids are public) and the golden model the fast
-      engine is differentially tested against.
-    * ``engine="fast"`` — the active-set, struct-of-arrays engine
-      (:class:`repro.noc.fastsim.FastNocSimulator`): per-network DoR
-      next-hop lookup tables, flat per-tile state arrays, and a
-      busy-router set so each cycle touches only routers holding
-      traffic.  Bit-identical reports, no per-router objects.
+      ``routers`` grids are public) and the oracle the vector engine is
+      differentially tested against.  ``engine="fast"`` is accepted as
+      an alias: it builds this same class and only echoes its name.
     * ``engine="vector"`` — the batched numpy engine
       (:class:`repro.noc.vectorsim.VectorNocSimulator`): the whole
       arbitrate/apply cycle as array operations over a flat packet
-      pool and ring-buffer FIFOs.  Bit-identical reports again; the
-      engine of choice at full-wafer (2048-chiplet) scale and beyond.
+      pool and ring-buffer FIFOs.  Bit-identical reports; the engine of
+      choice at full-wafer (2048-chiplet) scale and beyond.
 
-    Constructing ``NocSimulator(..., engine="fast")`` (or ``"vector"``)
-    transparently returns the matching subclass, so callers never
-    import engine modules directly.
+    Constructing ``NocSimulator(..., engine="vector")`` transparently
+    returns the subclass, so callers never import engine modules
+    directly.
     """
 
     def __new__(
@@ -190,10 +186,6 @@ class NocSimulator:
         engine: str = "reference",
         checkers: "Iterable[InvariantChecker] | None" = None,
     ):
-        if cls is NocSimulator and engine == "fast":
-            from .fastsim import FastNocSimulator
-
-            return super().__new__(FastNocSimulator)
         if cls is NocSimulator and engine == "vector":
             from .vectorsim import VectorNocSimulator
 

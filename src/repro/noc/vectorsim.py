@@ -1,9 +1,9 @@
 """Batched numpy engine for the cycle-level NoC simulator.
 
-The fast engine (:mod:`.fastsim`) arbitrates with a Python loop over the
-active tiles — ~40 bytecode operations per busy router per cycle, which
-tops out near 100 cycles/s at full-wafer (32x32 tiles = 2048 chiplets)
-saturation.  This module computes the *same semantics* (bit-identical
+The reference engine (:mod:`.simulator`) arbitrates every router
+object of both networks every cycle in Python, which tops out near 20
+cycles/s at full-wafer (32x32 tiles = 2048 chiplets) saturation.  This
+module computes the *same semantics* (bit-identical
 :class:`~repro.noc.simulator.SimulationReport`s, enforced by the
 differential suite and ``repro verify --suite noc``) as whole-array
 numpy operations over struct-of-arrays state:
@@ -21,7 +21,7 @@ numpy operations over struct-of-arrays state:
 * **Lane-major arbitration** — the kernel touches only *occupied*
   lanes: head-of-line destinations are gathered in one shot, output
   ports come from the int LUT as a numpy array (or, beyond
-  :data:`~repro.noc.fastsim.LUT_MAX_TILES` tiles, from the vectorized
+  :data:`LUT_MAX_TILES` tiles, from the vectorized
   :func:`~repro.noc.routing.dor_port_codes` arithmetic kernel — there
   is no scalar fallback here), and every output port's round-robin
   winner falls out of one in-place sort of composite integers
@@ -32,8 +32,8 @@ numpy operations over struct-of-arrays state:
 * **Credit-indexed injection** — pending injections are admitted
   straight from per-tile queues keyed by LOCAL-FIFO credit, so a
   saturated run checks only tiles *with free slots* instead of
-  rescanning the whole backlog every cycle (the scan that caps the
-  fast engine at saturation).
+  rescanning the whole backlog every cycle as the reference engine
+  does at saturation.
 * **Trial batching** — the virtual-tile axis also stacks ``B``
   independent trials (``v = net * B * n + trial * n + tile``), so one
   kernel invocation advances every fault map / seed of a sweep at
@@ -65,7 +65,6 @@ from ..config import Coord, SystemConfig
 from ..errors import NetworkError
 from ..obs.telemetry import Telemetry
 from .dualnetwork import NetworkId
-from .fastsim import LUT_MAX_TILES, NET_ORDER, _PORT_STEPS
 from .faults import FaultMap
 from . import packets as _packets
 from .packets import Packet, PacketKind
@@ -74,6 +73,17 @@ from .simulator import NocSimulator, SimulationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.invariants import InvariantChecker
+
+#: Networks in engine index order; ``NetworkId.XY.value == 0`` so a
+#: network's enum value doubles as its index into the per-net arrays.
+NET_ORDER = (NetworkId.XY, NetworkId.YX)
+
+#: Largest tile count whose per-network LUT (n² bytes) is tabulated;
+#: beyond this (> ~64 MB per network) ports are computed arithmetically.
+LUT_MAX_TILES = 8192
+
+#: Neighbour offsets in port-code order N, S, W, E.
+_PORT_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 #: Initial packet-pool capacity (slots); the pool doubles on demand.
 _POOL_START = 1024
@@ -452,8 +462,8 @@ class VectorNocSimulator(NocSimulator):
 
     Use ``NocSimulator(config, ..., engine="vector")`` rather than
     instantiating this class directly.  Per-router state is exposed
-    through :meth:`router_occupancy` and :meth:`router_forwarded`, as on
-    the fast engine.
+    through :meth:`router_occupancy` and :meth:`router_forwarded`
+    instead of the reference engine's ``routers`` grids.
     """
 
     def __init__(
@@ -752,8 +762,15 @@ class VectorNocSimulator(NocSimulator):
                         for fn in self._chk_drop:
                             fn(self, packet, net)
             if deliver_pid.size:
-                if self._obs is None and self._chk_deliver is None:
+                if self._obs is None:
                     self._bulk_deliver(deliver_v, deliver_pid)
+                    if self._chk_deliver is not None:
+                        # Checkers see each delivery in order, after the
+                        # batch's counters and responses are booked.
+                        delivered = self.delivered_packets[-deliver_pid.size:]
+                        for v, packet in zip(deliver_v.tolist(), delivered):
+                            for fn in self._chk_deliver:
+                                fn(self, packet, NET_ORDER[v // n])
                 else:
                     for v, pid in zip(deliver_v.tolist(), deliver_pid.tolist()):
                         self._deliver(mesh.release(pid), NET_ORDER[v // n])
@@ -767,7 +784,7 @@ class VectorNocSimulator(NocSimulator):
         self.cycle += 1
 
     def _bulk_deliver(self, deliver_v: np.ndarray, deliver_pid: np.ndarray) -> None:
-        """Deliver a cycle's packets without telemetry/checker hooks.
+        """Deliver a cycle's packets without telemetry hooks.
 
         Field-for-field identical to looping the base ``_deliver``:
         stamps, counters and response scheduling all match, including

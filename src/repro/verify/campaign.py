@@ -217,7 +217,7 @@ def _check_batched_trials(
 
 
 def _noc_trial(ctx: TrialContext) -> dict[str, Any]:
-    """Fast vs reference vs golden mini-NoC on one randomized scenario."""
+    """Reference vs vector vs golden mini-NoC on one randomized scenario."""
     rng = ctx.rng
     rows = ctx.params["rows"]
     cols = ctx.params["cols"]
@@ -232,12 +232,11 @@ def _noc_trial(ctx: TrialContext) -> dict[str, Any]:
     run_cycles = inject_cycles + 200
 
     checkers = {
-        "fast": full_noc_checkers(),
         "reference": full_noc_checkers(),
         "vector": full_noc_checkers(),
     }
     reports = {}
-    for engine in ("fast", "reference", "vector"):
+    for engine in ("reference", "vector"):
         sim = NocSimulator(
             cfg, fmap, engine=engine, checkers=checkers[engine]
         )
@@ -251,21 +250,20 @@ def _noc_trial(ctx: TrialContext) -> dict[str, Any]:
     schedule = generate_traffic(cfg, pattern, rate, inject_cycles, seed=traffic_seed)
     _drive(golden, schedule, run_cycles)
 
-    for other in ("reference", "vector"):
-        if reports["fast"] != reports[other]:
-            raise InvariantViolation(
-                "noc",
-                "engine_differential",
-                f"fast and {other} engines produced different reports",
-                {
-                    "pattern": pattern.name,
-                    "rate": rate,
-                    "fast": reports["fast"],
-                    other: reports[other],
-                },
-            )
+    if reports["reference"] != reports["vector"]:
+        raise InvariantViolation(
+            "noc",
+            "engine_differential",
+            "reference and vector engines produced different reports",
+            {
+                "pattern": pattern.name,
+                "rate": rate,
+                "reference": reports["reference"],
+                "vector": reports["vector"],
+            },
+        )
     _compare_reports(
-        reports["fast"], golden.report(), context=f"pattern={pattern.name}"
+        reports["reference"], golden.report(), context=f"pattern={pattern.name}"
     )
     _check_batched_trials(
         cfg, fmap, rng, pattern, rate, inject_cycles, traffic_seed, run_cycles,
@@ -274,9 +272,9 @@ def _noc_trial(ctx: TrialContext) -> dict[str, Any]:
     checks = sum(c.checks for cs in checkers.values() for c in cs)
     return {
         "checks": checks,
-        "injected": reports["fast"].injected,
-        "delivered": reports["fast"].delivered,
-        "conserved": reports["fast"].flit_conservation_ok,
+        "injected": reports["reference"].injected,
+        "delivered": reports["reference"].delivered,
+        "conserved": reports["reference"].flit_conservation_ok,
     }
 
 
@@ -682,10 +680,10 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
     One trial covers, for a drawn (pattern, geometry, fault map,
     placement, spec) point:
 
-    1. the compiled packet schedule through all three NoC engines with
-       full invariant checkers attached, every run's delivered packets
-       passing the delivery/completion oracle, and all three reports
-       bit-identical;
+    1. the compiled packet schedule through the reference and vector
+       NoC engines with full invariant checkers attached, every run's
+       delivered packets passing the delivery/completion oracle, and
+       both reports bit-identical;
     2. the program's finals against the naive golden collective model;
     3. ``BatchNocSimulator`` over [this trial, an independent second
        spec], each batched report bit-identical to its own individual
@@ -715,29 +713,28 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
     )
     coll, fmap = _collective_compile(cfg, fmap, spec, rng)
 
-    # Phase 1: three NoC engines under checkers, oracle on every run.
+    # Phase 1: both NoC engines under checkers, oracle on every run.
     checks = 0
     reports = {}
-    for engine in ("fast", "reference", "vector"):
+    for engine in ("reference", "vector"):
         engine_checkers = full_noc_checkers()
         report, oracle_checks = run_noc_collective(
             coll, engine=engine, checkers=engine_checkers
         )
         reports[engine] = report
         checks += oracle_checks + sum(c.checks for c in engine_checkers)
-    for other in ("reference", "vector"):
-        if reports["fast"] != reports[other]:
-            raise InvariantViolation(
-                "collective",
-                "engine_differential",
-                f"fast and {other} engines produced different reports",
-                {
-                    "pattern": pattern,
-                    "placement": spec.placement,
-                    "fast": reports["fast"],
-                    other: reports[other],
-                },
-            )
+    if reports["reference"] != reports["vector"]:
+        raise InvariantViolation(
+            "collective",
+            "engine_differential",
+            "reference and vector engines produced different reports",
+            {
+                "pattern": pattern,
+                "placement": spec.placement,
+                "reference": reports["reference"],
+                "vector": reports["vector"],
+            },
+        )
 
     # Phase 2: program finals vs the naive golden model.
     checks += _collective_golden_check(coll)

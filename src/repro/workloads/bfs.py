@@ -10,9 +10,10 @@ Frontier-synchronous BFS in the owner-computes style:
 * the run converges when no messages remain — the emulator's quiescence
   test.
 
-``DistributedBfs.run(engine=...)`` runs on any emulator kind
-(``"fast"``, ``"reference"`` or ``"vector"``); results are validated
-against NetworkX in the test suite.
+``DistributedBfs.run(engine=...)`` runs on either emulator engine
+(``"reference"`` or ``"vector"``; ``"fast"`` is an alias of
+``"reference"``); results are validated against NetworkX in the test
+suite.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class DistributedBfs:
     ) -> BfsResult:
         """Run BFS from ``source``; returns distances and stats.
 
-        ``engine`` picks the emulator kind (see :class:`Emulator`):
-        ``"fast"`` (the default) and ``"reference"`` run the scalar
-        oracle, ``"vector"`` the whole-array kernel.
+        ``engine`` picks the emulator (see :class:`Emulator`):
+        ``"reference"`` and its alias ``"fast"`` (the default name) run
+        the scalar oracle, ``"vector"`` the whole-array kernel.
         """
         if source not in self.graph:
             raise WorkloadError(f"source {source} not in graph")

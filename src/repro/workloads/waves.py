@@ -13,12 +13,13 @@ traffic is a pure function of the seed and of compute-call order.  The
 engines deliver inboxes in an identical order (that is the differential
 guarantee), hence the generated traffic — and every
 :class:`~repro.arch.emulator.EmulationStats` field — is identical across
-``engine="reference" | "fast" | "vector"``.
+``engine="reference" | "vector"`` (``"fast"`` is an alias of
+``"reference"``).
 
 All messages in flight at one superstep share a TTL (the wave depth), so
 each tile forwards its whole inbox with a single
 :meth:`~repro.arch.emulator.Emulator.send_batch` call: the vector engine
-queues it as one flat array segment, the scalar engines fall back to a
+queues it as one flat array segment, the scalar oracle falls back to a
 per-destination loop, and both produce the same message sequence.
 """
 

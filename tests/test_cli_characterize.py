@@ -1,5 +1,9 @@
 """Tests for the CLI and the characterization (shmoo) module."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,3 +124,75 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestCliBadInput:
+    """Library-rejected input exits 2 with one ``repro: error:`` line,
+    never a Python traceback."""
+
+    REPO = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fig6", "--trials", "0"], "an experiment needs at least one trial"),
+            (["resiliency", "--rows", "4", "--cols", "4", "--trials", "0"],
+             "an experiment needs at least one trial"),
+            (["flow", "--rows", "4", "--cols", "4", "--trials", "0"],
+             "an experiment needs at least one trial"),
+            (["verify", "--trials", "0"], "campaign needs at least one trial"),
+            (["lot", "--wafers", "0"], "lot needs at least one wafer"),
+            (["table1", "--rows", "0"], "tile array must be at least 1x1, got 0x32"),
+            (["yield", "--rows", "0"], "tile array must be at least 1x1, got 0x32"),
+            (["loadtime", "--rows", "0"], "tile array must be at least 1x1, got 0x32"),
+            (["shmoo", "--rows", "0"], "tile array must be at least 1x1, got 0x32"),
+            (["droop", "--rows", "-1"], "tile array must be at least 1x1, got -1x32"),
+            (["noc", "--rows", "6", "--cols", "6", "--rate", "1.5"],
+             "injection rate must be in [0, 1]"),
+            (["clock", "--rows", "4", "--cols", "4", "--faults", "100"],
+             "cannot fault 100 of 16 tiles"),
+            (["remap", "--rows", "4", "--cols", "4", "--faults", "100"],
+             "cannot fault 100 of 16 tiles"),
+            (["bringup", "--rows", "4", "--cols", "4", "--faults", "100"],
+             "cannot fault 100 of 16 tiles"),
+            (["emu", "--rows", "4", "--cols", "4", "--faults", "100"],
+             "cannot fault 100 of 16 tiles"),
+            (["collective", "--rows", "4", "--cols", "4", "--ranks", "0"],
+             "a collective needs at least one rank"),
+            (["collective", "--rows", "4", "--cols", "4", "--ranks", "1000"],
+             "spec asks for 1000 ranks but only 16 tiles are healthy"),
+        ],
+    )
+    def test_each_command_reports_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: {message}\n"
+        assert captured.out == ""
+
+    def test_missing_checkpoint_reports_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.npz"
+        argv = ["noc", "--rows", "6", "--cols", "6", "--resume", str(missing)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: checkpoint {missing} does not exist\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["noc", "--rate", "1.5"], "injection rate must be in [0, 1]"),
+            (["fig6", "--rows", "0"], "tile array must be at least 1x1"),
+        ],
+    )
+    def test_repro_error_is_one_line(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            cwd=self.REPO,
+            env={"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro: error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

@@ -143,6 +143,24 @@ class TestEmuCommand:
         assert results["reference"] == results["fast"] == results["vector"]
 
 
+class TestNocCommand:
+    @pytest.mark.parametrize("pattern", ["uniform", "transpose", "hotspot"])
+    def test_engines_agree_apart_from_echo(self, pattern, capsys):
+        """``fast`` (the reference alias) and ``vector`` print the same
+        faulty-array result as ``reference``, engine echo aside."""
+        results = {}
+        for engine in ("reference", "fast", "vector"):
+            cmd = ["noc", "--rows", "6", "--cols", "6", "--cycles", "40",
+                   "--rate", "0.1", "--faults", "3", "--seed", "2",
+                   "--pattern", pattern, "--engine", engine, "--json"]
+            assert main(cmd) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result.pop("engine") == engine
+            results[engine] = result
+        assert results["reference"]["delivered"] > 0
+        assert results["reference"] == results["fast"] == results["vector"]
+
+
 class TestCollectiveCommand:
     """Smoke for the collective paths: envelope validity + engine echo."""
 

@@ -23,7 +23,12 @@ from repro.noc.faults import random_fault_map
 from repro.noc.simulator import NocSimulator
 from repro.workloads.traffic import TrafficPattern, generate_traffic
 
-ENGINES_UNDER_TEST = ("fast", "vector")
+ENGINES_UNDER_TEST = ("reference", "vector")
+
+#: A 6x6 checkpoint written by the struct-of-arrays ``"fast"`` engine
+#: before that engine was folded into an alias of ``"reference"``; its
+#: manifest records ``"engine": "fast"`` (see ``extra`` for the run).
+FAST_ENGINE_CHECKPOINT = Path(__file__).parent / "data" / "noc_fast_engine_6x6.npz"
 
 
 def _drive_window(sim, traffic, start, stop):
@@ -82,7 +87,9 @@ class TestCheckpointDeterminism:
 
         assert _observable(second) == _observable(whole)
 
-    @pytest.mark.parametrize("engine_pair", [("fast", "vector"), ("vector", "fast")])
+    @pytest.mark.parametrize(
+        "engine_pair", [("reference", "vector"), ("vector", "reference")]
+    )
     def test_cross_engine_restore(self, engine_pair, tmp_path):
         """Halt on one engine, resume on the other: still bit-identical."""
         save_engine, resume_engine = engine_pair
@@ -117,6 +124,35 @@ class TestCheckpointDeterminism:
         manifest = read_checkpoint_manifest(path)
         assert manifest["extra"] == {"pattern": "uniform", "rate": 0.05}
         assert manifest["engine"] == "fast"
+
+    def test_fast_engine_checkpoint_resumes_on_reference(self):
+        """A checkpoint recording ``"engine": "fast"`` still loads: it
+        resumes on the reference engine (``"fast"`` is its alias) and
+        continues bit-identically to an uninterrupted reference run."""
+        manifest = read_checkpoint_manifest(FAST_ENGINE_CHECKPOINT)
+        assert manifest["engine"] == "fast"
+        run = manifest["extra"]
+        cfg = SystemConfig(rows=6, cols=6)
+        fmap = random_fault_map(cfg, run["faults"], rng=run["fault_rng"])
+        k = manifest["cycle"]
+
+        def traffic():
+            return generate_traffic(
+                cfg, TrafficPattern.UNIFORM, run["rate"], 2 * k, seed=run["seed"]
+            )
+
+        whole = NocSimulator(cfg, fault_map=fmap, engine="reference")
+        _drive_window(whole, traffic(), 0, 2 * k)
+        whole.drain(max_cycles=100_000)
+
+        resumed = NocSimulator.load_state(FAST_ENGINE_CHECKPOINT)
+        assert type(resumed) is NocSimulator
+        assert resumed.engine == "fast"
+        assert resumed.fault_map.faulty == fmap.faulty
+        assert resumed.cycle == k
+        _drive_window(resumed, traffic(), k, 2 * k)
+        resumed.drain(max_cycles=100_000)
+        assert _observable(resumed) == _observable(whole)
 
 
 class TestCorruptedCheckpoints:

@@ -7,9 +7,13 @@ from repro.config import SystemConfig
 from repro.errors import FaultMapError, NetworkError, RoutingError
 from repro.noc.dualnetwork import DualNetwork, NetworkId, response_retraces_request
 from repro.noc.faults import FaultMap, bonding_informed_fault_map, random_fault_map
+from repro.noc.router import Port
 from repro.noc.routing import (
+    PORT_LOCAL,
     RoutingPolicy,
+    build_port_lut,
     dor_path,
+    dor_port_code,
     next_hop,
     path_is_clear,
     paths_are_disjoint,
@@ -83,6 +87,39 @@ class TestDorPaths:
         assert path_is_clear(path, fmap)
 
 
+class TestPortLut:
+    """The precomputed DoR port table agrees with the incremental
+    next_hop decision and with its scalar twin ``dor_port_code``."""
+
+    @pytest.mark.parametrize("policy", list(RoutingPolicy))
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 4), (3, 7)])
+    def test_lut_matches_next_hop(self, rows, cols, policy):
+        lut = build_port_lut(rows, cols, policy)
+        port_order = list(Port)
+        for cur in range(rows * cols):
+            cr, cc = divmod(cur, cols)
+            for dst in range(rows * cols):
+                dr, dc = divmod(dst, cols)
+                code = int(lut[cur, dst])
+                assert code == dor_port_code(cr, cc, dr, dc, policy)
+                if cur == dst:
+                    assert code == PORT_LOCAL
+                    continue
+                hop = next_hop((cr, cc), (dr, dc), policy)
+                # Port codes are list(Port) indices by construction.
+                assert port_order[code].value in {
+                    "north", "south", "west", "east"
+                }
+                step = {
+                    0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)
+                }[code]
+                assert (cr + step[0], cc + step[1]) == hop
+
+    def test_bad_dimensions_rejected(self):
+        with pytest.raises(RoutingError):
+            build_port_lut(0, 4, RoutingPolicy.XY)
+
+
 class TestTopology:
     def test_link_count(self, small_cfg):
         topo = MeshTopology(small_cfg)
@@ -137,6 +174,10 @@ class TestFaultMap:
         fmap = FaultMap(small_cfg).with_fault((1, 1))
         assert fmap.is_faulty((1, 1))
         assert fmap.fault_count == 1
+
+    def test_faulty_flat_indices(self, small_cfg):
+        fmap = FaultMap(small_cfg, frozenset({(0, 1), (2, 3), (7, 7)}))
+        assert fmap.faulty_flat_indices() == [1, 2 * 8 + 3, 7 * 8 + 7]
 
     def test_bool_array_roundtrip(self, small_cfg):
         fmap = random_fault_map(small_cfg, 5, rng=0)

@@ -226,3 +226,50 @@ class TestLatencyPercentile:
             report.latency_percentile(101)
         with pytest.raises(NetworkError):
             report.latency_percentile(-1)
+
+
+class TestPercentileCache:
+    """SimulationReport caches its sorted latencies; report() reuses it."""
+
+    def test_percentile_values_unchanged_by_cache(self):
+        latencies = [9, 1, 5, 3, 7]
+        report = SimulationReport(
+            cycles=10, injected=5, delivered=5, responses_delivered=0,
+            dropped_unreachable=0, latencies=list(latencies),
+        )
+        first = report.latency_percentile(50)
+        assert report._sorted_latencies == sorted(latencies)
+        # Cached object is reused on the second query.
+        cached = report._sorted_latencies
+        assert report.latency_percentile(50) == first == 5.0
+        assert report._sorted_latencies is cached
+        # Growing the latency list invalidates by length.
+        report.latencies.append(11)
+        assert report.latency_percentile(100) == 11.0
+
+    def test_cache_excluded_from_equality(self):
+        def make():
+            return SimulationReport(
+                cycles=10, injected=2, delivered=2, responses_delivered=0,
+                dropped_unreachable=0, latencies=[4, 2],
+            )
+
+        a, b = make(), make()
+        a.latency_percentile(99)    # populate a's cache only
+        assert a == b
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_simulator_report_reuses_sort(self, small_cfg, engine):
+        sim = NocSimulator(small_cfg, engine=engine)
+        for col in range(1, 6):
+            sim.inject(
+                Packet(kind=PacketKind.RESPONSE, src=(0, 0), dst=(0, col)),
+                NetworkId.XY,
+            )
+        sim.drain()
+        first = sim.report()
+        assert first.p99_latency > 0
+        second = sim.report()
+        # Nothing new delivered: the sorted order carries over.
+        assert second._sorted_latencies is first._sorted_latencies
+        assert second == first

@@ -4,7 +4,7 @@
 kernel calls per cycle (lane-major arbitration over occupied FIFO lanes,
 packet pools, credit-indexed injection).  None of that machinery may be
 observable: every test here drives the vector engine over identical
-traffic as the reference and fast engines and requires bit-identical
+traffic as the reference engine (the oracle) and requires bit-identical
 reports, delivery order and telemetry.  The batched form
 (:func:`simulate_batch`) must in turn equal B individual vector runs
 field for field.
@@ -16,7 +16,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import NetworkError
 from repro.noc.dualnetwork import NetworkId
-from repro.noc.faults import random_fault_map
+from repro.noc.faults import FaultMap, random_fault_map
 from repro.noc.loadlatency import measure_load_latency
 from repro.noc.packets import Packet, PacketKind
 from repro.noc.routing import RoutingPolicy, build_port_lut, dor_port_codes
@@ -28,7 +28,7 @@ from repro.noc.vectorsim import (
 )
 from repro.workloads.traffic import TrafficPattern, generate_traffic
 
-ENGINE_TRIO = ("reference", "fast", "vector")
+ENGINE_PAIR = ("reference", "vector")
 
 
 def _drive(engine, cfg, fault_map, fifo_depth, traffic, kind=PacketKind.REQUEST,
@@ -74,9 +74,27 @@ class TestEngineSelection:
         assert sim.engine == "vector"
         assert "vector" in ENGINES
 
-    def test_vector_engine_validates_fifo_depth(self, small_cfg):
+    def test_reference_is_default(self, small_cfg):
+        sim = NocSimulator(small_cfg)
+        assert type(sim) is NocSimulator
+        assert sim.engine == "reference"
+
+    def test_fast_is_an_alias_of_reference(self, small_cfg):
+        """``"fast"`` stays an accepted name: it builds the reference
+        engine and only echoes its name."""
+        sim = NocSimulator(small_cfg, engine="fast")
+        assert type(sim) is NocSimulator
+        assert sim.engine == "fast"
+        assert ENGINES == ("reference", "fast", "vector")
+
+    def test_unknown_engine_rejected(self, small_cfg):
         with pytest.raises(NetworkError):
-            NocSimulator(small_cfg, fifo_depth=0, engine="vector")
+            NocSimulator(small_cfg, engine="warp")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engines_validate_fifo_depth(self, small_cfg, engine):
+        with pytest.raises(NetworkError):
+            NocSimulator(small_cfg, fifo_depth=0, engine=engine)
 
 
 class TestVectorizedRouting:
@@ -112,43 +130,56 @@ class TestDifferentialEquivalence:
             else None
         )
         sims = {}
-        for engine in ("reference", "vector"):
+        for engine in ENGINE_PAIR:
             traffic = generate_traffic(cfg, pattern, 0.08, 40, seed=5)
             sims[engine] = _drive(engine, cfg, fmap, fifo_depth, traffic)
         _assert_equivalent(sims["reference"], sims["vector"])
 
-    def test_yx_driver_injection(self):
+    @pytest.mark.parametrize("fifo_depth", [1, 2, 4])
+    @pytest.mark.parametrize("fault_seed", [None, 11, 23])
+    def test_yx_driver_injection(self, fault_seed, fifo_depth):
         """Driver traffic on BOTH networks: responses then share a LOCAL
         FIFO with fresh driver packets, so any divergence in admission
         order (backlog, driver, released responses) becomes visible."""
         cfg = SystemConfig(rows=6, cols=6)
+        fmap = (
+            random_fault_map(cfg, 4, rng=fault_seed)
+            if fault_seed is not None
+            else None
+        )
         sims = {}
-        for engine in ENGINE_TRIO:
+        for engine in ENGINE_PAIR:
             traffic = generate_traffic(
                 cfg, TrafficPattern.UNIFORM, 0.12, 40, seed=3
             )
-            sims[engine] = _drive(engine, cfg, None, 2, traffic, alternate=True)
+            sims[engine] = _drive(
+                engine, cfg, fmap, fifo_depth, traffic, alternate=True
+            )
         _assert_equivalent(sims["reference"], sims["vector"])
-        _assert_equivalent(sims["fast"], sims["vector"])
 
-    def test_one_way_response_workload(self):
+    @pytest.mark.parametrize("fifo_depth", [1, 2, 4])
+    def test_one_way_response_workload(self, fifo_depth):
+        """RESPONSE-kind packets ride one network and spawn no replies."""
         cfg = SystemConfig(rows=6, cols=6)
         sims = {}
-        for engine in ("fast", "vector"):
+        for engine in ENGINE_PAIR:
             traffic = generate_traffic(
                 cfg, TrafficPattern.UNIFORM, 0.1, 30, seed=9
             )
             sims[engine] = _drive(
-                engine, cfg, None, 2, traffic, kind=PacketKind.RESPONSE
+                engine, cfg, None, fifo_depth, traffic, kind=PacketKind.RESPONSE
             )
-        _assert_equivalent(sims["fast"], sims["vector"])
+        _assert_equivalent(sims["reference"], sims["vector"])
+        report = sims["vector"].report()
+        assert report.responses_delivered == report.delivered
 
-    @pytest.mark.parametrize("fault_seed", [2, 5])
+    @pytest.mark.parametrize("fault_seed", [2, 3, 5, 8])
     def test_randomized_fault_maps_with_in_flight_drops(self, fault_seed):
+        """Dense random faults force mid-path drops on both engines."""
         cfg = SystemConfig(rows=8, cols=8)
         fmap = random_fault_map(cfg, 10, rng=fault_seed)
         sims = {}
-        for engine in ("reference", "vector"):
+        for engine in ENGINE_PAIR:
             traffic = generate_traffic(
                 cfg, TrafficPattern.UNIFORM, 0.1, 40, seed=fault_seed
             )
@@ -157,14 +188,15 @@ class TestDifferentialEquivalence:
         assert sims["vector"].dropped_in_flight > 0
 
     def test_saturating_hotspot(self):
+        """Heavy hotspot load: backpressure, stalls, long queues."""
         cfg = SystemConfig(rows=6, cols=6)
         sims = {}
-        for engine in ("fast", "vector"):
+        for engine in ENGINE_PAIR:
             traffic = generate_traffic(
                 cfg, TrafficPattern.HOTSPOT, 0.4, 30, seed=13
             )
             sims[engine] = _drive(engine, cfg, None, 2, traffic)
-        _assert_equivalent(sims["fast"], sims["vector"])
+        _assert_equivalent(sims["reference"], sims["vector"])
         assert sims["vector"].link_stalls > 0
 
     def test_arithmetic_routing_path(self, monkeypatch):
@@ -177,16 +209,19 @@ class TestDifferentialEquivalence:
         vec = _drive("vector", cfg, None, 4, traffic)
         assert vec._mesh.lut is None   # the LUT really was disabled
         traffic = generate_traffic(cfg, TrafficPattern.UNIFORM, 0.1, 40, seed=2)
-        fast = _drive("fast", cfg, None, 4, traffic)
-        _assert_equivalent(fast, vec)
+        ref = _drive("reference", cfg, None, 4, traffic)
+        _assert_equivalent(ref, vec)
 
     def test_telemetry_metrics_match(self):
+        """With live telemetry both engines record identical metrics —
+        occupancy histograms (incremental counters vs scans), stall and
+        delivery counters, and the per-router report() snapshot."""
         from repro.obs import Telemetry
 
         cfg = SystemConfig(rows=6, cols=6)
         fmap = random_fault_map(cfg, 3, rng=4)
         snapshots = {}
-        for engine in ("fast", "vector"):
+        for engine in ENGINE_PAIR:
             tel = Telemetry()
             traffic = generate_traffic(cfg, TrafficPattern.UNIFORM, 0.1, 30, seed=7)
             sim = NocSimulator(
@@ -199,7 +234,7 @@ class TestDifferentialEquivalence:
             sim.drain(max_cycles=100_000)
             sim.report()
             snapshots[engine] = tel.metrics.to_dict()
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["vector"]
 
     def test_invariant_checkers_attach(self, small_cfg):
         from repro.verify import full_noc_checkers
@@ -226,15 +261,88 @@ class TestDifferentialEquivalence:
 
     def test_load_latency_curve_matches(self):
         """engine="vector" sweeps all rates in one batched kernel; the
-        curve must still equal the per-rate engines point for point."""
+        curve must still equal the per-rate reference runs point for
+        point."""
         cfg = SystemConfig(rows=6, cols=6)
         curves = {
             engine: measure_load_latency(
                 cfg, rates=[0.02, 0.1], warm_cycles=30, seed=1, engine=engine
             )
-            for engine in ("fast", "vector")
+            for engine in ENGINE_PAIR
         }
-        assert curves["fast"].points == curves["vector"].points
+        assert curves["reference"].points == curves["vector"].points
+
+
+class TestEngineState:
+    """Observable per-simulator state, on both engines."""
+
+    def test_idle_is_counter_based(self, small_cfg):
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(small_cfg, engine=engine)
+            assert sim.idle()
+            sim.inject(
+                Packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(0, 3)),
+                NetworkId.XY,
+            )
+            sim.step()
+            assert not sim.idle()
+            sim.drain()
+            assert sim.idle()
+            assert sim._in_flight == 0
+
+    def test_router_occupancy_and_forwarded(self, small_cfg):
+        """The vector engine's flat per-router state matches the
+        reference engine's Router objects cycle for cycle."""
+        sims = {engine: NocSimulator(small_cfg, engine=engine)
+                for engine in ENGINE_PAIR}
+        for sim in sims.values():
+            sim.inject(
+                Packet(kind=PacketKind.RESPONSE, src=(0, 0), dst=(0, 2)),
+                NetworkId.XY,
+            )
+            sim.step()
+        ref, vec = sims["reference"], sims["vector"]
+        # Injection and the first hop happen in the same cycle.
+        assert vec.router_occupancy(NetworkId.XY, (0, 1)) == 1
+        assert vec.router_occupancy(NetworkId.YX, (0, 1)) == 0
+        assert ref.routers[NetworkId.XY][(0, 1)].occupancy() == 1
+        assert ref.routers[NetworkId.YX][(0, 1)].occupancy() == 0
+        for sim in sims.values():
+            sim.drain()
+        assert vec.router_occupancy(NetworkId.XY, (0, 1)) == 0
+        # src, intermediate, and dst routers all forwarded the packet.
+        for coord in ((0, 0), (0, 1), (0, 2)):
+            assert vec.router_forwarded(NetworkId.XY, coord) == 1
+            assert ref.routers[NetworkId.XY][coord].forwarded_packets == 1
+
+    def test_faulty_source_injection_dropped(self, small_cfg):
+        """A packet whose source is absent is refused and counted as a
+        drop identically by both engines."""
+        fmap = FaultMap(small_cfg, frozenset({(4, 4)}))
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(small_cfg, fault_map=fmap, engine=engine)
+            ok = sim.inject(
+                Packet(kind=PacketKind.REQUEST, src=(4, 4), dst=(0, 0)),
+                NetworkId.XY,
+            )
+            assert not ok
+            assert sim.dropped_unreachable == 1
+
+    def test_injection_backpressure_requeues(self, small_cfg):
+        """More offered packets than LOCAL credit: the surplus waits."""
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(small_cfg, fifo_depth=1, engine=engine)
+            for _ in range(3):
+                sim.inject(
+                    Packet(kind=PacketKind.RESPONSE, src=(0, 0), dst=(5, 5)),
+                    NetworkId.XY,
+                )
+            sim.step()
+            assert sim.injected_count == 1
+            assert len(sim._pending_injection_list()) == 2
+            sim.drain()
+            assert sim.injected_count == 3
+            assert sim.report().delivered == 3
 
 
 class TestBatchedTrials:

@@ -163,7 +163,7 @@ def _noc_trial(ctx):
     from repro.workloads.traffic import TrafficPattern, generate_traffic
 
     config = ctx.config
-    sim = NocSimulator(config, engine="fast")
+    sim = NocSimulator(config, engine="reference")
     traffic = generate_traffic(
         config, TrafficPattern.UNIFORM, 0.1, 20,
         seed=int(ctx.rng.integers(0, 2**31)),
