@@ -22,6 +22,7 @@ from typing import Callable
 from ..config import Coord
 from ..errors import EmulatorError, NetworkError
 from ..fastpath import VECTOR_ENGINE_KINDS, resolve_engine_kind
+from ..noc.connectivity import _TABLE_CACHE
 from ..noc.routing import dor_path
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from .system import (
@@ -39,9 +40,7 @@ ENGINES = VECTOR_ENGINE_KINDS
 
 
 def clear_route_cache() -> None:
-    """Drop the vector engine's shared route tables (test/bench isolation)."""
-    from .vectoremu import _TABLE_CACHE
-
+    """Drop the shared per-fault-map route tables (test/bench isolation)."""
     _TABLE_CACHE.clear()
 
 

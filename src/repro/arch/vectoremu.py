@@ -16,13 +16,13 @@ increments.  On a full-wafer frontier (a BFS wave touching most of the
   engine's first-occurrence flow order, ``return_inverse`` +
   ``return_counts`` give the per-flow membership;
 * hops, detour flags, and reachability are resolved for *all* flows at
-  once: a per-fault-map :class:`_RouteTable` holds the direct
+  once: the fault map's shared route table
+  (:class:`~repro.noc.connectivity._RouteTable`) holds the direct
   round-trip-reachability matrix (derived from the Fig. 6 blockage
   cumulative-sum tables), non-detour hop counts are the closed-form
-  Manhattan distance, and the rare blocked pairs fall back to a
-  vectorized detour search that replicates ``KernelRouter.find_detour``
-  exactly (minimal two-leg Manhattan cost, earliest row-major
-  candidate on ties);
+  Manhattan distance, and the rare blocked pairs read the table's
+  detour search — the same one ``KernelRouter.find_detour`` reads, so
+  both engines pick the same via tile;
 * latency and counters come from array reductions — all integer ops
   (``np.add.reduceat`` word sums, masked max), so every
   :class:`~repro.arch.emulator.EmulationStats` field is bit-identical
@@ -50,15 +50,13 @@ identical.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..config import Coord
 from ..errors import EmulatorError, NetworkError
-from ..noc.connectivity import _blockage_matrix
-from ..noc.faults import FaultMap
+from ..noc.connectivity import _RouteTable, _shared_table
 from ..obs.telemetry import Telemetry
 from .emulator import EmulationStats, Emulator, Message
 from .system import (
@@ -68,82 +66,6 @@ from .system import (
     SERVICE_LATENCY,
     WaferscaleSystem,
 )
-
-
-class _RouteTable:
-    """Vectorized per-fault-map route state.
-
-    ``direct[s, d]`` is True when the (s, d) round trip succeeds on at
-    least one network without a detour: XY-L clearness of ``s -> d`` or
-    of ``d -> s`` (request and response of the two networks traverse the
-    same two Ls, so round-trip reachability collapses to the symmetric
-    ``~(xy_blocked & xy_blocked.T)`` of the Fig. 6 blockage matrix).
-    Detours are derived lazily per blocked pair and memoised: a flow's
-    hop count, detour flag and reachability are a pure function of the
-    fault map (the kernel's network choice balances load but never
-    changes the DoR hop count, which is the Manhattan distance).
-    """
-
-    def __init__(self, fault_map: FaultMap) -> None:
-        config = fault_map.config
-        self.rows = config.rows
-        self.cols = config.cols
-        self.n = config.rows * config.cols
-        xy_blocked, healthy = _blockage_matrix(fault_map)
-        self.healthy = healthy
-        self.direct = ~(xy_blocked & xy_blocked.T)
-        self.direct_flat = np.ascontiguousarray(self.direct).reshape(-1)
-        ids = np.arange(self.n, dtype=np.int64)
-        self._r = ids // self.cols
-        self._c = ids % self.cols
-        #: pair key (src * n + dst) -> (detour hops, reachable)
-        self._detours: dict[int, tuple[int, bool]] = {}
-
-    def detour(self, key: int) -> tuple[int, bool]:
-        """Two-leg hop count and reachability for a blocked pair."""
-        hit = self._detours.get(key)
-        if hit is None:
-            hit = self._detours[key] = self._find_detour(key)
-        return hit
-
-    def _find_detour(self, key: int) -> tuple[int, bool]:
-        # Replicates KernelRouter.find_detour: candidates are healthy
-        # tiles (excluding the endpoints) reachable from src and able to
-        # reach dst; pick the minimal src->via->dst Manhattan cost, and
-        # on ties the earliest row-major candidate (np.argmin's
-        # first-occurrence rule over the row-major id axis).
-        src, dst = divmod(key, self.n)
-        ok = self.healthy & self.direct[src] & self.direct[:, dst]
-        ok[src] = False
-        ok[dst] = False
-        if not ok.any():
-            return 0, False
-        r, c = self._r, self._c
-        cost = (
-            np.abs(r - r[src]) + np.abs(c - c[src])
-            + np.abs(r[dst] - r) + np.abs(c[dst] - c)
-        )
-        cost = np.where(ok, cost, np.iinfo(np.int64).max)
-        via = int(np.argmin(cost))
-        return int(cost[via]), True
-
-
-# Shared per-fault-map tables, LRU-bounded; emptied by
-# arch.emulator.clear_route_cache.
-_TABLE_CACHE: OrderedDict[FaultMap, _RouteTable] = OrderedDict()
-_TABLE_CACHE_MAPS = 8
-
-
-def _shared_table(fault_map: FaultMap) -> _RouteTable:
-    """The shared vector route table for ``fault_map``."""
-    table = _TABLE_CACHE.get(fault_map)
-    if table is None:
-        table = _TABLE_CACHE[fault_map] = _RouteTable(fault_map)
-        while len(_TABLE_CACHE) > _TABLE_CACHE_MAPS:
-            _TABLE_CACHE.popitem(last=False)
-    else:
-        _TABLE_CACHE.move_to_end(fault_map)
-    return table
 
 
 class _BatchSend:
@@ -224,8 +146,8 @@ def _flow_kernel(
     if blocked.size:
         unreachable: list[int] = []
         for j in blocked.tolist():
-            det_hops, ok = tables[int(ftrial[j])].detour(int(rem[j]))
-            if ok:
+            via, det_hops = tables[int(ftrial[j])].detour(int(rem[j]))
+            if via is not None:
                 hops[j] = det_hops
                 det_flag[j] = True
             else:

@@ -29,6 +29,7 @@ second path's blockage matrix is the transpose of the first.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -146,6 +147,85 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     dst_block = tbl_col[:, grid["dst_r"], grid["dst_c"]]
     xy_blocked |= np.repeat(dst_block, cols, axis=0)
     return xy_blocked, ~fault_arr.reshape(-1)
+
+
+class _RouteTable:
+    """Per-fault-map round-trip reachability and the one detour search.
+
+    ``direct[s, d]`` is True when the (s, d) round trip succeeds on at
+    least one network without a detour: XY-L clearness of ``s -> d`` or
+    of ``d -> s`` (request and response of the two networks traverse the
+    same two Ls, so round-trip reachability collapses to the symmetric
+    ``~(xy_blocked & xy_blocked.T)`` of :func:`_blockage_matrix`).
+    Detours are searched lazily per blocked pair and memoised; the
+    kernel (:meth:`~repro.noc.kernel.KernelRouter.find_detour`), the
+    collective compiler and the vector emulator all read them from here.
+    """
+
+    def __init__(self, fault_map: FaultMap) -> None:
+        config = fault_map.config
+        self.rows = config.rows
+        self.cols = config.cols
+        self.n = config.rows * config.cols
+        xy_blocked, healthy = _blockage_matrix(fault_map)
+        self.healthy = healthy
+        self.direct = ~(xy_blocked & xy_blocked.T)
+        self.direct_flat = np.ascontiguousarray(self.direct).reshape(-1)
+        ids = np.arange(self.n, dtype=np.int64)
+        self._r = ids // self.cols
+        self._c = ids % self.cols
+        #: pair key (src * n + dst) -> (via, detour hops)
+        self._detours: dict[int, tuple[int | None, int]] = {}
+
+    def detour(self, key: int) -> tuple[int | None, int]:
+        """Via tile (flat id) and two-leg hop count of a blocked pair.
+
+        ``key`` is ``src * n + dst`` in flat row-major ids.  A pair with
+        no candidate is unreachable: ``(None, 0)``.
+        """
+        hit = self._detours.get(key)
+        if hit is None:
+            hit = self._detours[key] = self._find_detour(key)
+        return hit
+
+    def _find_detour(self, key: int) -> tuple[int | None, int]:
+        # Candidates are healthy tiles (excluding the endpoints) with a
+        # round trip from src and one to dst.  Pick the minimal
+        # src->via->dst Manhattan cost and, on ties, the earliest
+        # row-major candidate (np.argmin's first-occurrence rule over
+        # the row-major id axis).
+        src, dst = divmod(key, self.n)
+        ok = self.healthy & self.direct[src] & self.direct[:, dst]
+        ok[src] = False
+        ok[dst] = False
+        if not ok.any():
+            return None, 0
+        r, c = self._r, self._c
+        cost = (
+            np.abs(r - r[src]) + np.abs(c - c[src])
+            + np.abs(r[dst] - r) + np.abs(c[dst] - c)
+        )
+        cost = np.where(ok, cost, np.iinfo(np.int64).max)
+        via = int(np.argmin(cost))
+        return via, int(cost[via])
+
+
+# Shared per-fault-map tables, LRU-bounded; emptied by
+# arch.emulator.clear_route_cache.
+_TABLE_CACHE: OrderedDict[FaultMap, _RouteTable] = OrderedDict()
+_TABLE_CACHE_MAPS = 8
+
+
+def _shared_table(fault_map: FaultMap) -> _RouteTable:
+    """The shared route table for ``fault_map``."""
+    table = _TABLE_CACHE.get(fault_map)
+    if table is None:
+        table = _TABLE_CACHE[fault_map] = _RouteTable(fault_map)
+        while len(_TABLE_CACHE) > _TABLE_CACHE_MAPS:
+            _TABLE_CACHE.popitem(last=False)
+    else:
+        _TABLE_CACHE.move_to_end(fault_map)
+    return table
 
 
 def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:

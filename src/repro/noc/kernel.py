@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import Coord
-from ..errors import RoutingError
+from .connectivity import _shared_table
 from .dualnetwork import DualNetwork, NetworkId
 from .faults import FaultMap
 
@@ -58,64 +58,61 @@ class KernelRouter:
 
         All traffic of a pair stays on one network so packets arrive in
         order; both-path pairs go to the currently less-loaded network.
+        A pair with no usable network gets its detour tile when
+        ``allow_detour`` is set and is unreachable otherwise.  Only the
+        network decision is cached, so the answer never depends on the
+        ``allow_detour`` of earlier calls.
         """
         key = (src, dst)
-        if key in self._assignments:
-            return self._assignments[key]
-        if self.fault_map.is_faulty(src) or self.fault_map.is_faulty(dst):
-            assignment = NetworkAssignment(src, dst, None, reachable=False)
-            self._assignments[key] = assignment
-            return assignment
+        assignment = self._assignments.get(key)
+        if assignment is None:
+            assignment = self._assignments[key] = self._assign_network(src, dst)
+        if assignment.network is None and allow_detour:
+            via = self.find_detour(src, dst)
+            if via is not None:
+                return NetworkAssignment(src, dst, None, detour_via=via)
+        return assignment
 
+    def _assign_network(self, src: Coord, dst: Coord) -> NetworkAssignment:
+        if self.fault_map.is_faulty(src) or self.fault_map.is_faulty(dst):
+            return NetworkAssignment(src, dst, None, reachable=False)
         usable = self.dual.usable_networks(src, dst)
+        if not usable:
+            return NetworkAssignment(src, dst, None, reachable=False)
         if len(usable) == 2:
             network = min(NetworkId, key=lambda n: self._load[n])
-            assignment = NetworkAssignment(src, dst, network)
-        elif len(usable) == 1:
-            assignment = NetworkAssignment(src, dst, usable[0])
-        elif allow_detour:
-            via = self.find_detour(src, dst)
-            if via is None:
-                assignment = NetworkAssignment(src, dst, None, reachable=False)
-            else:
-                assignment = NetworkAssignment(src, dst, None, detour_via=via)
         else:
-            assignment = NetworkAssignment(src, dst, None, reachable=False)
-
-        if assignment.network is not None:
-            self._load[assignment.network] += 1
-        self._assignments[key] = assignment
-        return assignment
+            network = usable[0]
+        self._load[network] += 1
+        return NetworkAssignment(src, dst, network)
 
     def find_detour(self, src: Coord, dst: Coord) -> Coord | None:
         """An intermediate tile making both legs round-trippable.
 
         Picks the healthy tile minimising total hop count among candidates
-        where ``src->via`` and ``via->dst`` each complete on some network.
+        where ``src->via`` and ``via->dst`` each complete on some network,
+        the earliest row-major one on ties.  Reads the fault map's shared
+        route table (:func:`~repro.noc.connectivity._shared_table`); only
+        blocked pairs get here, so a router that never meets one builds
+        no pair matrix.
         """
-        best: Coord | None = None
-        best_cost = None
-        for via in self.fault_map.healthy_tiles():
-            if via in (src, dst):
-                continue
-            if not self.dual.connected(src, via):
-                continue
-            if not self.dual.connected(via, dst):
-                continue
-            cost = (
-                abs(via[0] - src[0]) + abs(via[1] - src[1])
-                + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
-            )
-            if best_cost is None or cost < best_cost:
-                best, best_cost = via, cost
-        return best
+        # is_faulty validates both coordinates before the table is touched.
+        if self.fault_map.is_faulty(src) or self.fault_map.is_faulty(dst):
+            return None
+        table = _shared_table(self.fault_map)
+        cols = self.fault_map.config.cols
+        key = (src[0] * cols + src[1]) * table.n + dst[0] * cols + dst[1]
+        via, _ = table.detour(key)
+        return None if via is None else divmod(via, cols)
 
     def assign_all_pairs(self, allow_detour: bool = False) -> "KernelReport":
         """Assign every healthy ordered pair; summarise reachability/balance.
 
-        ``allow_detour=False`` by default because the all-pairs detour
-        search is O(tiles^3) — enable it on reduced configs or use
-        :meth:`assign` per pair of interest.
+        ``allow_detour=False`` by default: pairs without a usable
+        network then count as unreachable, the dual network's own
+        reachability (the Fig. 7 bench and the ablation's no-detour
+        arm).  Pass ``True`` to count the pairs the kernel still serves
+        through a detour tile; each one is a shared route-table lookup.
         """
         healthy = self.fault_map.healthy_tiles()
         direct = detoured = unreachable = 0
@@ -136,6 +133,34 @@ class KernelRouter:
             unreachable_pairs=unreachable,
             load=self.network_load,
         )
+
+
+def _find_detour_reference(
+    fault_map: FaultMap, src: Coord, dst: Coord
+) -> Coord | None:
+    """Per-tile scalar detour search (test oracle for the route table).
+
+    Walks every healthy tile as a candidate, checks both legs with
+    :meth:`DualNetwork.connected` path walks, and keeps the first tile
+    of minimal total hop count.  No runtime path calls it.
+    """
+    dual = DualNetwork(fault_map)
+    best: Coord | None = None
+    best_cost = None
+    for via in fault_map.healthy_tiles():
+        if via in (src, dst):
+            continue
+        if not dual.connected(src, via):
+            continue
+        if not dual.connected(via, dst):
+            continue
+        cost = (
+            abs(via[0] - src[0]) + abs(via[1] - src[1])
+            + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
+        )
+        if best_cost is None or cost < best_cost:
+            best, best_cost = via, cost
+    return best
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from repro.arch.system import WaferscaleSystem
 from repro.arch.emulator import ENGINES as EMULATOR_ENGINES, clear_route_cache
 from repro.config import SystemConfig
 from repro.errors import NetworkError, WorkloadError
+from repro.noc.dualnetwork import DualNetwork
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.noc.simulator import ENGINES
 from repro.verify.campaign import _collective_golden_check, _collective_trial
@@ -385,6 +386,27 @@ class TestFaultDegradation:
             cfg, CollectiveSpec(pattern="broadcast", ranks=8), [0, 2], seed=1
         )
         assert all(p["oracle_checks"] > 0 for p in points if p["ok"])
+
+    def test_row0_fault_detours_never_run_the_scalar_search(self, monkeypatch):
+        """A row-0 fault on the full wafer detours 336 all-to-all
+        transfers; every detour must come from the shared route table.
+        The per-tile scalar search (~40 s for this compile) and the path
+        walks it is built on are patched to fail."""
+
+        def scalar_search(*args, **kwargs):
+            raise AssertionError("scalar detour search on the compile path")
+
+        monkeypatch.setattr(
+            "repro.noc.kernel._find_detour_reference", scalar_search
+        )
+        monkeypatch.setattr(DualNetwork, "connected", scalar_search)
+        cfg = SystemConfig(rows=32, cols=32)
+        coll = compile_noc(
+            cfg,
+            FaultMap(cfg, frozenset({(0, 7)})),
+            CollectiveSpec(pattern="all-to-all", ranks=32, seed=1),
+        )
+        assert coll.detoured_transfers == 336
 
 
 # ---------------------------------------------------------------------------
