@@ -5,6 +5,11 @@ Times the Fig. 6 disconnection Monte Carlo on the full 32x32 wafer at
 runs produce **identical statistics** (the engine's seeding contract),
 and records the wall-clock speedup.
 
+A second case sweeps 10 fault counts at ``workers=2`` on one engine: it
+asserts that the whole sweep started exactly one worker pool and matched
+``workers=1``, and prints the per-run dispatch overhead (run wall time
+minus trial time / workers) for information only.
+
 Runnable two ways::
 
     python benchmarks/bench_engine.py            # standalone summary
@@ -15,11 +20,14 @@ single-core container the parallel run cannot beat the serial one, but
 the determinism check (the part that guards correctness) always runs.
 """
 
+import contextlib
 import os
+import statistics
 import time
 
 import pytest
 
+import repro.engine.core as engine_core
 from repro.config import SystemConfig
 from repro.engine import ExperimentEngine, ThroughputObserver
 from repro.noc.connectivity import monte_carlo_disconnection
@@ -30,6 +38,10 @@ FAULT_COUNTS = [5]
 TRIALS = 16
 SEED = 6
 PARALLEL_WORKERS = 4
+
+SWEEP_FAULT_COUNTS = list(range(1, 11))
+SWEEP_TRIALS = 10
+SWEEP_WORKERS = 2
 
 
 def _run(workers: int) -> tuple[list, float]:
@@ -63,6 +75,42 @@ def measure() -> dict:
         "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
         "cpus": os.cpu_count() or 1,
         "stats": serial_key,
+    }
+
+
+@contextlib.contextmanager
+def _count_pools():
+    """Collect every worker pool the engine starts inside the block."""
+    started = []
+    real = engine_core.ProcessPoolExecutor
+
+    class _CountingPool(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    engine_core.ProcessPoolExecutor = _CountingPool
+    try:
+        yield started
+    finally:
+        engine_core.ProcessPoolExecutor = real
+
+
+def measure_sweep() -> dict:
+    """A 10-fault-count Fig. 6 sweep on one 2-worker engine."""
+    kwargs = {"fault_counts": SWEEP_FAULT_COUNTS, "trials": SWEEP_TRIALS, "seed": SEED}
+    serial = monte_carlo_disconnection(SystemConfig(), **kwargs, workers=1)
+    observer = ThroughputObserver()
+    with _count_pools() as pools:
+        with ExperimentEngine(workers=SWEEP_WORKERS, observers=[observer]) as engine:
+            parallel = monte_carlo_disconnection(SystemConfig(), **kwargs, engine=engine)
+    dispatch_s = [run.wall_s - run.busy_s / SWEEP_WORKERS for run in observer.runs]
+    return {
+        "identical": serial == parallel,
+        "pools": len(pools),
+        "runs": len(observer.runs),
+        "first_dispatch_s": dispatch_s[0],
+        "median_dispatch_s": statistics.median(dispatch_s[1:]),
     }
 
 
@@ -116,7 +164,38 @@ def test_engine_observability_counters(benchmark):
     assert observer.total_busy_s > 0.0
 
 
+def test_engine_sweep_shares_one_pool(benchmark):
+    """Every run of a fault-count sweep reuses the engine's one pool."""
+    result = benchmark.pedantic(measure_sweep, rounds=1, iterations=1)
+    print_series(
+        f"Engine: Fig. 6 sweep over {len(SWEEP_FAULT_COUNTS)} fault counts, "
+        f"{SWEEP_WORKERS} workers",
+        [
+            ("pools started", result["pools"]),
+            ("first-run dispatch", f"{result['first_dispatch_s'] * 1e3:.1f} ms"),
+            ("later-run dispatch (median)", f"{result['median_dispatch_s'] * 1e3:.1f} ms"),
+            ("identical statistics", result["identical"]),
+        ],
+    )
+    assert result["runs"] == len(SWEEP_FAULT_COUNTS)
+    assert result["pools"] == 1, f"sweep started {result['pools']} pools, expected 1"
+    assert result["identical"], "worker count changed the sweep statistics"
+
+
 def main() -> int:
+    sweep = measure_sweep()
+    print(
+        f"Fig. 6 sweep, 32x32 wafer, {SWEEP_TRIALS} trials at each of "
+        f"{len(SWEEP_FAULT_COUNTS)} fault counts, workers={SWEEP_WORKERS}"
+    )
+    print(f"  pools started:               {sweep['pools']}")
+    print(f"  first-run dispatch:          {sweep['first_dispatch_s'] * 1e3:.1f} ms"
+          " (includes starting the pool)")
+    print(f"  later-run dispatch (median): {sweep['median_dispatch_s'] * 1e3:.1f} ms")
+    print(f"  statistics identical:        {sweep['identical']}")
+    if sweep["pools"] != 1 or not sweep["identical"]:
+        return 1
+
     result = measure()
     print(f"Fig. 6 Monte Carlo, 32x32 wafer, {TRIALS} trials at {FAULT_COUNTS} faults")
     print(f"  serial (workers=1):          {result['serial_s']:.2f}s")

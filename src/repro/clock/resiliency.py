@@ -182,7 +182,7 @@ def monte_carlo_clock_coverage(
     Trials run on the experiment engine; ``workers``, ``cache`` and
     ``engine`` as in :class:`repro.engine.ExperimentEngine`.
     """
-    from ..engine import ExperimentEngine
+    from ..engine import engine_scope
 
     for count in fault_counts:
         if (
@@ -193,29 +193,29 @@ def monte_carlo_clock_coverage(
             raise ClockError(
                 f"fault_counts: {count!r} is not an integer in [0, {config.tiles})"
             )
-    eng = engine or ExperimentEngine(workers=workers, cache=cache)
-    stats: list[ClockCoverageStats] = []
-    for count in fault_counts:
-        run = eng.run(
-            _coverage_trial,
-            experiment="clock.coverage",
-            trials=trials,
-            seed=(seed, count),
-            config=config,
-            params={"fault_count": count},
-        )
-        outcomes = [value for value in run.values if value is not None]
-        coverages = [coverage for coverage, _ in outcomes]
-        unreachables = [unreachable for _, unreachable in outcomes]
-        stats.append(
-            ClockCoverageStats(
-                fault_count=count,
-                trials=len(outcomes),
-                mean_coverage=float(np.mean(coverages)) if coverages else 0.0,
-                min_coverage=float(np.min(coverages)) if coverages else 0.0,
-                mean_unreachable=float(np.mean(unreachables)) if unreachables else 0.0,
+    with engine_scope(engine, workers=workers, cache=cache) as eng:
+        stats: list[ClockCoverageStats] = []
+        for count in fault_counts:
+            run = eng.run(
+                _coverage_trial,
+                experiment="clock.coverage",
+                trials=trials,
+                seed=(seed, count),
+                config=config,
+                params={"fault_count": count},
             )
-        )
+            outcomes = [value for value in run.values if value is not None]
+            coverages = [coverage for coverage, _ in outcomes]
+            unreachables = [unreachable for _, unreachable in outcomes]
+            stats.append(
+                ClockCoverageStats(
+                    fault_count=count,
+                    trials=len(outcomes),
+                    mean_coverage=float(np.mean(coverages)) if coverages else 0.0,
+                    min_coverage=float(np.min(coverages)) if coverages else 0.0,
+                    mean_unreachable=float(np.mean(unreachables)) if unreachables else 0.0,
+                )
+            )
     return stats
 
 

@@ -2,8 +2,8 @@
 
 One shared executor behind every repeated-experiment analysis in the
 library: deterministic per-trial seed streams (identical statistics at
-any worker count), a :mod:`multiprocessing` pool with chunked dispatch,
-an on-disk result cache keyed by ``(experiment, config, params, seed,
+any worker count), one reusable process pool per engine with chunked
+dispatch, an on-disk result cache keyed by ``(experiment, config, params, seed,
 trials)``, and observability hooks.
 
 Quick start::
@@ -22,7 +22,13 @@ See ``docs/engine.md`` for the execution model.
 
 from .adaptive import CIStop
 from .cache import ResultCache, cache_key, canonicalize, resolve_cache
-from .core import ExperimentEngine, RunResult, TrialContext, default_workers
+from .core import (
+    ExperimentEngine,
+    RunResult,
+    TrialContext,
+    default_workers,
+    engine_scope,
+)
 from .observe import (
     EngineObserver,
     RunRecord,
@@ -37,6 +43,7 @@ __all__ = [
     "RunResult",
     "TrialContext",
     "default_workers",
+    "engine_scope",
     "ResultCache",
     "cache_key",
     "canonicalize",

@@ -1,7 +1,7 @@
 """The experiment-execution engine.
 
 Runs independent trials of a stochastic experiment across a
-:mod:`multiprocessing` worker pool with deterministic per-trial seed
+process worker pool with deterministic per-trial seed
 streams, chunked dispatch, an optional on-disk result cache, and
 observability hooks.  All of the paper's repeated-experiment studies —
 the Fig. 6 disconnection Monte Carlo, production-lot yield binning, the
@@ -20,6 +20,16 @@ reference behaviour the parallel path must reproduce exactly.
 
 Trial functions must be module-level (picklable) callables of one
 argument, a :class:`TrialContext`; values they return must be picklable.
+
+Pool lifetime
+-------------
+An engine starts one worker pool on its first parallel run and every
+later run reuses it; :meth:`ExperimentEngine.close`, leaving a ``with``
+block, or garbage collection (a :func:`weakref.finalize`, which also
+fires at interpreter exit) shuts it down.  Workers outlive a run, so
+trial functions must be pure.  A pool that breaks mid-run (a worker
+died) is dropped and the run's unfinished chunks are rerun once on a
+fresh pool; a second break raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -148,8 +162,24 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 1) - 1)
 
 
+def _shutdown(slot: list[ProcessPoolExecutor]) -> None:
+    """Shut down the pool held in ``slot``, if any, and empty the slot.
+
+    Module-level so the engine's finalizer holds the slot, never the
+    engine itself.
+    """
+    while slot:
+        slot.pop().shutdown(wait=True, cancel_futures=True)
+
+
 class ExperimentEngine:
     """Shared executor for repeated stochastic experiments.
+
+    An engine owns at most one worker pool, started lazily by its first
+    parallel run and shared by all later runs.  Release it with
+    :meth:`close` or ``with ExperimentEngine(...) as engine:``; an
+    engine that is garbage-collected (or alive at interpreter exit)
+    shuts its pool down through a finalizer.
 
     Parameters
     ----------
@@ -190,6 +220,65 @@ class ExperimentEngine:
         self.observers = list(observers)
         self.chunk_size = chunk_size
         self.telemetry = resolve_telemetry(telemetry)
+        # The live worker pool (at most one), started by the first
+        # parallel run and shared by every later one.
+        self._pool_slot: list[ProcessPoolExecutor] = []
+        weakref.finalize(self, _shutdown, self._pool_slot)
+
+    # -- pool lifetime -----------------------------------------------------
+
+    def close(self) -> None:
+        """Shut down the worker pool, if one was started.
+
+        Idempotent.  A later parallel run starts a fresh pool.
+        """
+        _shutdown(self._pool_slot)
+
+    def __enter__(self) -> "ExperimentEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _pool(self) -> ProcessPoolExecutor:
+        if not self._pool_slot:
+            # fork: workers inherit the imported model and start in
+            # milliseconds.  A fork-context executor forks all its workers
+            # before starting its own threads, and the sweep functions close
+            # the pool they own, so no fork happens while another pool's
+            # threads run.
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            )
+            self._pool_slot.append(
+                ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
+            )
+        return self._pool_slot[0]
+
+    def _drain(
+        self,
+        payloads: dict[int, tuple],
+        absorb: Callable[[tuple], None],
+    ) -> None:
+        """Run chunk ``payloads`` on the pool, absorbing each as it returns.
+
+        A chunk leaves ``payloads`` once absorbed, so after a
+        :class:`BrokenProcessPool` only the unfinished chunks remain.
+        Any exception — a trial's own included — discards the pool, so
+        no chunk of an aborted run outlives it.
+        """
+        try:
+            pool = self._pool()
+            futures = {
+                pool.submit(_run_chunk, payload): chunk
+                for chunk, payload in payloads.items()
+            }
+            for future in as_completed(futures):
+                absorb(future.result())
+                del payloads[futures[future]]
+        except BaseException:
+            self.close()
+            raise
 
     # -- observer plumbing -------------------------------------------------
 
@@ -314,48 +403,49 @@ class ExperimentEngine:
                 for observer in observers:
                     observer.on_trial(experiment, index, elapsed)
 
-        def _dispatch(block, pool) -> None:
+        parallel = self.workers > 1 and trials > 1
+        retried = False
+
+        def _dispatch(block) -> None:
+            nonlocal retried
             payloads = [
                 (fn, run_params, chunk, capture)
                 for chunk in self._chunks(block)
             ]
-            if pool is None:
+            if not parallel:
                 for payload in payloads:
                     _absorb(_run_chunk(payload))
-            else:
-                for chunk_result in pool.imap_unordered(_run_chunk, payloads):
-                    _absorb(chunk_result)
+                return
+            pending = dict(enumerate(payloads))
+            while True:
+                try:
+                    self._drain(pending, _absorb)
+                    return
+                except BrokenProcessPool as err:
+                    # Trials are deterministic: rerunning the chunks that
+                    # never came back reproduces exactly their values.
+                    if retried:
+                        raise ReproError(
+                            f"worker pool broke twice during experiment "
+                            f"{experiment!r} (run seed {seed!r}): {err}"
+                        ) from err
+                    retried = True
 
-        pool = None
         executed = trials
-        try:
-            if self.workers > 1 and trials > 1:
-                ctx = multiprocessing.get_context(
-                    "fork"
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else "spawn"
-                )
-                pool = ctx.Pool(processes=self.workers)
-            if adaptive is None:
-                _dispatch(items, pool)
-            else:
-                # Deterministic block schedule with a barrier per block:
-                # the stopping decision sees exactly the first N trial
-                # values, never a worker-count-dependent superset.
-                done = 0
-                while done < trials:
-                    checkpoint = adaptive.next_checkpoint(done, trials)
-                    _dispatch(items[done:checkpoint], pool)
-                    done = checkpoint
-                    if done >= trials or adaptive.satisfied(
-                        values_by_index[:done]
-                    ):
-                        break
-                executed = done
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+        if adaptive is None:
+            _dispatch(items)
+        else:
+            # Deterministic block schedule with a barrier per block:
+            # the stopping decision sees exactly the first N trial
+            # values, never a worker-count-dependent superset.
+            done = 0
+            while done < trials:
+                checkpoint = adaptive.next_checkpoint(done, trials)
+                _dispatch(items[done:checkpoint])
+                done = checkpoint
+                if done >= trials or adaptive.satisfied(values_by_index[:done]):
+                    break
+            executed = done
 
         values_by_index = values_by_index[:executed]
         times_by_index = times_by_index[:executed]
@@ -419,3 +509,15 @@ class ExperimentEngine:
                 cache_misses=self.cache.misses if self.cache is not None else 0,
             )
         )
+
+
+def engine_scope(
+    engine: ExperimentEngine | None, **kwargs: Any
+) -> AbstractContextManager[ExperimentEngine]:
+    """``with`` target for functions that take an optional ``engine=``.
+
+    A caller-supplied engine is yielded as-is and never closed; without
+    one, a new ``ExperimentEngine(**kwargs)`` is built and closed on
+    exit, so its worker pool never outlives the call.
+    """
+    return nullcontext(engine) if engine is not None else ExperimentEngine(**kwargs)

@@ -124,7 +124,7 @@ def characterize(
     characterized as independent trials on the experiment engine;
     results are bit-identical at any ``workers`` count.
     """
-    from ..engine import ExperimentEngine
+    from ..engine import engine_scope
 
     cfg = config or SystemConfig()
     if process_sigma < 0:
@@ -139,8 +139,10 @@ def characterize(
         for r in range(cfg.rows)
     ]
 
-    eng = engine or ExperimentEngine(workers=workers, cache=cache, telemetry=tel)
-    with tel.tracer.span("flow.characterize", cat="flow", rows=cfg.rows):
+    with (
+        engine_scope(engine, workers=workers, cache=cache, telemetry=tel) as eng,
+        tel.tracer.span("flow.characterize", cat="flow", rows=cfg.rows),
+    ):
         run = eng.run(
             _shmoo_row_trial,
             experiment="flow.shmoo_rows",

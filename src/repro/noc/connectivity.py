@@ -446,37 +446,37 @@ def monte_carlo_disconnection(
     A degenerate draw (< 2 healthy tiles) raises :class:`NetworkError`
     naming the trial index, fault count and run seed that produced it.
     """
-    from ..engine import ExperimentEngine
+    from ..engine import engine_scope
 
     if adaptive is not None and adaptive.statistic is None:
         adaptive = replace(adaptive, statistic=_fig6_single_pct)
-    eng = engine or ExperimentEngine(workers=workers, cache=cache)
-    out: list[ConnectivityStats] = []
-    for count in fault_counts:
-        try:
-            run = eng.run(
-                _disconnection_trial,
-                experiment="noc.fig6_disconnection",
-                trials=trials,
-                seed=(seed, count),
-                config=config,
-                params={"fault_count": count},
-                adaptive=adaptive,
+    with engine_scope(engine, workers=workers, cache=cache) as eng:
+        out: list[ConnectivityStats] = []
+        for count in fault_counts:
+            try:
+                run = eng.run(
+                    _disconnection_trial,
+                    experiment="noc.fig6_disconnection",
+                    trials=trials,
+                    seed=(seed, count),
+                    config=config,
+                    params={"fault_count": count},
+                    adaptive=adaptive,
+                )
+            except NetworkError as err:
+                raise NetworkError(f"{err} [run seed {(seed, count)!r}]") from err
+            singles = [single for single, _ in run.values]
+            duals = [dual for _, dual in run.values]
+            out.append(
+                ConnectivityStats(
+                    fault_count=count,
+                    trials=len(run.values),
+                    mean_single_pct=float(np.mean(singles)),
+                    mean_dual_pct=float(np.mean(duals)),
+                    std_single_pct=float(np.std(singles)),
+                    std_dual_pct=float(np.std(duals)),
+                )
             )
-        except NetworkError as err:
-            raise NetworkError(f"{err} [run seed {(seed, count)!r}]") from err
-        singles = [single for single, _ in run.values]
-        duals = [dual for _, dual in run.values]
-        out.append(
-            ConnectivityStats(
-                fault_count=count,
-                trials=len(run.values),
-                mean_single_pct=float(np.mean(singles)),
-                mean_dual_pct=float(np.mean(duals)),
-                std_single_pct=float(np.std(singles)),
-                std_dual_pct=float(np.std(duals)),
-            )
-        )
     return out
 
 

@@ -852,31 +852,33 @@ def run_verify(
         raise ReproError("campaign needs at least one trial")
     names = SUITES if suite == "all" else (suite,)
 
-    engine = ExperimentEngine(workers=workers)
     suite_results: dict[str, Any] = {}
-    for name in names:
-        start = time.perf_counter()
-        entry: dict[str, Any] = {"trials": trials}
-        try:
-            result = engine.run(
-                _TRIALS[name],
-                experiment=f"verify.{name}",
-                trials=trials,
-                seed=(seed, SUITES.index(name)),
-                params={"rows": rows, "cols": cols},
-                verify=_verify_trial_value,
-            )
-        except InvariantViolation as violation:
-            entry["passed"] = False
-            entry["failure"] = violation.to_dict()
-        except ReproError as exc:
-            entry["passed"] = False
-            entry["failure"] = {"message": str(exc)}
-        else:
-            entry["passed"] = True
-            entry["checks"] = int(sum(v["checks"] for v in result.values))
-        entry["elapsed_s"] = round(time.perf_counter() - start, 3)
-        suite_results[name] = entry
+    # One engine, so one worker pool, for every suite.  A trial that
+    # raises in a worker discards the pool; the next suite starts afresh.
+    with ExperimentEngine(workers=workers) as engine:
+        for name in names:
+            start = time.perf_counter()
+            entry: dict[str, Any] = {"trials": trials}
+            try:
+                result = engine.run(
+                    _TRIALS[name],
+                    experiment=f"verify.{name}",
+                    trials=trials,
+                    seed=(seed, SUITES.index(name)),
+                    params={"rows": rows, "cols": cols},
+                    verify=_verify_trial_value,
+                )
+            except InvariantViolation as violation:
+                entry["passed"] = False
+                entry["failure"] = violation.to_dict()
+            except ReproError as exc:
+                entry["passed"] = False
+                entry["failure"] = {"message": str(exc)}
+            else:
+                entry["passed"] = True
+                entry["checks"] = int(sum(v["checks"] for v in result.values))
+            entry["elapsed_s"] = round(time.perf_counter() - start, 3)
+            suite_results[name] = entry
 
     return {
         "suite": suite,

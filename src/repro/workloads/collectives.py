@@ -1102,27 +1102,28 @@ def collective_fault_sweep(
     """
     from ..engine.core import ExperimentEngine
 
-    result = ExperimentEngine(workers=workers, cache=cache).run(
-        _sweep_trial,
-        experiment=f"collective.sweep.{spec.pattern}",
-        trials=trials,
-        seed=seed,
-        params={
-            "rows": config.rows,
-            "cols": config.cols,
-            "pattern": spec.pattern,
-            "spec_seed": spec.seed,
-            "ranks": spec.ranks,
-            "segments": spec.segments,
-            "root": spec.root,
-            "stages": spec.stages,
-            "microbatches": spec.microbatches,
-            "placement": spec.placement,
-            "fault_counts": tuple(sorted(set(int(c) for c in fault_counts))),
-            "engine": engine,
-            "phase_gap": phase_gap,
-        },
-    )
+    with ExperimentEngine(workers=workers, cache=cache) as executor:
+        result = executor.run(
+            _sweep_trial,
+            experiment=f"collective.sweep.{spec.pattern}",
+            trials=trials,
+            seed=seed,
+            params={
+                "rows": config.rows,
+                "cols": config.cols,
+                "pattern": spec.pattern,
+                "spec_seed": spec.seed,
+                "ranks": spec.ranks,
+                "segments": spec.segments,
+                "root": spec.root,
+                "stages": spec.stages,
+                "microbatches": spec.microbatches,
+                "placement": spec.placement,
+                "fault_counts": tuple(sorted(set(int(c) for c in fault_counts))),
+                "engine": engine,
+                "phase_gap": phase_gap,
+            },
+        )
     counts = sorted(set(int(c) for c in fault_counts))
     summary = []
     for i, count in enumerate(counts):

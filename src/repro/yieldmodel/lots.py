@@ -100,7 +100,7 @@ def simulate_lot(
     Wafers are independent trials on the experiment engine (``workers``,
     ``cache`` and ``engine`` as in :func:`repro.engine.ExperimentEngine`).
     """
-    from ..engine import ExperimentEngine
+    from ..engine import engine_scope
 
     if wafers < 1:
         raise ConfigError("lot needs at least one wafer")
@@ -121,15 +121,15 @@ def simulate_lot(
     if not 0.0 <= tile_fail_probability <= 1.0:
         raise ConfigError("tile failure probability must be in [0, 1]")
 
-    eng = engine or ExperimentEngine(workers=workers, cache=cache)
-    run = eng.run(
-        _wafer_trial,
-        experiment="yield.lot_wafers",
-        trials=wafers,
-        seed=seed,
-        config=config,
-        params={"tile_fail_probability": float(tile_fail_probability)},
-    )
+    with engine_scope(engine, workers=workers, cache=cache) as eng:
+        run = eng.run(
+            _wafer_trial,
+            experiment="yield.lot_wafers",
+            trials=wafers,
+            seed=seed,
+            config=config,
+            params={"tile_fail_probability": float(tile_fail_probability)},
+        )
     fault_counts = [int(f) for f in run.values]
     bins: dict[str, int] = {"full-spec": 0, "degraded": 0, "scrap": 0}
     for faults in fault_counts:
@@ -157,21 +157,22 @@ def pillar_redundancy_lot_comparison(
     pillars)``, so the two lots stay statistically independent while the
     whole comparison remains reproducible at any worker count.
     """
+    from ..engine import engine_scope
+
     out: dict[int, LotReport] = {}
-    for pillars in (1, 2):
-        y_c = chiplet_bond_yield(
-            config.ios_per_compute_chiplet, config.pillar_bond_yield, pillars
-        )
-        y_m = chiplet_bond_yield(
-            config.ios_per_memory_chiplet, config.pillar_bond_yield, pillars
-        )
-        out[pillars] = simulate_lot(
-            config,
-            wafers=wafers,
-            seed=(seed, pillars),
-            tile_fail_probability=1.0 - y_c * y_m,
-            workers=workers,
-            cache=cache,
-            engine=engine,
-        )
+    with engine_scope(engine, workers=workers, cache=cache) as eng:
+        for pillars in (1, 2):
+            y_c = chiplet_bond_yield(
+                config.ios_per_compute_chiplet, config.pillar_bond_yield, pillars
+            )
+            y_m = chiplet_bond_yield(
+                config.ios_per_memory_chiplet, config.pillar_bond_yield, pillars
+            )
+            out[pillars] = simulate_lot(
+                config,
+                wafers=wafers,
+                seed=(seed, pillars),
+                tile_fail_probability=1.0 - y_c * y_m,
+                engine=eng,
+            )
     return out

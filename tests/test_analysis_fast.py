@@ -191,6 +191,10 @@ class TestMonteCarloFastPath:
         stats = monte_carlo_disconnection(
             small_cfg, [2, 5], trials=trials, seed=seed, **dispatch
         )
+        if "engine" in dispatch:
+            # A caller's engine is never closed for it; this one lives in
+            # the module-level parametrization, so release its pool here.
+            dispatch["engine"].close()
         for count, got in zip((2, 5), stats):
             pairs = [
                 _pair_blockage_reference(

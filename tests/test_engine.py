@@ -1,14 +1,21 @@
 """Tests for the parallel experiment engine (repro.engine)."""
 
+import contextlib
+import faulthandler
+import os
 import pickle
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
 from repro.clock.resiliency import monte_carlo_clock_coverage
+import repro.engine.core as engine_core
 from repro.engine import (
+    CIStop,
     EngineObserver,
     ExperimentEngine,
     ResultCache,
@@ -321,3 +328,234 @@ class TestPortedExperiments:
         b = simulate_lot(CFG, wafers=10, seed=1, engine=engine)
         assert a.fault_counts == b.fault_counts
         assert engine.cache.hits == 1
+
+
+# ---------------------------------------------------------------------------
+# worker pool lifetime
+# ---------------------------------------------------------------------------
+
+
+def _pid_trial(ctx):
+    return os.getpid()
+
+
+def _fail_at_trial(ctx):
+    """``_draw_trial``, except that trial ``fail_at`` raises."""
+    if ctx.index == ctx.params.get("fail_at"):
+        raise ValueError(f"trial {ctx.index} failed on purpose")
+    return _draw_trial(ctx)
+
+
+def _die_once_trial(ctx):
+    """``_draw_trial``; the first trial to claim ``marker`` SIGKILLs its worker."""
+    assert os.getpid() != ctx.params["parent"], "must run in a worker"
+    try:
+        os.close(os.open(ctx.params["marker"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _draw_trial(ctx)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _always_die_trial(ctx):
+    assert os.getpid() != ctx.params["parent"], "must run in a worker"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _alive(pid):
+    """Whether ``pid`` still exists (a zombie counts until it is reaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def _hard_timeout(seconds: float):
+    """Fail the block instead of hanging if it overruns ``seconds``.
+
+    SIGALRM raises in the main thread; should cleanup hang too,
+    ``faulthandler`` dumps every stack and exits the process.
+    """
+
+    def _expire(signum, frame):
+        raise TimeoutError(f"block did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    faulthandler.dump_traceback_later(seconds + 30, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every worker pool the engine starts, in start order."""
+    started = []
+
+    class _CountingPool(engine_core.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.closed = False
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.closed = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(engine_core, "ProcessPoolExecutor", _CountingPool)
+    return started
+
+
+def _serial_draws(trials, seed=0):
+    return ExperimentEngine().run(
+        _draw_trial, experiment="t", trials=trials, seed=seed
+    ).values
+
+
+class TestWorkerPool:
+    FAULT_COUNTS = list(range(1, 11))
+
+    def test_pool_is_lazy_and_shared_across_runs(self, pools):
+        engine = ExperimentEngine(workers=2)
+        assert pools == []
+        first = engine.run(_draw_trial, experiment="t", trials=8, seed=0)
+        second = engine.run(_draw_trial, experiment="t", trials=8, seed=1)
+        assert len(pools) == 1 and not pools[0].closed
+        assert first.values == _serial_draws(8, seed=0)
+        assert second.values == _serial_draws(8, seed=1)
+        engine.close()
+        assert pools[0].closed
+        engine.close()                      # idempotent
+        # A closed engine starts a fresh pool on demand.
+        assert engine.run(_draw_trial, experiment="t", trials=8).values == _serial_draws(8)
+        assert len(pools) == 2
+        engine.close()
+
+    def test_context_manager_and_finalizer_close_the_pool(self, pools):
+        with ExperimentEngine(workers=2) as engine:
+            engine.run(_draw_trial, experiment="t", trials=4)
+        assert pools[-1].closed
+        ExperimentEngine(workers=2).run(_draw_trial, experiment="t", trials=4)
+        # The engine was garbage the moment run() returned.
+        assert len(pools) == 2 and pools[-1].closed
+
+    def test_inline_runs_start_no_pool(self, pools):
+        ExperimentEngine(workers=1).run(_draw_trial, experiment="t", trials=4)
+        ExperimentEngine(workers=2).run(_draw_trial, experiment="t", trials=1)
+        assert pools == []
+
+    def test_fig6_sweep_starts_one_pool(self, pools):
+        kwargs = {"fault_counts": self.FAULT_COUNTS, "trials": 4, "seed": 3}
+        parallel = monte_carlo_disconnection(CFG, **kwargs, workers=2)
+        assert len(pools) == 1 and pools[0].closed
+        assert parallel == monte_carlo_disconnection(CFG, **kwargs, workers=1)
+
+    def test_clock_coverage_sweep_starts_one_pool(self, pools):
+        kwargs = {"fault_counts": self.FAULT_COUNTS, "trials": 4, "seed": 3}
+        parallel = monte_carlo_clock_coverage(CFG, **kwargs, workers=2)
+        assert len(pools) == 1 and pools[0].closed
+        assert parallel == monte_carlo_clock_coverage(CFG, **kwargs, workers=1)
+
+    def test_cache_hit_rerun_starts_no_pool(self, pools, tmp_path):
+        kwargs = {
+            "fault_counts": self.FAULT_COUNTS,
+            "trials": 4,
+            "seed": 3,
+            "workers": 2,
+            "cache": ResultCache(tmp_path / "cache"),
+        }
+        cold = monte_carlo_disconnection(CFG, **kwargs)
+        assert len(pools) == 1
+        assert monte_carlo_disconnection(CFG, **kwargs) == cold
+        assert len(pools) == 1
+
+    def test_adaptive_blocks_share_one_pool(self, pools):
+        rule = CIStop(rel_halfwidth=1e-6, min_trials=8, block=8)
+        kwargs = {"fault_counts": [4], "trials": 32, "seed": 2, "adaptive": rule}
+        [parallel] = monte_carlo_disconnection(CFG, **kwargs, workers=2)
+        assert parallel.trials == 32                 # four blocks dispatched
+        assert len(pools) == 1
+        assert [parallel] == monte_carlo_disconnection(CFG, **kwargs, workers=1)
+
+    def test_owned_engine_closes_when_the_sweep_raises(self, pools, tmp_path):
+        class _FullDisk(ResultCache):
+            def put(self, key, values):
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full") as excinfo:
+            monte_carlo_disconnection(
+                CFG, [2], trials=4, workers=2, cache=_FullDisk(tmp_path / "cache")
+            )
+        # The live traceback keeps the sweep's own engine alive, so only
+        # its ``with`` block can have closed the pool by now.
+        assert excinfo.traceback
+        assert len(pools) == 1 and pools[0].closed
+
+    def test_caller_engine_is_never_closed(self, pools):
+        engine = ExperimentEngine(workers=2)
+        monte_carlo_disconnection(CFG, [2, 3], trials=4, engine=engine)
+        monte_carlo_clock_coverage(CFG, [2, 3], trials=4, engine=engine)
+        assert len(pools) == 1 and not pools[0].closed
+        engine.close()
+
+    def test_idle_worker_killed_between_runs(self, pools):
+        with _hard_timeout(60), ExperimentEngine(workers=2) as engine:
+            workers = set(engine.run(_pid_trial, experiment="pids", trials=8).values)
+            victim = workers.pop()
+            os.kill(victim, signal.SIGKILL)
+            # The pool reaps its dead worker once it has noticed the death;
+            # wait for that so the next run meets a broken pool every time.
+            while _alive(victim):
+                time.sleep(0.01)
+            second = engine.run(_draw_trial, experiment="t", trials=8)
+        assert second.values == _serial_draws(8)
+        assert len(pools) == 2 and all(pool.closed for pool in pools)
+
+    def test_worker_killed_mid_run_reruns_once(self, pools, tmp_path):
+        params = {"parent": os.getpid(), "marker": str(tmp_path / "died")}
+        with _hard_timeout(60), ExperimentEngine(workers=2) as engine:
+            run = engine.run(
+                _die_once_trial, experiment="t", trials=16, seed=0, params=params
+            )
+        assert (tmp_path / "died").exists()
+        assert run.values == _serial_draws(16)
+        assert len(pools) == 2
+
+    def test_pool_that_breaks_twice_names_experiment_and_seed(self, pools, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        params = {"parent": os.getpid()}
+        with _hard_timeout(60), ExperimentEngine(workers=2, cache=cache) as engine:
+            with pytest.raises(ReproError, match=r"'doomed'.*run seed \(7, 1\)"):
+                engine.run(
+                    _always_die_trial,
+                    experiment="doomed",
+                    trials=4,
+                    seed=(7, 1),
+                    params=params,
+                )
+            assert engine._pool_slot == []
+            key = cache_key("doomed", None, params, (7, 1), 4)
+            assert cache.get(key) == (False, None)
+            # The engine stays usable after giving up.
+            assert engine.run(_draw_trial, experiment="t", trials=8).values == (
+                _serial_draws(8)
+            )
+
+    def test_trial_exception_discards_pool(self, pools):
+        with _hard_timeout(60), ExperimentEngine(workers=2) as engine:
+            with pytest.raises(ValueError, match="trial 5 failed on purpose"):
+                engine.run(
+                    _fail_at_trial,
+                    experiment="t",
+                    trials=16,
+                    params={"fail_at": 5},
+                )
+            assert len(pools) == 1 and pools[0].closed
+            again = engine.run(_fail_at_trial, experiment="t", trials=16)
+        assert again.values == _serial_draws(16)
+        assert len(pools) == 2
