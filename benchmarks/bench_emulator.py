@@ -1,7 +1,6 @@
-"""Vector emulator engine: full-wafer workloads and batched trials.
+"""Vector emulator engine: full-wafer workloads.
 
-Two gated points plus one informational point, all at the paper's
-32x32 (2048-chiplet) array:
+Two gated points, both at the paper's 32x32 (2048-chiplet) array:
 
 * ``wave`` — a :class:`~repro.workloads.waves.FrontierWave` (BFS-shaped
   geometric message wave) on a faulty wafer, ``engine="reference"`` vs
@@ -10,9 +9,6 @@ Two gated points plus one informational point, all at the paper's
   faster than the reference engine's.
 * ``bfs`` — distributed BFS over a random graph, same comparison and
   floor.
-* ``emulate_batch`` — N independent wave trials through one vector
-  kernel; per-trial stats must match the individual runs (throughput
-  recorded, not gated: per-trial python compute dominates at this size).
 
 What is gated.  The two engines share everything but the delivery
 barrier (``Emulator._deliver``: route every flow, account its cycles,
@@ -45,7 +41,7 @@ import numpy as np
 
 from repro.arch.emulator import Emulator, clear_route_cache
 from repro.arch.system import WaferscaleSystem
-from repro.arch.vectoremu import VectorEmulator, emulate_batch
+from repro.arch.vectoremu import VectorEmulator
 from repro.config import SystemConfig
 from repro.noc.connectivity import _shared_table
 from repro.noc.faults import random_fault_map
@@ -62,7 +58,6 @@ WAVE_FAULTS = 10
 WAVE_WIDTH, WAVE_FANOUT, WAVE_TTL = 8, 4, 4
 BFS_FAULTS = 10
 BFS_NODES = 192
-BATCH_TRIALS = 6
 
 ENGINE_CLASS = {"reference": Emulator, "vector": VectorEmulator}
 REPEATS = 3                     # interleaved runs per engine; the best counts
@@ -223,35 +218,6 @@ def measure(scale: float = 1.0) -> dict:
         **_timing_fields(total, barrier, table_s),
     }
 
-    # Point 3 (informational): emulate_batch vs individual vector runs.
-    waves = []
-    for b in range(BATCH_TRIALS):
-        system = WaferscaleSystem(cfg, random_fault_map(cfg, 3, rng=rng))
-        waves.append(
-            FrontierWave(system, width=3, fanout=2, ttl=3, seed=SEED + b)
-        )
-    start = time.perf_counter()
-    individual = [w.run(engine="vector") for w in waves]
-    individual_s = time.perf_counter() - start
-    for wave in waves:
-        wave.reset()
-    start = time.perf_counter()
-    batched = emulate_batch(
-        [w.system for w in waves],
-        [w.compute for w in waves],
-        init=[w.seed_sends for w in waves],
-    )
-    batched_s = time.perf_counter() - start
-    for b, (got, want) in enumerate(zip(batched, individual)):
-        _assert_identical({"batched": got, "individual": want}, f"batch[{b}]")
-    batch_point = {
-        "label": "emulate_batch",
-        "trials": BATCH_TRIALS,
-        "individual_s": individual_s,
-        "batched_s": batched_s,
-        "throughput_ratio": individual_s / batched_s,
-    }
-
     ok = (
         wave_point["barrier_speedup_vs_reference"] >= MIN_BARRIER_SPEEDUP
         and bfs_point["barrier_speedup_vs_reference"] >= MIN_BARRIER_SPEEDUP
@@ -268,15 +234,14 @@ def measure(scale: float = 1.0) -> dict:
             "barrier_speedup_vs_reference": MIN_BARRIER_SPEEDUP,
         },
         "stats_identical": True,
-        "points": [wave_point, bfs_point, batch_point],
+        "points": [wave_point, bfs_point],
         "ok": ok,
     }
 
 
 def _rows(result: dict) -> list[tuple]:
-    wave, bfs, batch = result["points"]
     rows = []
-    for point in (wave, bfs):
+    for point in result["points"]:
         rows += [
             (
                 f"{point['label']:<5} barriers    ",
@@ -291,14 +256,7 @@ def _rows(result: dict) -> list[tuple]:
                 f"{point['speedup_vs_reference']:6.1f}x",
             ),
         ]
-    return rows + [
-        (
-            f"emulate_batch x{batch['trials']}   ",
-            f"solo {batch['individual_s']:7.3f}s",
-            f"batched {batch['batched_s']:6.3f}s",
-            f"{batch['throughput_ratio']:6.2f}x",
-        ),
-    ]
+    return rows
 
 
 def test_emulator_vector_speedup(benchmark):
@@ -309,7 +267,7 @@ def test_emulator_vector_speedup(benchmark):
         _rows(result),
     )
     benchmark.extra_info["measured"] = {
-        p["label"]: p.get("barrier_speedup_vs_reference", p.get("throughput_ratio"))
+        p["label"]: p["barrier_speedup_vs_reference"]
         for p in result["points"]
     }
     assert result["stats_identical"]

@@ -10,10 +10,8 @@ field-for-field identical, and records wall-clock cycles/sec in
 >=25x over the reference at 1% injection and >=3x at saturation; the
 run fails if either regresses.
 
-Two beyond-paper points ride along: a 128x128 (16384-tile) run that
-exercises the no-LUT arithmetic routing kernel, and a batched
-``simulate_batch`` run advancing four independent trials through one
-kernel.
+One beyond-paper point rides along: a 128x128 (16384-tile) run that
+exercises the no-LUT arithmetic routing kernel.
 
 Runnable two ways::
 
@@ -30,7 +28,6 @@ from repro.config import SystemConfig
 from repro.noc.dualnetwork import NetworkId
 from repro.noc.routing import RoutingPolicy, build_port_lut
 from repro.noc.simulator import NocSimulator
-from repro.noc.vectorsim import simulate_batch
 from repro.workloads.traffic import TrafficPattern, generate_traffic
 
 from conftest import print_series
@@ -50,8 +47,6 @@ MIN_SPEEDUP_SATURATION = 3.0    # vector-over-reference floor at saturation
 BEYOND_ROWS = BEYOND_COLS = 128     # beyond-paper scale-out point
 BEYOND_RATE = 0.002
 BEYOND_CYCLES = 100
-
-BATCH_TRIALS = 4
 
 
 def _drive(engine: str, cfg: SystemConfig, rate: float, cycles: int):
@@ -139,24 +134,6 @@ def measure(cycles_scale: float = 1.0) -> dict:
         "vector_cycles_per_s": beyond_report.cycles / beyond_s,
     }
 
-    # Trial batching: B independent fault-free trials through one kernel.
-    batch_cycles = max(20, int(300 * cycles_scale))
-    schedules = [
-        generate_traffic(
-            cfg, TrafficPattern.UNIFORM, 0.01, batch_cycles, seed=SEED + b
-        )
-        for b in range(BATCH_TRIALS)
-    ]
-    start = time.perf_counter()
-    simulate_batch(cfg, schedules, run_cycles=batch_cycles, drain=False)
-    batch_s = time.perf_counter() - start
-    batch = {
-        "trials": BATCH_TRIALS,
-        "offered_cycles": batch_cycles,
-        "batch_s": batch_s,
-        "trial_cycles_per_s": BATCH_TRIALS * batch_cycles / batch_s,
-    }
-
     low, _, sat = points
     ok = (
         low["speedup"] >= MIN_SPEEDUP_LOW
@@ -178,7 +155,6 @@ def measure(cycles_scale: float = 1.0) -> dict:
         "reports_identical": True,
         "points": points,
         "beyond_paper": beyond,
-        "batch": batch,
         "ok": ok,
     }
 
@@ -199,15 +175,6 @@ def _rows(result: dict) -> list[tuple]:
             f"{beyond['rows']}x{beyond['cols']} beyond  ",
             f"vector {beyond['vector_cycles_per_s']:8.1f} c/s",
             f"({beyond['delivered']} delivered)",
-            "",
-        )
-    )
-    batch = result["batch"]
-    rows.append(
-        (
-            f"batch x{batch['trials']}          ",
-            f"vector {batch['trial_cycles_per_s']:8.1f} trial-c/s",
-            "",
             "",
         )
     )

@@ -33,13 +33,6 @@ over the permutation that sorts messages into flow order: inbox content
 feeds back into workload compute, so ordering must match the reference
 engine message for message.
 
-On top of the single-trial engine, :func:`emulate_batch` advances N
-independent systems (N fault maps x N seed streams) through one kernel
-per superstep — composite keys gain a trial component, per-trial stats
-come from segmented reductions (``np.add.at`` / ``np.maximum.at``) and
-are bit-identical to N individual runs, mirroring
-:func:`repro.noc.vectorsim.simulate_batch`.
-
 One observable difference from the reference engine: an unreachable
 flow raises :class:`~repro.errors.NetworkError` *before* any message of
 the superstep is delivered or accounted, where the reference engine
@@ -50,15 +43,13 @@ identical.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from ..config import Coord
 from ..errors import EmulatorError, NetworkError
 from ..noc.connectivity import _RouteTable, _shared_table
 from ..obs.telemetry import Telemetry
-from .emulator import EmulationStats, Emulator, Message
+from .emulator import Emulator, Message
 from .system import (
     DETOUR_SOFTWARE_PENALTY,
     HOP_LATENCY,
@@ -86,7 +77,7 @@ class _Flows:
     """Per-flow arrays of one delivery barrier, in first-occurrence order."""
 
     __slots__ = (
-        "perm", "trial", "src", "dst", "counts", "words",
+        "perm", "src", "dst", "counts", "words",
         "hops", "detour", "selfflow", "cycles",
     )
 
@@ -95,50 +86,26 @@ def _flow_kernel(
     src: np.ndarray,
     dst: np.ndarray,
     words: np.ndarray,
-    trial: np.ndarray | None,
-    tables: Sequence[_RouteTable],
-    trial_note: Callable[[int], str] | None = None,
+    table: _RouteTable,
 ) -> _Flows:
     """Aggregate queued messages into flows and route them all at once.
 
     ``src``/``dst``/``words`` are int64 arrays over messages in send
-    order; ``trial`` (or None for a single emulation) maps each message
-    to its index in ``tables``.  Raises :class:`NetworkError` for the
-    first unreachable flow (in first-occurrence order) before anything
-    is accounted.
+    order; ``table`` is the fault map's shared route table.  Raises
+    :class:`NetworkError` for the first unreachable flow (in
+    first-occurrence order) before anything is accounted.
     """
-    table0 = tables[0]
-    n = table0.n
-    cols = table0.cols
-    if trial is None:
-        keys = src * n + dst
-    else:
-        keys = (trial * n + src) * n + dst
+    n = table.n
+    cols = table.cols
+    keys = src * n + dst
     uniq, first_idx, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     nflows = len(uniq)
-    if trial is None:
-        ftrial = np.zeros(nflows, dtype=np.int64)
-        rem = uniq
-    else:
-        ftrial = uniq // (n * n)
-        rem = uniq % (n * n)
-    fsrc = rem // n
-    fdst = rem % n
+    fsrc = uniq // n
+    fdst = uniq % n
     selfflow = fsrc == fdst
-
-    # Direct reachability: one gather per trial present (flows are
-    # key-sorted, so each trial's flows are a contiguous slice).
-    direct = np.empty(nflows, dtype=bool)
-    if trial is None:
-        direct[:] = table0.direct_flat[rem]
-    else:
-        bounds = np.searchsorted(ftrial, np.arange(len(tables) + 1))
-        for b, table in enumerate(tables):
-            lo, hi = bounds[b], bounds[b + 1]
-            if lo < hi:
-                direct[lo:hi] = table.direct_flat[rem[lo:hi]]
+    direct = table.direct_flat[uniq]
 
     hops = np.abs(fsrc // cols - fdst // cols) + np.abs(fsrc % cols - fdst % cols)
     det_flag = np.zeros(nflows, dtype=bool)
@@ -146,7 +113,7 @@ def _flow_kernel(
     if blocked.size:
         unreachable: list[int] = []
         for j in blocked.tolist():
-            via, det_hops = tables[int(ftrial[j])].detour(int(rem[j]))
+            via, det_hops = table.detour(int(uniq[j]))
             if via is not None:
                 hops[j] = det_hops
                 det_flag[j] = True
@@ -156,8 +123,7 @@ def _flow_kernel(
             j = min(unreachable, key=lambda jj: first_idx[jj])
             s = (int(fsrc[j]) // cols, int(fsrc[j]) % cols)
             d = (int(fdst[j]) // cols, int(fdst[j]) % cols)
-            note = trial_note(int(ftrial[j])) if trial_note is not None else ""
-            raise NetworkError(f"no path for messages {s} -> {d}{note}")
+            raise NetworkError(f"no path for messages {s} -> {d}")
 
     # First-occurrence flow order (the reference engine's dict insertion
     # order), then the message permutation grouping messages by flow —
@@ -176,7 +142,6 @@ def _flow_kernel(
 
     fl = _Flows()
     fl.perm = perm
-    fl.trial = ftrial[order]
     fl.src = fsrc[order]
     fl.dst = fdst[order]
     fl.counts = counts_o
@@ -343,7 +308,7 @@ class VectorEmulator(Emulator):
         if not self._outbox:
             return 0
         src, dst, words, msgs = self._collect_outbox()
-        fl = _flow_kernel(src, dst, words, None, (self._table,))
+        fl = _flow_kernel(src, dst, words, self._table)
         slowest = self._account(fl)
         inboxes = self._inboxes
         coord_of = self._coord_of
@@ -402,191 +367,3 @@ class VectorEmulator(Emulator):
                     fn(self, coord_of[s], coord_of[d], cached)
         return slowest
 
-
-# ---------------------------------------------------------------------------
-# Batched trials: N systems through one kernel per superstep.
-# ---------------------------------------------------------------------------
-
-
-class BatchEmulator:
-    """N independent emulations advanced through one vector kernel.
-
-    All systems must share the array shape; fault maps (and therefore
-    route tables) may differ per trial.  Per-trial stats are
-    bit-identical to N individual ``engine="vector"`` runs: composite
-    flow keys carry the trial index in their high bits, so flows never
-    mix across trials, per-flow integer sums are unchanged, and the
-    within-trial delivery order is preserved.  Batched runs do not wire
-    telemetry or checkers (mirroring ``noc.vectorsim.simulate_batch``).
-    """
-
-    def __init__(self, systems: Sequence[WaferscaleSystem]) -> None:
-        if not systems:
-            raise EmulatorError("emulate_batch needs at least one system")
-        shape = (systems[0].config.rows, systems[0].config.cols)
-        for system in systems:
-            if (system.config.rows, system.config.cols) != shape:
-                raise EmulatorError(
-                    "all systems in a batch must share the array shape; "
-                    f"got {(system.config.rows, system.config.cols)} vs {shape}"
-                )
-        self.emulators = [
-            VectorEmulator(system, telemetry=Telemetry.disabled())
-            for system in systems
-        ]
-        self._n = shape[0] * shape[1]
-
-    def run(
-        self,
-        computes: Sequence[Callable[[Coord, list[Message], Emulator], int]],
-        max_supersteps: int = 10_000,
-    ) -> list[EmulationStats]:
-        """Run every trial to quiescence; per-trial stats, in order."""
-        emulators = self.emulators
-        if len(computes) != len(emulators):
-            raise EmulatorError(
-                f"got {len(computes)} compute callables for "
-                f"{len(emulators)} systems"
-            )
-        active = [True] * len(emulators)
-        for _ in range(max_supersteps):
-            if not any(active):
-                return [em.stats for em in emulators]
-            self._superstep(computes, active)
-        for b, still in enumerate(active):
-            if still:
-                raise EmulatorError(
-                    f"workload did not converge in {max_supersteps} steps "
-                    f"(batch trial {b})"
-                )
-        return [em.stats for em in emulators]
-
-    def _superstep(
-        self,
-        computes: Sequence[Callable[[Coord, list[Message], Emulator], int]],
-        active: list[bool],
-    ) -> None:
-        emulators = self.emulators
-        # Compute phase, per trial (reference superstep semantics).
-        busiest = [0] * len(emulators)
-        any_messages = [False] * len(emulators)
-        for b, em in enumerate(emulators):
-            if not active[b]:
-                continue
-            inboxes = em._inboxes
-            em._inboxes = {coord: [] for coord in inboxes}
-            compute = computes[b]
-            for coord, inbox in inboxes.items():
-                cycles = compute(coord, inbox, em)
-                if cycles < 0:
-                    raise EmulatorError("compute cycles cannot be negative")
-                busiest[b] = max(busiest[b], cycles)
-                any_messages[b] = any_messages[b] or bool(inbox)
-
-        # Delivery barrier: every active trial's outbox through one kernel.
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        words_parts: list[np.ndarray] = []
-        trial_parts: list[np.ndarray] = []
-        msgs_per_trial: dict[int, list[Message]] = {}
-        for b, em in enumerate(emulators):
-            if not active[b] or not em._outbox:
-                continue
-            src, dst, words, msgs = em._collect_outbox()
-            src_parts.append(src)
-            dst_parts.append(dst)
-            words_parts.append(words)
-            trial_parts.append(np.full(src.size, b, dtype=np.int64))
-            msgs_per_trial[b] = msgs
-
-        nb = len(emulators)
-        sent = np.zeros(nb, dtype=np.int64)
-        hop_total = np.zeros(nb, dtype=np.int64)
-        det_msgs = np.zeros(nb, dtype=np.int64)
-        slowest = np.zeros(nb, dtype=np.int64)
-        if src_parts:
-            fl = _flow_kernel(
-                np.concatenate(src_parts),
-                np.concatenate(dst_parts),
-                np.concatenate(words_parts),
-                np.concatenate(trial_parts),
-                [em._table for em in emulators],
-                trial_note=lambda b: f" (batch trial {b})",
-            )
-            nonself = ~fl.selfflow
-            t_ns = fl.trial[nonself]
-            c_ns = fl.counts[nonself]
-            np.add.at(sent, t_ns, c_ns)
-            np.add.at(hop_total, t_ns, fl.hops[nonself] * c_ns)
-            np.add.at(det_msgs, fl.trial[fl.detour], fl.counts[fl.detour])
-            np.maximum.at(slowest, t_ns, fl.cycles[nonself])
-            # Delivery, flow-major: fl arrays are in global
-            # first-occurrence order, which restricted to any one trial
-            # is that trial's own first-occurrence order.
-            flat_msgs: list[Message] = []
-            offsets = np.zeros(nb, dtype=np.int64)
-            for b in sorted(msgs_per_trial):
-                offsets[b] = len(flat_msgs)
-                flat_msgs.extend(msgs_per_trial[b])
-            # perm indexes the concatenation order, which matches
-            # flat_msgs because trials were concatenated in ascending b.
-            pos = 0
-            perm_list = fl.perm.tolist()
-            for j, count in enumerate(fl.counts.tolist()):
-                em = emulators[fl.trial[j]]
-                inbox = em._inboxes[em._coord_of[fl.dst[j]]]
-                for i in perm_list[pos:pos + count]:
-                    inbox.append(flat_msgs[i])
-                pos += count
-
-        # Finalize per-trial stats and convergence, reference semantics.
-        for b, em in enumerate(emulators):
-            if not active[b]:
-                continue
-            stats = em.stats
-            stats.messages_sent += int(sent[b])
-            stats.message_hops += int(hop_total[b])
-            stats.detoured_messages += int(det_msgs[b])
-            network_cycles = int(slowest[b])
-            stats.supersteps += 1
-            stats.local_compute_cycles += busiest[b]
-            stats.network_cycles += network_cycles
-            stats.per_step_messages.append(int(sent[b]))
-            progressed = (
-                bool(network_cycles) or busiest[b] > 0 or any_messages[b]
-            )
-            if not progressed and not em._outbox and not any(
-                em._inboxes.values()
-            ):
-                active[b] = False
-
-
-def emulate_batch(
-    systems: Sequence[WaferscaleSystem],
-    computes: Sequence[Callable[[Coord, list[Message], Emulator], int]],
-    *,
-    init: Sequence[Callable[[Emulator], None] | None] | None = None,
-    max_supersteps: int = 10_000,
-) -> list[EmulationStats]:
-    """Run N workloads over N systems through one vector kernel.
-
-    ``systems[b]`` and ``computes[b]`` define trial ``b``; ``init[b]``
-    (optional) performs the trial's seed sends before the first
-    superstep — e.g. queueing the BFS root visit.  Returns per-trial
-    :class:`EmulationStats`, bit-identical to running each trial through
-    its own ``Emulator(engine="vector")``.
-    """
-    if len(computes) != len(systems):
-        raise EmulatorError(
-            f"got {len(computes)} compute callables for {len(systems)} systems"
-        )
-    batch = BatchEmulator(systems)
-    if init is not None:
-        if len(init) != len(systems):
-            raise EmulatorError(
-                f"got {len(init)} init callables for {len(systems)} systems"
-            )
-        for fn, em in zip(init, batch.emulators):
-            if fn is not None:
-                fn(em)
-    return batch.run(list(computes), max_supersteps=max_supersteps)

@@ -109,12 +109,17 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> tuple[bool, Any]:
-        """``(hit, values)``; a corrupt entry counts as a miss."""
+        """``(hit, values)``; a missing or unreadable entry is a miss.
+
+        Unpickling arbitrary bytes can raise nearly anything (a bad
+        opcode argument is a ``ValueError``, an unknown module a
+        ``ModuleNotFoundError``), so every exception counts as a miss.
+        """
         path = self._path(key)
         try:
             with path.open("rb") as fh:
                 values = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
             self.misses += 1
             return False, None
         self.hits += 1

@@ -27,7 +27,7 @@ from .remap import (
 from .routing import RoutingPolicy, build_port_lut, xy_path, yx_path
 from .simulator import ENGINES, NocSimulator, SimulationReport
 from .topology import MeshTopology
-from .vectorsim import BatchNocSimulator, VectorNocSimulator, simulate_batch
+from .vectorsim import VectorNocSimulator
 
 __all__ = [
     "AdaptiveNocSimulator",
@@ -62,9 +62,7 @@ __all__ = [
     "NocSimulator",
     "SimulationReport",
     "MeshTopology",
-    "BatchNocSimulator",
     "VectorNocSimulator",
-    "simulate_batch",
     "load_noc_state",
     "read_checkpoint_manifest",
     "save_noc_state",

@@ -101,48 +101,41 @@ def measure_load_latency(
 
     ``engine`` selects the simulation core (``"reference"`` or
     ``"vector"``; ``"fast"`` is an alias of ``"reference"``); both
-    produce identical curves.  With
-    ``engine="vector"`` every swept rate becomes one trial of a single
-    :class:`~repro.noc.vectorsim.BatchNocSimulator`, so the whole sweep
-    advances through one batched numpy kernel instead of R sequential
-    runs — the per-rate reports (and therefore every curve point) still
-    match R individual runs field for field.
+    produce identical curves.  Each swept rate is one independent run.
     """
     from ..workloads.traffic import TrafficPattern, generate_traffic
 
     if pattern is None:
         pattern = TrafficPattern.UNIFORM
-    rates = rates or [0.01, 0.02, 0.05, 0.1, 0.2, 0.3]
-    if not rates or any(not 0 < r <= 1 for r in rates):
+    if rates is None:
+        rates = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3]
+    if not rates:
+        raise NetworkError("rates must name at least one injection rate")
+    if any(not 0 < r <= 1 for r in rates):
         raise NetworkError("rates must be in (0, 1]")
     swept = sorted(rates)
 
-    if engine == "vector":
-        reports, sat_flags = _batched_sweep(
-            config, pattern, swept, warm_cycles, fault_map, seed,
+    reports, sat_flags = [], []
+    for rate in swept:
+        sim = NocSimulator(config, fault_map=fault_map, engine=engine)
+        traffic = generate_traffic(
+            config, pattern, rate, warm_cycles, seed=seed
         )
-    else:
-        reports, sat_flags = [], []
-        for rate in swept:
-            sim = NocSimulator(config, fault_map=fault_map, engine=engine)
-            traffic = generate_traffic(
-                config, pattern, rate, warm_cycles, seed=seed
-            )
-            injections = {cycle: [] for cycle, _ in traffic}
-            for cycle, packet in traffic:
-                injections[cycle].append(packet)
+        injections = {cycle: [] for cycle, _ in traffic}
+        for cycle, packet in traffic:
+            injections[cycle].append(packet)
 
-            saturated = False
-            for cycle in range(warm_cycles):
-                for packet in injections.get(cycle, ()):  # offered this cycle
-                    sim.inject(packet, NetworkId.XY)
-                sim.step()
-            try:
-                sim.drain(max_cycles=20_000)
-            except NetworkError:
-                saturated = True
-            reports.append(sim.report())
-            sat_flags.append(saturated)
+        saturated = False
+        for cycle in range(warm_cycles):
+            for packet in injections.get(cycle, ()):  # offered this cycle
+                sim.inject(packet, NetworkId.XY)
+            sim.step()
+        try:
+            sim.drain(max_cycles=20_000)
+        except NetworkError:
+            saturated = True
+        reports.append(sim.report())
+        sat_flags.append(saturated)
 
     points: list[LoadPoint] = []
     zero_load: float | None = None
@@ -164,43 +157,3 @@ def measure_load_latency(
         )
     return LoadLatencyCurve(config=config, pattern=pattern, points=points)
 
-
-def _batched_sweep(
-    config: SystemConfig,
-    pattern: "TrafficPattern",
-    swept: list[float],
-    warm_cycles: int,
-    fault_map: FaultMap | None,
-    seed: int,
-) -> tuple[list, list[bool]]:
-    """Run every rate of a load sweep as one trial of a batched kernel.
-
-    Each trial injects its own rate's schedule for ``warm_cycles``
-    cycles; the shared drain retires each trial at the first cycle it
-    goes idle, which is exactly where an individual run's ``drain()``
-    would have stopped, so the per-trial reports match individual
-    ``engine="vector"`` runs exactly.  A trial that fails to drain
-    within the bounded horizon is flagged saturated instead of raising,
-    mirroring the per-rate ``NetworkError`` handling.
-    """
-    from ..workloads.traffic import generate_traffic
-
-    from .vectorsim import BatchNocSimulator
-
-    sim = BatchNocSimulator(config, [fault_map] * len(swept))
-    schedules = [
-        generate_traffic(config, pattern, rate, warm_cycles, seed=seed)
-        for rate in swept
-    ]
-    positions = [0] * len(swept)
-    for cycle in range(warm_cycles):
-        for b, schedule in enumerate(schedules):
-            pos = positions[b]
-            total = len(schedule)
-            while pos < total and schedule[pos][0] == cycle:
-                sim.inject(b, schedule[pos][1], NetworkId.XY)
-                pos += 1
-            positions[b] = pos
-        sim.step()
-    sat_flags = sim.drain(max_cycles=20_000)
-    return sim.reports(), sat_flags

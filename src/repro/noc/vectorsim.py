@@ -34,12 +34,6 @@ numpy operations over struct-of-arrays state:
   saturated run checks only tiles *with free slots* instead of
   rescanning the whole backlog every cycle as the reference engine
   does at saturation.
-* **Trial batching** — the virtual-tile axis also stacks ``B``
-  independent trials (``v = net * B * n + trial * n + tile``), so one
-  kernel invocation advances every fault map / seed of a sweep at
-  once: :class:`BatchNocSimulator` and :func:`simulate_batch`.  Trials
-  never interact (neighbour tables stop at each trial's mesh edge), so
-  a batched run is *exactly* equal to B individual runs.
 
 Delivery order — and therefore the report's latency list — is identical
 to the reference engine because winners are emitted in ascending
@@ -57,7 +51,7 @@ replaces how a cycle is computed.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -69,7 +63,7 @@ from .faults import FaultMap
 from . import packets as _packets
 from .packets import Packet, PacketKind
 from .routing import build_port_lut, dor_port_codes
-from .simulator import NocSimulator, SimulationReport
+from .simulator import NocSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.invariants import InvariantChecker
@@ -98,46 +92,47 @@ _NEXT_RR = np.array([1, 2, 3, 4, 0], dtype=np.int8)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 # Composite-key layout for the arbitration sort: lane index in the low
-# bits, round-robin key above it, target lane on top.  24 bits of lane
-# index bound the mesh at ~1.6M virtual tiles per run — far beyond what
-# the FIFO arrays fit in memory anyway.
+# bits, round-robin key above it, target lane on top.  Each tile owns
+# 2 networks x 5 ports = 10 lanes, so 24 bits of lane index bound the
+# mesh at _MAX_TILES (~1.68M) tiles — far beyond what the FIFO arrays
+# fit in memory anyway.
 _LI_BITS = 24
 _LI_MASK = (1 << _LI_BITS) - 1
 _KEY_SHIFT = _LI_BITS
 _TGT_SHIFT = _LI_BITS + 3
 
+#: Largest tile count the vector engine supports (10 lanes per tile).
+_MAX_TILES = _LI_MASK // 10
+
 
 class _MeshState:
-    """Struct-of-arrays state for both networks of ``B`` stacked trials.
+    """Struct-of-arrays state for both networks of one mesh.
 
-    Virtual tile index ``v`` decomposes as ``net = v // (B * n)``,
-    ``trial = (v // n) % B`` and ``tile = v % n`` (``n`` = tiles per
-    trial); lane index ``v * 5 + port`` flattens the port axis.  One
-    :meth:`step_cycle` call arbitrates and applies every network of
-    every trial.
+    Virtual tile index ``v = net * n + tile`` (``n`` = tiles per
+    network); lane index ``v * 5 + port`` flattens the port axis.  One
+    :meth:`step_cycle` call arbitrates and applies both networks.
     """
 
     def __init__(
         self,
         config: SystemConfig,
-        fault_maps: Sequence[FaultMap],
+        fault_map: FaultMap,
         fifo_depth: int,
     ) -> None:
         rows, cols, n = config.rows, config.cols, config.tiles
-        batch = len(fault_maps)
-        half = batch * n          # virtual tiles per network
-        total = 2 * half
-        if total * 5 > _LI_MASK:
-            raise NetworkError("mesh too large for the vector engine")
+        if n > _MAX_TILES:
+            raise NetworkError(
+                f"{rows}x{cols} mesh ({n} tiles) is too large for the "
+                f"vector engine: at most {_MAX_TILES} tiles are supported"
+            )
+        total = 2 * n
         self.rows, self.cols, self.n = rows, cols, n
-        self.batch, self.half, self.total = batch, half, total
         self.depth = fifo_depth
 
         healthy = np.ones(total, dtype=bool)
-        for b, fmap in enumerate(fault_maps):
-            for idx in fmap.faulty_flat_indices():
-                healthy[b * n + idx] = False
-                healthy[half + b * n + idx] = False
+        for idx in fault_map.faulty_flat_indices():
+            healthy[idx] = False
+            healthy[n + idx] = False
         self.healthy = healthy
 
         v = np.arange(total, dtype=np.int64)
@@ -146,9 +141,9 @@ class _MeshState:
         self.tile_c = self.loc % cols
 
         # 5-wide virtual neighbour table: columns 0-3 are the link
-        # targets (staying inside the same network-and-trial block,
-        # which keeps stacked trials and networks independent), column
-        # 4 is the LOCAL sentinel.  -1 = off-mesh or faulty downstream.
+        # targets (staying inside the same network block, which keeps
+        # the stacked networks independent), column 4 is the LOCAL
+        # sentinel.  -1 = off-mesh or faulty downstream.
         nbrs = np.full((total, 5), _HOP_DEAD, dtype=np.int64)
         for code, (dr, dc) in enumerate(_PORT_STEPS):
             nr, nc = self.tile_r + dr, self.tile_c + dc
@@ -182,7 +177,7 @@ class _MeshState:
                 [build_port_lut(rows, cols, net.policy).ravel()
                  for net in NET_ORDER]
             )
-            base = (v // half) * (n * n) + self.loc * n
+            base = (v // n) * (n * n) + self.loc * n
             self.lut_base_lane: np.ndarray | None = np.repeat(base, 5)
         else:
             self.lut = None
@@ -271,18 +266,18 @@ class _MeshState:
     # -- the vectorized cycle ------------------------------------------
 
     def step_cycle(self, detail: bool = False) -> tuple | None:
-        """Arbitrate and apply one cycle on both networks of all trials.
+        """Arbitrate and apply one cycle on both networks.
 
         Returns ``(grant_v, grant_out, grant_in, grant_pid, deliver_v,
-        deliver_pid, drop_v, drop_pid, stall_v)`` — every array in
+        deliver_pid, drop_v, drop_pid, stalls)`` — every array in
         ascending virtual-tile order (XY network first, then YX), which
         is the order the caller must process deliveries in to keep
-        latency lists bit-identical — or None on an idle mesh.
+        latency lists bit-identical; ``stalls`` is the count of winners
+        denied a downstream credit — or None on an idle mesh.
 
-        ``detail=False`` skips the outputs only invariant checkers and
-        per-trial accounting consume: ``grant_out``/``grant_in`` come
-        back ``None`` and ``stall_v`` collapses to the stall *count*.
-        The mesh state transition is identical either way.
+        ``detail=False`` skips the output only invariant checkers
+        consume: ``grant_out`` comes back ``None``.  The mesh state
+        transition is identical either way.
         """
         qlen_f = self.qlen_f
         lanes = np.flatnonzero(qlen_f > 0)   # occupied lanes, ascending
@@ -382,12 +377,11 @@ class _MeshState:
             drop_v, drop_pid = g_v[dead], g_pid[dead]
         else:
             drop_v = drop_pid = _EMPTY_I64
-        stall_v = tgt_w[stall] // 5 if detail else int(np.count_nonzero(stall))
         return (
             g_v, g_out, g_in, g_pid,
             g_v[local], g_pid[local],
             drop_v, drop_pid,
-            stall_v,
+            int(np.count_nonzero(stall)),
         )
 
     def _arithmetic_ports(self, lanes: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -397,11 +391,11 @@ class _MeshState:
         dst_r, dst_c = dst // self.cols, dst % self.cols
         out_xy = dor_port_codes(cur_r, cur_c, dst_r, dst_c, NET_ORDER[0].policy)
         out_yx = dor_port_codes(cur_r, cur_c, dst_r, dst_c, NET_ORDER[1].policy)
-        return np.where(v >= self.half, out_yx, out_xy)
+        return np.where(v >= self.n, out_yx, out_xy)
 
 
 class _PendingQueues:
-    """Per-tile injection queues shared by the vector engines.
+    """Per-tile injection queues of the vector engine.
 
     Admission into a LOCAL FIFO depends only on that FIFO's credit and
     the arrival order of packets *for that tile*, so grouping the
@@ -423,30 +417,6 @@ class _PendingQueues:
             queue = self.queues[key] = deque()
         queue.append(packet)
         self.count += 1
-
-    def admit(self, mesh: _MeshState, depth: int, on_accept) -> int:
-        """Admit every admissible packet; returns the accepted count.
-
-        ``on_accept(key, packet)`` performs the engine-side bookkeeping
-        and the FIFO push for one accepted packet.
-        """
-        queues = self.queues
-        if not queues:
-            return 0
-        accepted = 0
-        keys = np.fromiter(queues.keys(), dtype=np.int64, count=len(queues))
-        open_keys = keys[mesh.qlen[keys, 4] < depth]
-        for key in open_keys.tolist():
-            queue = queues[key]
-            room = depth - int(mesh.qlen[key, 4])
-            while queue and room:
-                on_accept(key, queue.popleft())
-                room -= 1
-                accepted += 1
-            if not queue:
-                del queues[key]
-        self.count -= accepted
-        return accepted
 
     def flatten(self, net_of_key) -> list:
         """``(packet, network)`` pairs, in (network, tile) key order."""
@@ -493,7 +463,7 @@ class VectorNocSimulator(NocSimulator):
         self._rows = self.config.rows
         self._cols = self.config.cols
         self._n = self.config.tiles
-        self._mesh = _MeshState(self.config, [self.fault_map], self.fifo_depth)
+        self._mesh = _MeshState(self.config, self.fault_map, self.fifo_depth)
         self._pend = _PendingQueues()
         self._healthy_list = self._mesh.healthy[: self._n].tolist()
         # Fresh (key, packet, network) injections of the current cycle;
@@ -730,9 +700,8 @@ class VectorNocSimulator(NocSimulator):
         if outcome is not None:
             (g_v, g_out, g_in, g_pid,
              deliver_v, deliver_pid,
-             drop_v, drop_pid, stall_v) = outcome
+             drop_v, drop_pid, stalled) = outcome
             moved = g_pid.size
-            stalled = stall_v if isinstance(stall_v, int) else stall_v.size
             if self._chk_grant is not None and moved:
                 cols = self._cols
                 pkt = mesh.pkt
@@ -766,7 +735,7 @@ class VectorNocSimulator(NocSimulator):
                     self._bulk_deliver(deliver_v, deliver_pid)
                     if self._chk_deliver is not None:
                         # Checkers see each delivery in order, after the
-                        # batch's counters and responses are booked.
+                        # cycle's counters and responses are booked.
                         delivered = self.delivered_packets[-deliver_pid.size:]
                         for v, packet in zip(deliver_v.tolist(), delivered):
                             for fn in self._chk_deliver:
@@ -915,309 +884,3 @@ class VectorNocSimulator(NocSimulator):
             rows = slice(net_i * n, (net_i + 1) * n)
             mesh.rr[rows] = np.asarray(state["rr"][net_i], dtype=np.int8)
             mesh.fwd[rows] = np.asarray(state["fwd"][net_i], dtype=np.int64)
-
-
-class BatchNocSimulator:
-    """``B`` independent NoC trials advanced by one shared vector kernel.
-
-    Each trial has its own fault map, injection stream, counters and
-    :class:`SimulationReport`; the per-cycle arbitrate/apply work is one
-    batched :class:`_MeshState` invocation over ``2 * B * tiles``
-    virtual tiles.  Trials are perfectly isolated — a batched run
-    equals B individual ``engine="vector"`` runs field for field, which
-    the verification campaign asserts.
-
-    Telemetry and invariant checkers are not wired into batched runs;
-    use a single-trial engine when you need them.
-    """
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        fault_maps: Sequence[FaultMap | None],
-        fifo_depth: int = 4,
-        response_delay: int = 2,
-    ) -> None:
-        if not fault_maps:
-            raise NetworkError("batch needs at least one trial")
-        if fifo_depth < 1:
-            raise NetworkError("FIFO depth must be >= 1")
-        self.config = config
-        self.fault_maps = [f or FaultMap(config) for f in fault_maps]
-        self.fifo_depth = fifo_depth
-        self.response_delay = response_delay
-        self.batch = len(self.fault_maps)
-        self.cycle = 0
-        self._n = config.tiles
-        self._cols = config.cols
-        self._mesh = _MeshState(config, self.fault_maps, fifo_depth)
-        self._pend = _PendingQueues()
-        self._pend_per_trial = [0] * self.batch
-
-        batch = self.batch
-        self._new_injections: list[list[tuple[Packet, NetworkId]]] = [
-            [] for _ in range(batch)
-        ]
-        self._pending_responses: list[list[tuple[int, Packet, NetworkId]]] = [
-            [] for _ in range(batch)
-        ]
-        self.delivered_packets: list[list[Packet]] = [[] for _ in range(batch)]
-        self.injected_count = [0] * batch
-        self.dropped_unreachable = [0] * batch
-        self.dropped_in_flight = [0] * batch
-        self.link_stalls = [0] * batch
-        self._in_flight = [0] * batch
-        self._per_network_delivered = [
-            {net: 0 for net in NetworkId} for _ in range(batch)
-        ]
-        self._retired_cycle: list[int | None] = [None] * batch
-
-    # ------------------------------------------------------------------
-
-    def inject(self, trial: int, packet: Packet, network: NetworkId) -> bool:
-        """Queue a packet on one trial (same contract as the engines)."""
-        fmap = self.fault_maps[trial]
-        if fmap.is_faulty(packet.src) or fmap.is_faulty(packet.dst):
-            self.dropped_unreachable[trial] += 1
-            return False
-        self._new_injections[trial].append((packet, network))
-        return True
-
-    def _release_due_responses(self, trial: int) -> None:
-        pending = self._pending_responses[trial]
-        if not pending:
-            return
-        cycle = self.cycle
-        due = [x for x in pending if x[0] <= cycle]
-        if due:
-            self._pending_responses[trial] = [
-                x for x in pending if x[0] > cycle
-            ]
-            self._new_injections[trial].extend(
-                (packet, net) for _, packet, net in due
-            )
-
-    def _try_local_injections(self) -> None:
-        mesh = self._mesh
-        pend = self._pend
-        cols = self._cols
-        n = self._n
-        half = mesh.half
-        per_trial = self._pend_per_trial
-        for trial in range(self.batch):
-            new = self._new_injections[trial]
-            if not new:
-                continue
-            base = trial * n
-            for packet, net in new:
-                src = packet.src
-                idx = base + src[0] * cols + src[1]
-                if not mesh.healthy[idx]:
-                    self.dropped_unreachable[trial] += 1
-                    continue
-                pend.push(net.value * half + idx, packet)
-                per_trial[trial] += 1
-            self._new_injections[trial] = []
-
-        if not pend.count:
-            return
-        cycle = self.cycle
-
-        def accept(key: int, packet: Packet) -> None:
-            trial = (key % half) // n
-            if packet.injected_cycle is None:
-                packet.injected_cycle = cycle
-            dst = packet.dst
-            pid = mesh.acquire(packet, dst[0] * cols + dst[1])
-            mesh.push_port(key, 4, pid)
-            self.injected_count[trial] += 1
-            self._in_flight[trial] += 1
-            per_trial[trial] -= 1
-
-        pend.admit(mesh, self.fifo_depth, accept)
-
-    def _deliver(self, trial: int, packet: Packet, network: NetworkId) -> None:
-        packet.delivered_cycle = self.cycle
-        self.delivered_packets[trial].append(packet)
-        self._per_network_delivered[trial][network] += 1
-        self._in_flight[trial] -= 1
-        if packet.kind is PacketKind.REQUEST:
-            response = Packet(
-                kind=PacketKind.RESPONSE,
-                src=packet.dst,
-                dst=packet.src,
-                address=packet.address,
-                payload=packet.payload,
-                request_id=packet.packet_id,
-            )
-            self._pending_responses[trial].append(
-                (self.cycle + self.response_delay, response, network.complement)
-            )
-
-    def step(self) -> None:
-        """Advance every trial by one cycle."""
-        for trial in range(self.batch):
-            self._release_due_responses(trial)
-        self._try_local_injections()
-
-        mesh = self._mesh
-        n = self._n
-        batch = self.batch
-        outcome = mesh.step_cycle(detail=True)
-        if outcome is not None:
-            (_, _, _, _, deliver_v, deliver_pid,
-             drop_v, drop_pid, stall_v) = outcome
-            if drop_pid.size:
-                for b, count in zip(
-                    *np.unique((drop_v // n) % batch, return_counts=True)
-                ):
-                    b, count = int(b), int(count)
-                    self.dropped_unreachable[b] += count
-                    self.dropped_in_flight[b] += count
-                    self._in_flight[b] -= count
-                for pid in drop_pid.tolist():
-                    mesh.release(pid)
-            if deliver_pid.size:
-                half = mesh.half
-                for v, pid in zip(deliver_v.tolist(), deliver_pid.tolist()):
-                    self._deliver(
-                        (v % half) // n,
-                        mesh.release(pid),
-                        NET_ORDER[v // half],
-                    )
-            if stall_v.size:
-                for b, count in zip(
-                    *np.unique((stall_v // n) % batch, return_counts=True)
-                ):
-                    self.link_stalls[int(b)] += int(count)
-        self.cycle += 1
-
-    def run(self, cycles: int) -> None:
-        """Advance all trials by ``cycles`` cycles."""
-        if cycles < 0:
-            raise NetworkError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.step()
-
-    def trial_idle(self, trial: int) -> bool:
-        """True when one trial has no queued, buffered or pending packet."""
-        return (
-            not self._new_injections[trial]
-            and not self._pending_responses[trial]
-            and not self._pend_per_trial[trial]
-            and self._in_flight[trial] == 0
-        )
-
-    def idle(self) -> bool:
-        """True when every trial is idle."""
-        return all(self.trial_idle(b) for b in range(self.batch))
-
-    def drain(self, max_cycles: int = 100_000) -> list[bool]:
-        """Step until every trial drains; returns per-trial saturation.
-
-        A trial's report freezes its cycle count at the first cycle it
-        went idle — exactly the cycle an individual run's ``drain()``
-        would have stopped at — while other trials keep stepping.  A
-        ``True`` flag means that trial failed to drain within
-        ``max_cycles`` (an individual run would have raised).
-        """
-        for _ in range(max_cycles):
-            all_idle = True
-            for b in range(self.batch):
-                if self._retired_cycle[b] is None:
-                    if self.trial_idle(b):
-                        self._retired_cycle[b] = self.cycle
-                    else:
-                        all_idle = False
-            if all_idle:
-                return [False] * self.batch
-            self.step()
-        saturated = []
-        for b in range(self.batch):
-            if self._retired_cycle[b] is None and self.trial_idle(b):
-                self._retired_cycle[b] = self.cycle
-            saturated.append(self._retired_cycle[b] is None)
-        return saturated
-
-    def report(self, trial: int) -> SimulationReport:
-        """The :class:`SimulationReport` of one trial."""
-        delivered = self.delivered_packets[trial]
-        latencies = [p.latency for p in delivered if p.latency is not None]
-        responses = sum(1 for p in delivered if p.kind is PacketKind.RESPONSE)
-        retired = self._retired_cycle[trial]
-        return SimulationReport(
-            cycles=self.cycle if retired is None else retired,
-            injected=self.injected_count[trial],
-            delivered=len(delivered),
-            responses_delivered=responses,
-            dropped_unreachable=self.dropped_unreachable[trial],
-            latencies=latencies,
-            per_network_delivered=dict(self._per_network_delivered[trial]),
-            dropped_in_flight=self.dropped_in_flight[trial],
-            in_flight=self._in_flight[trial],
-        )
-
-    def reports(self) -> list[SimulationReport]:
-        """All trial reports, in trial order."""
-        return [self.report(b) for b in range(self.batch)]
-
-
-def simulate_batch(
-    config: SystemConfig,
-    schedules: Sequence[Sequence[tuple]],
-    fault_maps: Sequence[FaultMap | None] | None = None,
-    *,
-    run_cycles: int | None = None,
-    drain: bool = True,
-    max_cycles: int = 100_000,
-    fifo_depth: int = 4,
-    response_delay: int = 2,
-    network: NetworkId = NetworkId.XY,
-) -> list[SimulationReport]:
-    """Run ``B`` independent trials through one batched vector kernel.
-
-    ``schedules[b]`` is trial *b*'s injection schedule: ``(cycle,
-    packet)`` entries (injected on ``network``) or ``(cycle, packet,
-    network)`` triples, sorted by cycle — the format
-    :func:`repro.workloads.traffic.generate_traffic` emits.  Injection
-    happens while stepping through ``run_cycles`` cycles (default: one
-    past the last scheduled cycle), then the batch drains unless
-    ``drain=False``.  Reports are exactly those of B individual
-    ``engine="vector"`` runs driven the same way.
-    """
-    if fault_maps is not None and len(fault_maps) != len(schedules):
-        raise NetworkError("one fault map per schedule required")
-    if fault_maps is None:
-        fault_maps = [None] * len(schedules)
-    sim = BatchNocSimulator(
-        config,
-        fault_maps,
-        fifo_depth=fifo_depth,
-        response_delay=response_delay,
-    )
-    if run_cycles is None:
-        last = max(
-            (entry[0] for schedule in schedules for entry in schedule),
-            default=-1,
-        )
-        run_cycles = last + 1
-    positions = [0] * len(schedules)
-    for cycle in range(run_cycles):
-        for b, schedule in enumerate(schedules):
-            pos = positions[b]
-            total = len(schedule)
-            while pos < total and schedule[pos][0] == cycle:
-                entry = schedule[pos]
-                net = entry[2] if len(entry) > 2 else network
-                sim.inject(b, entry[1], net)
-                pos += 1
-            positions[b] = pos
-        sim.step()
-    if drain:
-        saturated = sim.drain(max_cycles=max_cycles)
-        if any(saturated):
-            stuck = [b for b, flag in enumerate(saturated) if flag]
-            raise NetworkError(
-                f"trials {stuck} failed to drain within {max_cycles} cycles"
-            )
-    return sim.reports()

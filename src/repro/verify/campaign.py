@@ -30,7 +30,6 @@ import numpy as np
 
 from ..arch.emulator import ENGINES as EMULATOR_ENGINES, Emulator, clear_route_cache
 from ..arch.system import WaferscaleSystem
-from ..arch.vectoremu import emulate_batch
 from ..config import SystemConfig
 from ..dft.multichain import row_chains, single_chain
 from ..dft.unrolling import ChainTestSession, TileUnderTest, locate_faulty_tiles
@@ -49,7 +48,6 @@ from ..workloads.collectives import (
     CollectiveSpec,
     compile_noc,
     run_noc_collective,
-    run_noc_collective_batch,
 )
 from ..workloads.graphs import random_graph
 from ..workloads.pagerank import DistributedPageRank
@@ -142,75 +140,6 @@ def _compare_reports(engine_report, golden_report, context: str) -> None:
             )
 
 
-def _alternating_schedule(schedule) -> list[tuple]:
-    """Re-express a ``(cycle, packet)`` schedule as explicit triples.
-
-    The networks alternate by schedule position exactly as
-    :func:`_drive` injects them, so a batched run over these triples is
-    driven identically to an individual ``_drive`` run — including YX
-    driver injections, which exercise the engines' response-admission
-    ordering.
-    """
-    return [
-        (cycle, packet, NetworkId.XY if i % 2 == 0 else NetworkId.YX)
-        for i, (cycle, packet) in enumerate(schedule)
-    ]
-
-
-def _check_batched_trials(
-    cfg, fmap, rng, pattern, rate, inject_cycles, traffic_seed, run_cycles,
-    vector_report,
-) -> None:
-    """Batched-trial equality: ``simulate_batch`` == B individual runs.
-
-    Trial 0 replays this trial's scenario; trial 1 is an independent
-    scenario (own fault map and traffic seed) so the check covers
-    per-trial isolation, not just B copies of one stream.  Both batched
-    reports must match individually driven ``engine="vector"`` runs
-    field for field.
-    """
-    from ..noc.vectorsim import simulate_batch
-
-    fmap2 = _campaign_fault_map(cfg, rng, max_faults=3)
-    seed2 = traffic_seed + 1
-
-    solo = NocSimulator(cfg, fmap2, engine="vector")
-    _drive(
-        solo,
-        generate_traffic(cfg, pattern, rate, inject_cycles, seed=seed2),
-        run_cycles,
-    )
-    expected = [vector_report, solo.report()]
-
-    schedules = [
-        _alternating_schedule(
-            generate_traffic(cfg, pattern, rate, inject_cycles, seed=s)
-        )
-        for s in (traffic_seed, seed2)
-    ]
-    batched = simulate_batch(
-        cfg,
-        schedules,
-        fault_maps=[fmap, fmap2],
-        run_cycles=run_cycles,
-        drain=False,
-    )
-    for trial, (got, want) in enumerate(zip(batched, expected)):
-        if got != want:
-            raise InvariantViolation(
-                "noc",
-                "batch_differential",
-                "batched trial diverged from its individual vector run",
-                {
-                    "pattern": pattern.name,
-                    "rate": rate,
-                    "trial": trial,
-                    "batched": got,
-                    "individual": want,
-                },
-            )
-
-
 # ---------------------------------------------------------------------------
 # suite trial functions (module-level: picklable for the engine)
 # ---------------------------------------------------------------------------
@@ -264,10 +193,6 @@ def _noc_trial(ctx: TrialContext) -> dict[str, Any]:
         )
     _compare_reports(
         reports["reference"], golden.report(), context=f"pattern={pattern.name}"
-    )
-    _check_batched_trials(
-        cfg, fmap, rng, pattern, rate, inject_cycles, traffic_seed, run_cycles,
-        reports["vector"],
     )
     checks = sum(c.checks for cs in checkers.values() for c in cs)
     return {
@@ -458,9 +383,9 @@ def _wave_outcome(wave: FrontierWave, engine: str):
 
 
 def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
-    """Vector-emulator differential: per-field stats and batched trials.
+    """Vector-emulator differential: per-field stats and error parity.
 
-    Four phases per randomized scenario:
+    Three phases per randomized scenario:
 
     1. synthetic flows through a checked ``engine="vector"`` emulator
        (every route-table lookup re-derived by RouteCoherenceChecker);
@@ -468,9 +393,7 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
        *and* every :class:`~repro.arch.emulator.EmulationStats` field
        bit-identical;
     3. a :class:`FrontierWave` on both engines, where unreachable
-       destinations must raise the identical :class:`NetworkError`;
-    4. :func:`emulate_batch` over three independent wave trials, each
-       trial's stats bit-identical to its own individual vector run.
+       destinations must raise the identical :class:`NetworkError`.
     """
     rng = ctx.rng
     rows = ctx.params["rows"]
@@ -545,46 +468,10 @@ def _emu_vector_trial(ctx: TrialContext) -> dict[str, Any]:
             },
         )
 
-    # Phase 4: batched trials — emulate_batch over three independent
-    # scenarios must match each scenario's individual vector run.  Maps
-    # whose wave hits an unreachable destination fall back to fault-free
-    # (error parity is already covered by phase 3).
-    trials = []
-    for b in range(3):
-        trial_fmap = _campaign_fault_map(cfg, rng, max_faults=4)
-        trial_seed = wave_seed + 1 + b
-        for candidate in (trial_fmap, random_fault_map(cfg, 0, rng)):
-            trial_system = WaferscaleSystem(cfg, candidate)
-            trial_wave = FrontierWave(
-                trial_system, width=3, fanout=2, ttl=3, seed=trial_seed
-            )
-            try:
-                expected = trial_wave.run(engine="vector")
-            except NetworkError:
-                continue
-            trials.append((trial_wave, expected))
-            break
-    for trial_wave, _ in trials:
-        trial_wave.reset()
-    batched = emulate_batch(
-        [w.system for w, _ in trials],
-        [w.compute for w, _ in trials],
-        init=[w.seed_sends for w, _ in trials],
-    )
-    for b, (stats, (_, expected)) in enumerate(zip(batched, trials)):
-        if stats != expected:
-            raise InvariantViolation(
-                "emu-vector",
-                "batch_differential",
-                "batched trial diverged from its individual vector run",
-                {"trial": b, "batched": stats, "individual": expected},
-            )
-
     return {
         "checks": checker.checks,
         "bfs_reached": len(bfs_runs["reference"].distance),
         "detoured": bfs_runs["reference"].stats.detoured_messages,
-        "batch_trials": len(trials),
     }
 
 
@@ -685,11 +572,7 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
        delivered packets passing the delivery/completion oracle, and
        both reports bit-identical;
     2. the program's finals against the naive golden collective model;
-    3. ``BatchNocSimulator`` over [this trial, an independent second
-       spec], each batched report bit-identical to its own individual
-       ``engine="vector"`` run and each trial's oracle re-checked on the
-       batch's delivered packets;
-    4. the live :class:`CollectiveDriver` under every emulator engine
+    3. the live :class:`CollectiveDriver` under every emulator engine
        name — per-tile finals verified in-simulation and
        :class:`~repro.arch.emulator.EmulationStats` bit-identical.
     """
@@ -739,36 +622,7 @@ def _collective_trial(ctx: TrialContext) -> dict[str, Any]:
     # Phase 2: program finals vs the naive golden model.
     checks += _collective_golden_check(coll)
 
-    # Phase 3: batched dispatch — this trial plus an independent one.
-    spec2 = CollectiveSpec(
-        pattern=COLLECTIVE_PATTERNS[(ctx.index + 1) % len(COLLECTIVE_PATTERNS)],
-        seed=int(rng.integers(0, 2**31)),
-        ranks=int(rng.integers(2, min(13, fmap.healthy_count + 1))),
-        placement=PLACEMENTS[(ctx.index + 1) % len(PLACEMENTS)],
-    )
-    coll2, _ = _collective_compile(
-        cfg, _campaign_fault_map(cfg, rng, max_faults=3), spec2, rng
-    )
-    window = max(coll.last_cycle, coll2.last_cycle) + 1
-    solo = []
-    for trial_coll in (coll, coll2):
-        solo_report, solo_checks = run_noc_collective(
-            trial_coll, engine="vector", run_cycles=window
-        )
-        solo.append(solo_report)
-        checks += solo_checks
-    batched = run_noc_collective_batch([coll, coll2])
-    for trial, (got, want) in enumerate(zip(batched, solo)):
-        checks += 1
-        if got != want:
-            raise InvariantViolation(
-                "collective",
-                "batch_differential",
-                "batched trial diverged from its individual vector run",
-                {"trial": trial, "batched": got, "individual": want},
-            )
-
-    # Phase 4: the live emulator driver under every accepted engine name
+    # Phase 3: the live emulator driver under every accepted engine name
     # ("fast" runs the same scalar oracle as "reference"), each against
     # the reference run.
     clear_route_cache()

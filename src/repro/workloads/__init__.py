@@ -22,7 +22,6 @@ from .collectives import (
     recursive_doubling_all_reduce,
     ring_all_reduce,
     run_noc_collective,
-    run_noc_collective_batch,
     select_ranks,
     tree_reduce,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "recursive_doubling_all_reduce",
     "ring_all_reduce",
     "run_noc_collective",
-    "run_noc_collective_batch",
     "select_ranks",
     "tree_reduce",
     "DataflowGraph",

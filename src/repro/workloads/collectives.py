@@ -9,10 +9,9 @@ barrier-separated transfer phases over abstract rank slots — and then
 compiles that one description to both execution backends:
 
 * :func:`compile_noc` turns a program into a cycle-level packet schedule
-  for :class:`~repro.noc.simulator.NocSimulator` (all three engines and
-  :func:`~repro.noc.vectorsim.simulate_batch`), with fault-aware network
-  assignment and two-leg detours around faulty chiplets via a fresh
-  :class:`~repro.noc.kernel.KernelRouter`;
+  for :class:`~repro.noc.simulator.NocSimulator` (every engine), with
+  fault-aware network assignment and two-leg detours around faulty
+  chiplets via a fresh :class:`~repro.noc.kernel.KernelRouter`;
 * :class:`CollectiveDriver` runs the same program superstep by superstep
   on the task-level :class:`~repro.arch.emulator.Emulator` (in the
   :class:`~repro.workloads.waves.FrontierWave` style), computing the
@@ -783,7 +782,6 @@ def run_noc_collective(
     engine: str = "reference",
     checkers=None,
     max_cycles: int = 200_000,
-    run_cycles: int | None = None,
 ):
     """Drive a compiled collective through one NoC engine and verify it.
 
@@ -791,12 +789,6 @@ def run_noc_collective(
     engine's delivered packets, so a simulator that corrupted, dropped
     or duplicated payloads fails here even when its aggregate report
     looks plausible.
-
-    ``run_cycles`` extends the driven window past the schedule's last
-    injection (the drain then starts from the same cycle a batched run
-    would) — pass the batch's shared window to make this run's report
-    comparable field for field with a :func:`run_noc_collective_batch`
-    trial.
     """
     from ..noc.simulator import NocSimulator
 
@@ -809,10 +801,7 @@ def run_noc_collective(
     schedule = collective.packet_schedule()
     position = 0
     total = len(schedule)
-    window = collective.last_cycle + 1
-    if run_cycles is not None:
-        window = max(window, run_cycles)
-    for cycle in range(window):
+    for cycle in range(collective.last_cycle + 1):
         while position < total and schedule[position][0] == cycle:
             _, packet, network = schedule[position]
             sim.inject(packet, network)
@@ -821,54 +810,6 @@ def run_noc_collective(
     sim.drain(max_cycles=max_cycles)
     checks = check_delivery(collective, sim.delivered_packets, engine=engine)
     return sim.report(), checks
-
-
-def run_noc_collective_batch(
-    collectives: list[NocCollective],
-    *,
-    max_cycles: int = 200_000,
-):
-    """Run compiled collectives as one batched-vector simulation.
-
-    Every trial's delivery oracle runs on the batch simulator's
-    per-trial delivered packets; all trials must share a
-    :class:`SystemConfig`.  Returns the per-trial reports, each
-    bit-identical to an individual ``engine="vector"``
-    :func:`run_noc_collective` driven with ``run_cycles`` set to the
-    batch's shared injection window (``max(last_cycle) + 1`` over the
-    trials) — the verify campaign asserts exactly that.
-    """
-    from ..noc.vectorsim import BatchNocSimulator
-
-    if not collectives:
-        return []
-    config = collectives[0].config
-    for coll in collectives[1:]:
-        if coll.config != config:
-            raise WorkloadError("batched collectives must share a config")
-    sim = BatchNocSimulator(config, [c.fault_map for c in collectives])
-    schedules = [c.packet_schedule() for c in collectives]
-    positions = [0] * len(schedules)
-    run_cycles = max(
-        (entry[0] for schedule in schedules for entry in schedule),
-        default=-1,
-    ) + 1
-    for cycle in range(run_cycles):
-        for b, schedule in enumerate(schedules):
-            pos = positions[b]
-            while pos < len(schedule) and schedule[pos][0] == cycle:
-                _, packet, network = schedule[pos]
-                sim.inject(b, packet, network)
-                pos += 1
-            positions[b] = pos
-        sim.step()
-    saturated = sim.drain(max_cycles=max_cycles)
-    if any(saturated):
-        stuck = [b for b, flag in enumerate(saturated) if flag]
-        raise NetworkError(f"collective trials {stuck} failed to drain")
-    for b, coll in enumerate(collectives):
-        check_delivery(coll, sim.delivered_packets[b], engine="vector-batch")
-    return sim.reports()
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ class TestLoadLatency:
             measure_load_latency(cfg, rates=[0.0])
         with pytest.raises(NetworkError):
             measure_load_latency(cfg, rates=[1.5])
+        with pytest.raises(NetworkError, match="rates"):
+            measure_load_latency(cfg, rates=[])
 
     def test_rows_render(self):
         cfg = SystemConfig(rows=4, cols=4)

@@ -132,6 +132,30 @@ class TestCache:
         other = engine.run(_draw_trial, experiment="other", trials=6, seed=1)
         assert not other.from_cache
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            b"\x80\x09",            # unsupported protocol: ValueError
+            b"cnosuchmod\nX\n.",    # GLOBAL of a missing module
+            b"",                    # empty file
+            None,                   # truncated copy of the real entry
+        ],
+        ids=["bad-protocol", "missing-module", "empty", "truncated"],
+    )
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, tmp_path, corrupt):
+        cache = ResultCache(tmp_path / "cache")
+        engine = ExperimentEngine(cache=cache)
+        first = engine.run(_draw_trial, experiment="t", trials=5, seed=3)
+        [entry] = (tmp_path / "cache").rglob("*.pkl")
+        good = entry.read_bytes()
+        entry.write_bytes(good[: len(good) // 2] if corrupt is None else corrupt)
+
+        again = engine.run(_draw_trial, experiment="t", trials=5, seed=3)
+        assert not again.from_cache
+        assert again.values == first.values
+        assert cache.misses == 2 and cache.hits == 0
+        assert pickle.loads(entry.read_bytes()) == first.values
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         engine = ExperimentEngine(cache=cache)

@@ -1,14 +1,14 @@
-"""Differential tests: the batched vector NoC engine and trial batching.
+"""Differential tests: the batched vector NoC engine.
 
 ``engine="vector"`` advances the whole mesh through a handful of numpy
 kernel calls per cycle (lane-major arbitration over occupied FIFO lanes,
 packet pools, credit-indexed injection).  None of that machinery may be
 observable: every test here drives the vector engine over identical
 traffic as the reference engine (the oracle) and requires bit-identical
-reports, delivery order and telemetry.  The batched form
-(:func:`simulate_batch`) must in turn equal B individual vector runs
-field for field.
+reports, delivery order and telemetry.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +21,7 @@ from repro.noc.loadlatency import measure_load_latency
 from repro.noc.packets import Packet, PacketKind
 from repro.noc.routing import RoutingPolicy, build_port_lut, dor_port_codes
 from repro.noc.simulator import ENGINES, NocSimulator
-from repro.noc.vectorsim import (
-    BatchNocSimulator,
-    VectorNocSimulator,
-    simulate_batch,
-)
+from repro.noc.vectorsim import _MAX_TILES, VectorNocSimulator
 from repro.workloads.traffic import TrafficPattern, generate_traffic
 
 ENGINE_PAIR = ("reference", "vector")
@@ -95,6 +91,23 @@ class TestEngineSelection:
     def test_engines_validate_fifo_depth(self, small_cfg, engine):
         with pytest.raises(NetworkError):
             NocSimulator(small_cfg, fifo_depth=0, engine=engine)
+
+    def test_oversized_mesh_rejected_before_allocation(self):
+        """One tile past the arbitration-key bound is refused with the
+        mesh shape and the largest supported tile count — before any
+        per-lane array (hundreds of MB at this size) is allocated."""
+        cfg = SystemConfig(rows=1, cols=_MAX_TILES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetworkError) as err:
+                NocSimulator(cfg, engine="vector")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(err.value)
+        assert f"1x{_MAX_TILES + 1}" in message
+        assert str(_MAX_TILES) in message
+        assert peak < 1 << 20
 
 
 class TestVectorizedRouting:
@@ -187,6 +200,30 @@ class TestDifferentialEquivalence:
         _assert_equivalent(sims["reference"], sims["vector"])
         assert sims["vector"].dropped_in_flight > 0
 
+    def test_fixed_window_report_mid_flight(self):
+        """Stop after a fixed cycle count with packets still queued: the
+        undrained report and telemetry must match too, not just the
+        quiesced end state."""
+        cfg = SystemConfig(rows=6, cols=6)
+        fmap = random_fault_map(cfg, 4, rng=17)
+        sims = {}
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(cfg, fault_map=fmap, engine=engine)
+            traffic = generate_traffic(
+                cfg, TrafficPattern.HOTSPOT, 0.3, 40, seed=6
+            )
+            for position, (cycle, packet) in enumerate(traffic):
+                while sim.cycle < cycle:
+                    sim.step()
+                sim.inject(
+                    packet, NetworkId.YX if position % 2 else NetworkId.XY
+                )
+            sim.run(60 - sim.cycle)
+            sims[engine] = sim
+        _assert_equivalent(sims["reference"], sims["vector"])
+        assert sims["vector"].cycle == 60
+        assert not sims["vector"].idle()
+
     def test_saturating_hotspot(self):
         """Heavy hotspot load: backpressure, stalls, long queues."""
         cfg = SystemConfig(rows=6, cols=6)
@@ -260,9 +297,8 @@ class TestDifferentialEquivalence:
             )
 
     def test_load_latency_curve_matches(self):
-        """engine="vector" sweeps all rates in one batched kernel; the
-        curve must still equal the per-rate reference runs point for
-        point."""
+        """Each swept rate is one independent run on either engine; the
+        vector curve must equal the reference curve point for point."""
         cfg = SystemConfig(rows=6, cols=6)
         curves = {
             engine: measure_load_latency(
@@ -343,83 +379,3 @@ class TestEngineState:
             sim.drain()
             assert sim.injected_count == 3
             assert sim.report().delivered == 3
-
-
-class TestBatchedTrials:
-    """simulate_batch == B individual vector runs, field for field."""
-
-    def _schedule(self, cfg, seed, rate=0.08, cycles=40):
-        schedule = generate_traffic(
-            cfg, TrafficPattern.UNIFORM, rate, cycles, seed=seed
-        )
-        return [
-            (cycle, packet,
-             NetworkId.XY if i % 2 == 0 else NetworkId.YX)
-            for i, (cycle, packet) in enumerate(schedule)
-        ]
-
-    def test_batch_equals_individual_runs(self):
-        cfg = SystemConfig(rows=6, cols=6)
-        fmaps = [None, random_fault_map(cfg, 4, rng=17), None]
-        seeds = [5, 6, 7]
-        run_cycles = 40 + 200
-
-        expected = []
-        for fmap, seed in zip(fmaps, seeds):
-            sim = NocSimulator(cfg, fault_map=fmap, engine="vector")
-            for cycle, packet, net in self._schedule(cfg, seed):
-                while sim.cycle < cycle:
-                    sim.step()
-                sim.inject(packet, net)
-            sim.run(run_cycles - sim.cycle)
-            expected.append(sim.report())
-
-        batched = simulate_batch(
-            cfg,
-            [self._schedule(cfg, seed) for seed in seeds],
-            fault_maps=fmaps,
-            run_cycles=run_cycles,
-            drain=False,
-        )
-        assert batched == expected
-
-    def test_batch_drain_matches_individual_drain(self):
-        cfg = SystemConfig(rows=6, cols=6)
-        seeds = [1, 2]
-        expected = []
-        for seed in seeds:
-            sim = NocSimulator(cfg, engine="vector")
-            for cycle, packet, net in self._schedule(cfg, seed):
-                while sim.cycle < cycle:
-                    sim.step()
-                sim.inject(packet, net)
-            sim.drain(max_cycles=100_000)
-            expected.append(sim.report())
-        batched = simulate_batch(
-            cfg, [self._schedule(cfg, seed) for seed in seeds]
-        )
-        assert batched == expected
-
-    def test_batch_validates_inputs(self, small_cfg):
-        with pytest.raises(NetworkError):
-            BatchNocSimulator(small_cfg, [])
-        with pytest.raises(NetworkError):
-            simulate_batch(small_cfg, [[], []], fault_maps=[None])
-
-    def test_trial_isolation_flags(self, small_cfg):
-        """An idle trial retires while a loaded one keeps simulating."""
-        sim = BatchNocSimulator(small_cfg, [None, None])
-        sim.inject(
-            1,
-            Packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(7, 7)),
-            NetworkId.XY,
-        )
-        sim.step()
-        assert sim.trial_idle(0)
-        assert not sim.trial_idle(1)
-        sim.drain(max_cycles=10_000)
-        assert sim.idle()
-        reports = sim.reports()
-        assert reports[0].delivered == 0
-        # request + its response both arrive on trial 1
-        assert reports[1].delivered == 2

@@ -6,8 +6,7 @@ The vector engine replaces the per-message routing loop with one
 result) bit-identical to the scalar reference engine across
 workloads, fault maps and seeds — including the error path, where an
 unreachable destination must raise the same :class:`NetworkError`
-message — and prove :func:`~repro.arch.vectoremu.emulate_batch`
-per-trial stats identical to individual ``engine="vector"`` runs.
+message.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from repro.arch.emulator import ENGINES, Emulator
 from repro.arch.system import WaferscaleSystem
-from repro.arch.vectoremu import BatchEmulator, VectorEmulator, emulate_batch
+from repro.arch.vectoremu import VectorEmulator
 from repro.config import SystemConfig
 from repro.errors import EmulatorError, NetworkError, ReproError
 from repro.noc.faults import FaultMap, random_fault_map
@@ -100,6 +99,15 @@ class TestWorkloadDifferential:
         assert vector.detoured_messages > 0
         _assert_stats_equal(reference, vector)
 
+    @pytest.mark.parametrize("ttl", [1, 3, 5])
+    def test_wave_convergence_depth_matches(self, ttl):
+        # Each TTL quiesces at a different superstep; the vector run's
+        # accounting must stop exactly where the reference run stops.
+        wave = FrontierWave(_system(6, 6), width=2, fanout=2, ttl=ttl, seed=ttl)
+        reference = wave.run(engine="reference")
+        vector = wave.run(engine="vector")
+        _assert_stats_equal(reference, vector, context=ttl)
+
     def test_unreachable_pair_raises_same_message(self):
         cfg = SystemConfig(rows=2, cols=2)
         fmap = FaultMap(cfg).with_fault((0, 1)).with_fault((1, 0))
@@ -138,113 +146,57 @@ class TestWorkloadDifferential:
         assert checker.checks > 0
 
 
-class TestEmulateBatch:
-    def _waves(self, specs):
-        waves = []
-        for rows, cols, faults, seed in specs:
-            system = _system(rows, cols, faults=faults, seed=seed)
-            waves.append(
-                FrontierWave(system, width=3, fanout=2, ttl=3, seed=seed)
-            )
-        return waves
+class TestEdgeCases:
+    """Degenerate runs, vector engine against the reference engine."""
 
-    def test_batch_stats_match_individual_vector_runs(self):
-        waves = self._waves([(6, 6, 0, 0), (6, 6, 0, 1), (6, 6, 0, 2)])
-        expected = [w.run(engine="vector") for w in waves]
-        for wave in waves:
-            wave.reset()
-        batched = emulate_batch(
-            [w.system for w in waves],
-            [w.compute for w in waves],
-            init=[w.seed_sends for w in waves],
-        )
-        for got, want in zip(batched, expected):
-            _assert_stats_equal(got, want)
+    def _runs(self, system, compute, seed=None):
+        stats = {}
+        for engine in ("reference", "vector"):
+            emulator = Emulator(system, engine=engine)
+            if seed is not None:
+                seed(emulator)
+            stats[engine] = emulator.run(compute)
+        _assert_stats_equal(stats["reference"], stats["vector"])
+        return stats["vector"]
 
-    def test_batch_with_heterogeneous_convergence(self):
-        # Different TTLs converge at different supersteps; per-trial
-        # accounting must stop exactly where the individual run stops.
-        system = _system(6, 6)
-        waves = [
-            FrontierWave(system, width=2, fanout=2, ttl=ttl, seed=ttl)
-            for ttl in (1, 3, 5)
-        ]
-        expected = [w.run(engine="vector") for w in waves]
-        for wave in waves:
-            wave.reset()
-        batched = emulate_batch(
-            [w.system for w in waves],
-            [w.compute for w in waves],
-            init=[w.seed_sends for w in waves],
-        )
-        assert [s.supersteps for s in batched] == [
-            s.supersteps for s in expected
-        ]
-        for got, want in zip(batched, expected):
-            _assert_stats_equal(got, want)
+    def test_empty_frontier(self):
+        # No seed sends: the run quiesces after one superstep with zero
+        # messages.
+        stats = self._runs(_system(4, 4), lambda tile, inbox, em: 0)
+        assert stats.messages_sent == 0
+        assert stats.supersteps == 1
 
-    def test_empty_frontier_trial(self):
-        # No seed sends: the trial quiesces after one superstep with
-        # zero messages, exactly like a solo vector run.
-        system = _system(4, 4)
-        solo = Emulator(system, engine="vector").run(
-            lambda tile, inbox, em: 0
-        )
-        [batched] = emulate_batch([system], [lambda tile, inbox, em: 0])
-        _assert_stats_equal(batched, solo)
-        assert batched.messages_sent == 0
-        assert batched.supersteps == 1
-
-    def test_single_tile_trial_self_flows(self):
-        system = _system(1, 1)
-
+    def test_single_tile_self_flows(self):
         def seed(em):
             em.send((0, 0), (0, 0), "loop")
 
         def compute(tile, inbox, em):
             return len(inbox)
 
-        solo_em = Emulator(system, engine="vector")
-        seed(solo_em)
-        solo = solo_em.run(compute)
-        [batched] = emulate_batch([system], [compute], init=[seed])
-        _assert_stats_equal(batched, solo)
+        stats = self._runs(_system(1, 1), compute, seed=seed)
         # Self-delivery bypasses the network: no send accounting.
-        assert batched.messages_sent == 0
+        assert stats.messages_sent == 0
+        assert stats.message_hops == 0
+
+    def test_non_convergent_run_raises_same_message(self):
+        def chatty(tile, inbox, em):
+            em.send(tile, (0, 0), "again")
+            return 0
+
+        messages = set()
+        for engine in ENGINES:
+            emulator = Emulator(_system(4, 4), engine=engine)
+            emulator.send((0, 1), (0, 0), "go")
+            with pytest.raises(EmulatorError) as excinfo:
+                emulator.run(chatty, max_supersteps=5)
+            messages.add(str(excinfo.value))
+        assert messages == {"workload did not converge in 5 steps"}
 
     def test_fully_faulty_map_rejected_at_construction(self):
         cfg = SystemConfig(rows=2, cols=2)
         fmap = FaultMap(cfg, frozenset(cfg.tile_coords()))
         with pytest.raises(EmulatorError, match="no healthy tiles"):
             WaferscaleSystem(cfg, fmap)
-
-    def test_batch_validates_lengths(self):
-        system = _system(4, 4)
-        compute = lambda tile, inbox, em: 0  # noqa: E731
-        with pytest.raises(EmulatorError, match="compute callables"):
-            emulate_batch([system], [compute, compute])
-        with pytest.raises(EmulatorError, match="init callables"):
-            emulate_batch([system], [compute], init=[None, None])
-        with pytest.raises(EmulatorError):
-            BatchEmulator([])
-
-    def test_non_convergent_trial_names_its_index(self):
-        system = _system(4, 4)
-
-        def chatty(tile, inbox, em):
-            em.send(tile, (0, 0), "again")
-            return 0
-
-        def seed(em):
-            em.send((0, 1), (0, 0), "go")
-
-        with pytest.raises(EmulatorError, match=r"trial 1"):
-            emulate_batch(
-                [system, system],
-                [lambda tile, inbox, em: 0, chatty],
-                init=[None, seed],
-                max_supersteps=5,
-            )
 
 
 class TestCheckpointedNocCoUse:
