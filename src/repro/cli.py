@@ -438,10 +438,9 @@ def run_noc(
     refuses on mismatch).  Checkpoints are engine-portable: you may
     halt on ``fast`` and resume on ``vector``.
     """
-    from .noc.dualnetwork import NetworkId
     from .noc.faults import random_fault_map
     from .noc.simulator import NocSimulator
-    from .workloads.traffic import TrafficPattern, generate_traffic
+    from .workloads.traffic import TrafficPattern, drive_schedule, traffic_schedule
 
     if checkpoint_every and not checkpoint:
         raise SystemExit("--checkpoint-every requires --checkpoint PATH")
@@ -485,7 +484,7 @@ def run_noc(
             config, fault_map=fault_map, engine=engine, checkers=checkers
         )
 
-    traffic = generate_traffic(
+    schedule = traffic_schedule(
         config, TrafficPattern(pattern), rate, cycles, seed=seed
     )
     horizon = cycles if halt_at is None else min(cycles, max(0, halt_at))
@@ -503,16 +502,7 @@ def run_noc(
             sim.save_state(checkpoint, extra=extra)
             checkpoints_written += 1
 
-    for cycle, packet in traffic:
-        if cycle < sim.cycle:
-            continue   # injected before the checkpoint was written
-        if cycle >= horizon:
-            break
-        while sim.cycle < cycle:
-            step_once()
-        sim.inject(packet, network=NetworkId.XY)
-    while sim.cycle < horizon:
-        step_once()
+    drive_schedule(sim, schedule, horizon, step=step_once)
 
     halted = halt_at is not None and sim.cycle < cycles
     if not halted:

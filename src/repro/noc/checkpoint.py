@@ -98,7 +98,7 @@ def save_noc_state(sim: "NocSimulator", path, extra: dict | None = None) -> None
                     rows.append((packet, _IN_FIFO, net_i, idx, port, pos))
     for pos, (packet, net) in enumerate(sim._pending_injection_list()):
         rows.append((packet, _PENDING_INJECTION, net.value, pos, -1, -1))
-    for pos, (due, packet, net) in enumerate(sim._pending_responses):
+    for pos, (due, packet, net) in enumerate(sim._pending_response_list()):
         rows.append((packet, _PENDING_RESPONSE, net.value, pos, due, -1))
     for pos, packet in enumerate(sim.delivered_packets):
         rows.append((packet, _DELIVERED, -1, pos, -1, -1))
@@ -321,7 +321,7 @@ def load_noc_state(
     responses.sort(key=lambda item: item[0])
     delivered.sort(key=lambda item: item[0])
     sim._pending_injections = [(p, net) for _, p, net in injections]
-    sim._pending_responses = [(due, p, net) for _, due, p, net in responses]
+    sim._set_pending_responses([(due, p, net) for _, due, p, net in responses])
     sim.delivered_packets = [p for _, p in delivered]
 
     rr = arrays["rr"]

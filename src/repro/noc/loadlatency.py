@@ -18,7 +18,6 @@ from ..config import SystemConfig
 from ..errors import NetworkError
 from typing import TYPE_CHECKING
 
-from .dualnetwork import NetworkId
 from .faults import FaultMap
 from .simulator import NocSimulator
 
@@ -103,7 +102,7 @@ def measure_load_latency(
     ``"vector"``; ``"fast"`` is an alias of ``"reference"``); both
     produce identical curves.  Each swept rate is one independent run.
     """
-    from ..workloads.traffic import TrafficPattern, generate_traffic
+    from ..workloads.traffic import TrafficPattern, drive_schedule, traffic_schedule
 
     if pattern is None:
         pattern = TrafficPattern.UNIFORM
@@ -118,18 +117,9 @@ def measure_load_latency(
     reports, sat_flags = [], []
     for rate in swept:
         sim = NocSimulator(config, fault_map=fault_map, engine=engine)
-        traffic = generate_traffic(
-            config, pattern, rate, warm_cycles, seed=seed
-        )
-        injections = {cycle: [] for cycle, _ in traffic}
-        for cycle, packet in traffic:
-            injections[cycle].append(packet)
-
+        schedule = traffic_schedule(config, pattern, rate, warm_cycles, seed=seed)
+        drive_schedule(sim, schedule, warm_cycles)
         saturated = False
-        for cycle in range(warm_cycles):
-            for packet in injections.get(cycle, ()):  # offered this cycle
-                sim.inject(packet, NetworkId.XY)
-            sim.step()
         try:
             sim.drain(max_cycles=20_000)
         except NetworkError:

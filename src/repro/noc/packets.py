@@ -18,8 +18,10 @@ payload        64  data payload (Table I bandwidth accounting)
 from __future__ import annotations
 
 import enum
+import gc
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..config import Coord
 from ..errors import NetworkError
@@ -46,11 +48,29 @@ def ensure_packet_ids_above(value: int) -> None:
     _packet_ids = itertools.count(max(current, value + 1))
 
 
+def reserve_packet_ids(count: int) -> int:
+    """Claim ``count`` consecutive packet ids as one block; returns the first.
+
+    The ids are exactly those ``count`` default-constructed packets would
+    have drawn one by one, so array producers (traffic schedules, the
+    vector engine's responses) number packets the way the object model
+    does.
+    """
+    global _packet_ids
+    first = next(_packet_ids)
+    _packet_ids = itertools.count(first + count)
+    return first
+
+
 class PacketKind(enum.Enum):
     """Request/response discriminator (drives network complementarity)."""
 
     REQUEST = 0
     RESPONSE = 1
+
+
+#: Kinds by value, for building packets from a ``kind`` column.
+_KINDS = tuple(PacketKind)
 
 
 @dataclass(slots=True)
@@ -120,3 +140,71 @@ class Packet:
             address=address,
             payload=payload,
         )
+
+
+class gc_paused:
+    """Pause the cyclic garbage collector around bulk packet allocation.
+
+    Packets hold no reference cycles, but building tens of thousands of
+    them triggers repeated full collector passes over the growing
+    output, which then cost more than the construction itself.
+    """
+
+    def __enter__(self) -> None:
+        self._collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self._collecting:
+            gc.enable()
+
+
+def materialise_packets(
+    cols: int,
+    src: Sequence[int],
+    dst: Sequence[int],
+    packet_id: Sequence[int],
+    kind: Sequence[int] | None = None,
+    request_id: Sequence[int] | None = None,
+    injected: Sequence[int] | None = None,
+    delivered: Sequence[int] | None = None,
+    address: Sequence[int] | None = None,
+    payload: Sequence[int] | None = None,
+) -> list[Packet]:
+    """Build :class:`Packet` objects from column arrays (or lists).
+
+    ``src``/``dst`` are flat row-major tile indices and ``kind`` the
+    :class:`PacketKind` value; in the optional cycle and id columns a
+    negative entry means ``None``.  An omitted column means REQUEST,
+    ``None`` or 0 (address, payload) throughout.  Construction is
+    slot-direct, skipping ``__post_init__``: every column producer
+    validated its fields on the way in.
+    """
+    count = len(src)
+    columns = [
+        [default] * count if column is None
+        else column.tolist() if hasattr(column, "tolist")
+        else column
+        for column, default in (
+            (kind, 0), (src, 0), (dst, 0), (packet_id, 0), (request_id, -1),
+            (injected, -1), (delivered, -1), (address, 0), (payload, 0),
+        )
+    ]
+    kinds = _KINDS
+    new = object.__new__
+    out: list[Packet] = []
+    append = out.append
+    with gc_paused():
+        for k, s, d, pid, req, inj, dlv, addr, pay in zip(*columns):
+            p = new(Packet)
+            p.kind = kinds[k]
+            p.src = divmod(s, cols)
+            p.dst = divmod(d, cols)
+            p.address = addr
+            p.payload = pay
+            p.packet_id = pid
+            p.injected_cycle = None if inj < 0 else inj
+            p.delivered_cycle = None if dlv < 0 else dlv
+            p.request_id = None if req < 0 else req
+            append(p)
+    return out

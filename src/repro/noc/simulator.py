@@ -36,12 +36,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from ..config import Coord, SystemConfig
-from ..errors import NetworkError
+from ..errors import ConfigError, NetworkError
 from ..fastpath import VECTOR_ENGINE_KINDS
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from .dualnetwork import NetworkId
 from .faults import FaultMap
-from .packets import Packet, PacketKind
+from .packets import Packet, PacketKind, materialise_packets, reserve_packet_ids
 from .router import Port, Router, port_toward
 from .routing import RoutingPolicy
 
@@ -167,9 +167,9 @@ class NocSimulator:
       an alias: it builds this same class and only echoes its name.
     * ``engine="vector"`` — the batched numpy engine
       (:class:`repro.noc.vectorsim.VectorNocSimulator`): the whole
-      arbitrate/apply cycle as array operations over a flat packet
-      pool and ring-buffer FIFOs.  Bit-identical reports; the engine of
-      choice at full-wafer (2048-chiplet) scale and beyond.
+      arbitrate/apply cycle as array operations over a column packet
+      table and ring-buffer FIFOs.  Bit-identical reports; the engine
+      of choice at full-wafer (2048-chiplet) scale and beyond.
 
     Constructing ``NocSimulator(..., engine="vector")`` transparently
     returns the subclass, so callers never import engine modules
@@ -214,8 +214,6 @@ class NocSimulator:
         self.cycle = 0
 
         self._pending_injections: list[tuple[Packet, NetworkId]] = []
-        self._pending_responses: list[tuple[int, Packet, NetworkId]] = []
-        self.delivered_packets: list[Packet] = []
         self.injected_count = 0
         self.dropped_unreachable = 0
         self.dropped_in_flight = 0      # DoR packets that hit a faulty link
@@ -287,7 +285,13 @@ class NocSimulator:
         return fns or None
 
     def _build_state(self) -> None:
-        """Build the engine's mutable network state (reference: routers)."""
+        """Build the engine's mutable network state (reference: routers).
+
+        Also the response queue and the delivered list, which the vector
+        engine keeps as columns instead.
+        """
+        self._pending_responses: list[tuple[int, Packet, NetworkId]] = []
+        self.delivered_packets: list[Packet] = []
         self.routers: dict[NetworkId, dict[Coord, Router]] = {}
         for net in NetworkId:
             grid: dict[Coord, Router] = {}
@@ -314,6 +318,46 @@ class NocSimulator:
             return False
         self._pending_injections.append((packet, network))
         return True
+
+    def inject_many(self, src, dst, network: NetworkId) -> int:
+        """Queue one cycle's REQUESTs given as flat tile-index arrays.
+
+        The array form of :meth:`inject`: ``src[i] -> dst[i]`` in order,
+        with consecutive packet ids reserved as one block (dropped
+        requests keep theirs).  Off-mesh indices raise
+        :class:`~repro.errors.ConfigError`, as :meth:`inject` does;
+        requests with a faulty endpoint are counted as drops.  Returns
+        the number queued.  The object model materialises the packets
+        and injects them one by one.
+        """
+        src, dst = self._check_tiles(src, dst)
+        first = reserve_packet_ids(src.size)
+        packets = materialise_packets(
+            self.config.cols,
+            src=src,
+            dst=dst,
+            packet_id=range(first, first + src.size),
+        )
+        return sum(self.inject(packet, network) for packet in packets)
+
+    def _check_tiles(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` as int64 arrays, bounds-checked (see inject_many)."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise NetworkError(
+                f"inject_many needs two equal-length 1-D arrays, got shapes "
+                f"{src.shape} and {dst.shape}"
+            )
+        n = self.config.tiles
+        for name, tiles in (("src", src), ("dst", dst)):
+            bad = (tiles < 0) | (tiles >= n)
+            if bad.any():
+                raise ConfigError(
+                    f"{name} tile index {int(tiles[bad.argmax()])} outside the "
+                    f"{self.config.rows}x{self.config.cols} array"
+                )
+        return src, dst
 
     def _try_local_injections(self) -> None:
         """Move pending packets into their source router's LOCAL FIFO."""
@@ -530,18 +574,11 @@ class NocSimulator:
         the same instant the snapshot describes — the ordering exact flit
         conservation (``report.flit_conservation_ok``) relies on.
         """
-        latencies = [
-            p.latency for p in self.delivered_packets if p.latency is not None
-        ]
-        responses = sum(
-            1
-            for p in self.delivered_packets
-            if p.kind is PacketKind.RESPONSE
-        )
+        latencies, responses, delivered = self._delivery_stats()
         report = SimulationReport(
             cycles=self.cycle,
             injected=self.injected_count,
-            delivered=len(self.delivered_packets),
+            delivered=delivered,
             responses_delivered=responses,
             dropped_unreachable=self.dropped_unreachable,
             latencies=latencies,
@@ -563,6 +600,20 @@ class NocSimulator:
             report._sorted_latencies = last._sorted_latencies
         self._last_report = report
         return report
+
+    def _delivery_stats(self) -> tuple[list[int], int, int]:
+        """``(latencies, responses, delivered)`` in one pass over deliveries."""
+        latencies: list[int] = []
+        responses = 0
+        response = PacketKind.RESPONSE
+        for packet in self.delivered_packets:
+            injected = packet.injected_cycle
+            delivered = packet.delivered_cycle
+            if injected is not None and delivered is not None:
+                latencies.append(delivered - injected)
+            if packet.kind is response:
+                responses += 1
+        return latencies, responses, len(self.delivered_packets)
 
     # ------------------------------------------------------------------
     # Checkpoint/restore
@@ -611,6 +662,16 @@ class NocSimulator:
         per-tile order, which every engine's flattening preserves.
         """
         return list(self._pending_injections)
+
+    def _pending_response_list(self) -> list[tuple[int, Packet, NetworkId]]:
+        """Scheduled ``(due_cycle, response, network)`` triples, due first."""
+        return list(self._pending_responses)
+
+    def _set_pending_responses(
+        self, responses: list[tuple[int, Packet, NetworkId]]
+    ) -> None:
+        """Replace the response queue (checkpoint restore)."""
+        self._pending_responses = list(responses)
 
     def _snapshot_engine_state(self) -> dict:
         """Engine-private state as ``{"fifos", "rr", "fwd"}`` nested lists.

@@ -8,10 +8,15 @@ module computes the *same semantics* (bit-identical
 differential suite and ``repro verify --suite noc``) as whole-array
 numpy operations over struct-of-arrays state:
 
-* **Packet pool** — packet identity lives in preallocated flat arrays
-  (``p_dst`` plus a sidecar list of the real :class:`Packet` objects for
-  delivery/telemetry), recycled through a free list.  The hot kernel
-  never touches a Python object.
+* **Packet table** — every packet is one row of append-only columns
+  (one per :class:`Packet` field) from injection to delivery; FIFOs,
+  backlogs and the delivery log hold row ids.  :meth:`inject_many`
+  writes a cycle's schedule slice straight into rows, and
+  ``delivered_packets`` materialises objects only when read.  No
+  :class:`Packet` is built unless grant, drop or deliver hooks,
+  telemetry, a checkpoint or a reader of ``delivered_packets`` asks
+  for one; the packets handed to grant and drop hooks are fresh
+  copies of the rows, not the objects ``delivered_packets`` returns.
 * **Ring-buffer FIFOs** — all queues of both networks are one
   ``(2 * tiles * 5, depth)`` int array plus flat ``head``/``len`` index
   arrays (virtual tile ``v = net * tiles + tile``, lane ``v * 5 +
@@ -29,11 +34,11 @@ numpy operations over struct-of-arrays state:
   entry of each target group is the reference engine's scan winner,
   and the sort yields winners in ascending (network, tile, port)
   order, which is exactly the delivery order the reports require.
-* **Credit-indexed injection** — pending injections are admitted
-  straight from per-tile queues keyed by LOCAL-FIFO credit, so a
-  saturated run checks only tiles *with free slots* instead of
-  rescanning the whole backlog every cycle as the reference engine
-  does at saturation.
+* **Credit-indexed injection** — the injection backlog is one linked
+  list of rows per (network, tile), so admission pops at most the free
+  LOCAL-FIFO credit off each list head and fresh arrivals go straight
+  into FIFOs with room, all as array operations; a saturated run never
+  rescans the backlog as the reference engine does.
 
 Delivery order — and therefore the report's latency list — is identical
 to the reference engine because winners are emitted in ascending
@@ -42,14 +47,16 @@ tile order), each tile delivers at most one LOCAL packet per network
 per cycle, and each downstream FIFO receives at most one push per cycle
 (ports are unique per winner).
 
-Injection admission, response generation, draining, reporting,
-checkpointing and telemetry all come from the
-:class:`~repro.noc.simulator.NocSimulator` base class; this module only
-replaces how a cycle is computed.
+Admission, delivery and response creation are array operations here
+too; draining, the report, checkpointing and telemetry come from the
+:class:`~repro.noc.simulator.NocSimulator` base class, fed by column
+views (``_delivery_stats``, the pending-packet lists) of this engine's
+state.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -60,8 +67,7 @@ from ..errors import NetworkError
 from ..obs.telemetry import Telemetry
 from .dualnetwork import NetworkId
 from .faults import FaultMap
-from . import packets as _packets
-from .packets import Packet, PacketKind
+from .packets import Packet, PacketKind, materialise_packets, reserve_packet_ids
 from .routing import build_port_lut, dor_port_codes
 from .simulator import NocSimulator
 
@@ -79,8 +85,37 @@ LUT_MAX_TILES = 8192
 #: Neighbour offsets in port-code order N, S, W, E.
 _PORT_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
-#: Initial packet-pool capacity (slots); the pool doubles on demand.
-_POOL_START = 1024
+#: Initial packet-table capacity (rows); the table doubles on demand.
+_TABLE_START = 1024
+
+#: Integer columns of the packet table (see :class:`_PacketTable`), in
+#: storage order, with the value a fresh row holds: a REQUEST with no
+#: request id, not yet injected or delivered, at address 0.  The first
+#: _INBOX_WIDTH are an inbox row's layout; the first _PACKET_WIDTH are
+#: a Packet's fields (the payload, uint64, is its own column).
+_INT_FIELDS = (
+    ("src", 0),
+    ("dst", 0),
+    ("kind", PacketKind.REQUEST.value),
+    ("packet_id", 0),
+    ("request_id", -1),
+    ("injected", -1),
+    ("address", 0),
+    ("delivered", -1),
+    ("link", 0),
+)
+_SRC, _DST, _KIND, _ID, _REQ, _INJ, _ADDR, _DLV, _LINK = range(len(_INT_FIELDS))
+_INBOX_WIDTH = _ADDR + 1
+_PACKET_WIDTH = _DLV + 1
+
+_RESPONSE = PacketKind.RESPONSE
+_REQUEST_KIND = PacketKind.REQUEST.value
+#: A response row's fields gathered from its request's row (the others
+#: keep their fresh-row values, or are set from the request's context).
+_RESPONSE_TO = np.array([_SRC, _DST, _REQ, _ADDR])
+_RESPONSE_FROM = np.array([_DST, _SRC, _ID, _ADDR])[:, None]
+_YX = NET_ORDER[1]
+
 
 # Neighbour-table sentinels (column 4 of the 5-wide table).
 _HOP_DEAD = -1     # off-mesh or faulty downstream: DoR drops the packet
@@ -103,6 +138,58 @@ _TGT_SHIFT = _LI_BITS + 3
 
 #: Largest tile count the vector engine supports (10 lanes per tile).
 _MAX_TILES = _LI_MASK // 10
+
+
+class _PacketTable:
+    """Every packet that entered the engine, one append-only row each.
+
+    One column per :class:`Packet` field (``src``/``dst`` as flat tile
+    indices, ``kind`` as the :class:`PacketKind` value, -1 for a
+    ``None`` id or cycle), plus ``link``: the next row of the same
+    tile's injection backlog.  The integer columns are the rows of one
+    2-D block (``self.src`` is ``self.ints[0]``, and so on), so copying
+    packets in or out is one array operation.  Rows are never reused:
+    a delivered packet stays readable where it was simulated, and the
+    delivery log is just a list of row ids.  Capacity doubles on demand.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+        self._allocate(_TABLE_START)
+
+    def _allocate(self, capacity: int) -> None:
+        fresh = np.array([value for _, value in _INT_FIELDS], dtype=np.int64)
+        ints = np.repeat(fresh[:, None], capacity, axis=1)
+        payload = np.zeros(capacity, dtype=np.uint64)
+        if self.size:
+            ints[:, : self.size] = self.ints[:, : self.size]
+            payload[: self.size] = self.payload[: self.size]
+        self.ints, self.payload, self.capacity = ints, payload, capacity
+        for row, (name, _) in enumerate(_INT_FIELDS):
+            setattr(self, name, ints[row])
+
+    def add(self, count: int) -> slice:
+        """Append ``count`` fresh rows; callers set the other fields."""
+        start = self.size
+        if start + count > self.capacity:
+            self._allocate(max(start + count, 2 * self.capacity))
+        self.size = start + count
+        return slice(start, start + count)
+
+    def packets(self, rows: np.ndarray, cols: int) -> list[Packet]:
+        """Materialise the packets of ``rows``."""
+        src, dst, kind, packet_id, request_id, injected, address, delivered = (
+            self.ints.take(rows, axis=1)[:_PACKET_WIDTH].tolist()
+        )
+        return materialise_packets(
+            cols, src, dst, packet_id,
+            kind=kind,
+            request_id=request_id,
+            injected=injected,
+            delivered=delivered,
+            address=address,
+            payload=self.payload[rows].tolist(),
+        )
 
 
 class _MeshState:
@@ -201,11 +288,7 @@ class _MeshState:
             fifo_depth - 1 if fifo_depth & (fifo_depth - 1) == 0 else 0
         )
 
-        # Packet pool: numeric per-slot state for the kernel plus the
-        # Packet sidecar for everything outside it.
-        self.p_dst = np.zeros(_POOL_START, dtype=np.int64)
-        self.pkt: list[Packet | None] = [None] * _POOL_START
-        self.free = list(range(_POOL_START - 1, -1, -1))
+        self.table = _PacketTable()
 
         # Reusable lane-index iota and scratch buffers for the
         # composite arbitration keys (grown on demand).
@@ -214,48 +297,21 @@ class _MeshState:
         self._scr_b = np.empty(4096, dtype=np.int64)
         self._scr_first = np.empty(4096, dtype=bool)
 
-    # -- packet pool ---------------------------------------------------
-
-    def _grow_pool(self) -> None:
-        old = len(self.pkt)
-        new = old * 2
-        self.p_dst = np.concatenate(
-            [self.p_dst, np.zeros(new - old, dtype=np.int64)]
-        )
-        self.pkt.extend([None] * (new - old))
-        self.free.extend(range(new - 1, old - 1, -1))
-
-    def acquire(self, packet: Packet, dst_flat: int) -> int:
-        """Claim a pool slot for a packet entering the network."""
-        if not self.free:
-            self._grow_pool()
-        pid = self.free.pop()
-        self.p_dst[pid] = dst_flat
-        self.pkt[pid] = packet
-        return pid
-
-    def release(self, pid: int) -> Packet:
-        """Free a slot (delivery or drop) and return its packet."""
-        packet = self.pkt[pid]
-        self.pkt[pid] = None
-        self.free.append(pid)
-        return packet
-
     # -- FIFO access (cold paths: injection, checkpoint) ---------------
 
     def push_port(self, v: int, port: int, pid: int) -> None:
-        """Append one pool id to a FIFO (caller checked the credit)."""
+        """Append one packet row to a FIFO (caller checked the credit)."""
         lane = v * 5 + port
         tail = (self.head_f[lane] + self.qlen_f[lane]) % self.depth
         self.buf[v, port, tail] = pid
         self.qlen_f[lane] += 1
 
-    def fifo_packets(self, v: int, port: int) -> list[Packet]:
-        """Queued packets of one FIFO, head first."""
+    def fifo_rows(self, v: int, port: int) -> list[int]:
+        """Packet rows queued in one FIFO, head first."""
         head = int(self.head[v, port])
         count = int(self.qlen[v, port])
         return [
-            self.pkt[int(self.buf[v, port, (head + k) % self.depth])]
+            int(self.buf[v, port, (head + k) % self.depth])
             for k in range(count)
         ]
 
@@ -300,7 +356,7 @@ class _MeshState:
         vl = lanes % 5                       # input-port code per lane
         hd = head_f[lanes]
         pid_l = buf_f[lanes * depth + hd]
-        dst = self.p_dst[pid_l]
+        dst = self.table.dst[pid_l]
         if self.lut is not None:
             o = self.lut[self.lut_base_lane[lanes] + dst]
         else:
@@ -394,39 +450,6 @@ class _MeshState:
         return np.where(v >= self.n, out_yx, out_xy)
 
 
-class _PendingQueues:
-    """Per-tile injection queues of the vector engine.
-
-    Admission into a LOCAL FIFO depends only on that FIFO's credit and
-    the arrival order of packets *for that tile*, so grouping the
-    backlog by (network, tile) is semantically identical to the base
-    class's ordered rescan of the whole list — while costing only the
-    tiles that currently have both backlog and a free slot, instead of
-    the entire backlog, every cycle.
-    """
-
-    __slots__ = ("queues", "count")
-
-    def __init__(self) -> None:
-        self.queues: dict[int, deque] = {}
-        self.count = 0
-
-    def push(self, key: int, packet: Packet) -> None:
-        queue = self.queues.get(key)
-        if queue is None:
-            queue = self.queues[key] = deque()
-        queue.append(packet)
-        self.count += 1
-
-    def flatten(self, net_of_key) -> list:
-        """``(packet, network)`` pairs, in (network, tile) key order."""
-        return [
-            (packet, net_of_key(key))
-            for key in sorted(self.queues)
-            for packet in self.queues[key]
-        ]
-
-
 class VectorNocSimulator(NocSimulator):
     """Whole-array numpy :class:`NocSimulator` engine (``engine="vector"``).
 
@@ -434,6 +457,10 @@ class VectorNocSimulator(NocSimulator):
     instantiating this class directly.  Per-router state is exposed
     through :meth:`router_occupancy` and :meth:`router_forwarded`
     instead of the reference engine's ``routers`` grids.
+
+    Packets are rows of a column table from injection on: ``inject``
+    copies a caller's :class:`Packet` in (and never stamps it), and
+    :attr:`delivered_packets` materialises delivered rows on access.
     """
 
     def __init__(
@@ -460,15 +487,57 @@ class VectorNocSimulator(NocSimulator):
     # State
 
     def _build_state(self) -> None:
+        n = self.config.tiles
         self._rows = self.config.rows
         self._cols = self.config.cols
-        self._n = self.config.tiles
+        self._n = n
         self._mesh = _MeshState(self.config, self.fault_map, self.fifo_depth)
-        self._pend = _PendingQueues()
-        self._healthy_list = self._mesh.healthy[: self._n].tolist()
-        # Fresh (key, packet, network) injections of the current cycle;
-        # admitted — or spilled into ``_pend`` — by the next step().
-        self._fresh: list[tuple[int, Packet, NetworkId]] = []
+        self._table = self._mesh.table
+        self._healthy_list = self._mesh.healthy[:n].tolist()
+        # Delivered rows in delivery order, and their objects
+        # materialised so far.
+        self._delivered_rows: list[int] = []
+        self._delivered_view: list[Packet] = []
+        # Packets injected one by one since the last flush: flat rows of
+        # the first _INBOX_WIDTH table fields plus the packet's key, and
+        # their payloads.
+        self._inbox: list[int] = []
+        self._inbox_payload: list[int] = []
+        # (key, row) chunks queued since the last step, in admission
+        # order; key = virtual source tile (network * n + tile).
+        self._arrivals: list[tuple[np.ndarray, np.ndarray]] = []
+        # Scheduled responses: (due cycle, keys, rows), due first.
+        self._responses: deque[tuple[int, np.ndarray, np.ndarray]] = deque()
+        # Per-key injection backlog: a linked list through table.link.
+        self._bk_head = np.zeros(2 * n, dtype=np.int64)
+        self._bk_tail = np.zeros(2 * n, dtype=np.int64)
+        self._bk_len = np.zeros(2 * n, dtype=np.int64)
+        self._backlog = 0
+        self._local_lanes = np.arange(2 * n, dtype=np.int64) * 5 + 4
+
+    @property
+    def delivered_packets(self) -> list[Packet]:
+        """Delivered packets in delivery order, materialised on access.
+
+        The list is extended in place as deliveries happen, so earlier
+        entries keep their identity across accesses.
+        """
+        view = self._delivered_view
+        if len(view) < len(self._delivered_rows):
+            rows = np.array(self._delivered_rows[len(view):], dtype=np.int64)
+            view.extend(self._table.packets(rows, self._cols))
+        return view
+
+    @delivered_packets.setter
+    def delivered_packets(self, packets: list[Packet]) -> None:
+        packets = list(packets)
+        _, rows = self._to_table((p, NET_ORDER[0]) for p in packets)
+        self._table.delivered[rows] = [
+            -1 if p.delivered_cycle is None else p.delivered_cycle
+            for p in packets
+        ]
+        self._delivered_rows = rows.tolist()
+        self._delivered_view = packets
 
     def router_occupancy(self, network: NetworkId, coord) -> int:
         """Packets buffered at one router (flat-state inspection)."""
@@ -484,204 +553,299 @@ class VectorNocSimulator(NocSimulator):
     # Injection
 
     def inject(self, packet: Packet, network: NetworkId) -> bool:
-        """Queue a packet for injection (same contract as the base)."""
+        """Queue a packet for injection (same contract as the base).
+
+        The packet's fields are copied into the inbox (and from there
+        into the table); the caller's object is never stamped.
+        """
         cols = self._cols
         rows = self._rows
-        src, dst = packet.src, packet.dst
-        if not (
-            0 <= src[0] < rows and 0 <= src[1] < cols
-            and 0 <= dst[0] < rows and 0 <= dst[1] < cols
-        ):
-            self.config.validate_coord(src)
-            self.config.validate_coord(dst)
+        (sr, sc), (dr, dc) = packet.src, packet.dst
+        if not (0 <= sr < rows and 0 <= sc < cols and 0 <= dr < rows and 0 <= dc < cols):
+            self.config.validate_coord(packet.src)
+            self.config.validate_coord(packet.dst)
+        s = sr * cols + sc
+        d = dr * cols + dc
         healthy = self._healthy_list
-        if not (
-            healthy[src[0] * cols + src[1]] and healthy[dst[0] * cols + dst[1]]
-        ):
+        if not (healthy[s] and healthy[d]):
             self.dropped_unreachable += 1
             if self._obs is not None:
                 self._m_dropped.inc()
             return False
-        self._fresh.append(
-            (network.value * self._n + src[0] * cols + src[1], packet, network)
-        )
+        self._put(packet, s, d, self._n if network is _YX else 0)
         return True
 
-    def _release_due_responses(self) -> None:
-        # Responses are appended in cycle order with a constant delay,
-        # so the pending list is sorted by due cycle: peel the due
-        # prefix straight into the fresh-injection list.  Appending
-        # after the cycle's driver packets reproduces the base class's
-        # admission order (backlog, then driver traffic, then released
-        # responses); response endpoints are healthy by construction.
-        pending = self._pending_responses
-        cycle = self.cycle
-        if not pending or pending[0][0] > cycle:
-            return
-        n = self._n
+    def _put(self, packet: Packet, src: int, dst: int, base: int) -> None:
+        """Append one packet to the inbox (the only Packet-to-row map).
+
+        ``base`` is the network's key offset (0 for XY, n for YX).
+        """
+        request_id = packet.request_id
+        injected = packet.injected_cycle
+        self._inbox.extend((
+            src,
+            dst,
+            packet.kind is _RESPONSE,
+            packet.packet_id,
+            -1 if request_id is None else request_id,
+            -1 if injected is None else injected,
+            packet.address,
+            src + base,
+        ))
+        self._inbox_payload.append(packet.payload)
+
+    def _flush_inbox(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Copy the inbox into table rows; returns its ``(keys, rows)``."""
+        payload = self._inbox_payload
+        if not payload:
+            return None
+        count = len(payload)
+        inbox = np.array(self._inbox, dtype=np.int64).reshape(count, _INBOX_WIDTH + 1)
+        self._inbox = []
+        self._inbox_payload = []
+        table = self._table
+        new = table.add(count)
+        table.ints[:_INBOX_WIDTH, new] = inbox[:, :_INBOX_WIDTH].T
+        table.payload[new] = payload
+        return inbox[:, _INBOX_WIDTH], np.arange(new.start, new.stop, dtype=np.int64)
+
+    def _stage_inbox(self) -> None:
+        """Move inbox packets into the arrivals, keeping their order."""
+        chunk = self._flush_inbox()
+        if chunk is not None:
+            self._arrivals.append(chunk)
+
+    def _to_table(self, items) -> tuple[np.ndarray, np.ndarray]:
+        """Copy ``(packet, network)`` pairs into table rows (cold paths)."""
+        self._stage_inbox()
         cols = self._cols
-        fresh = self._fresh
-        i = 0
-        end = len(pending)
-        while i < end and pending[i][0] <= cycle:
-            _, packet, net = pending[i]
-            src = packet.src
-            fresh.append(
-                (net.value * n + src[0] * cols + src[1], packet, net)
+        for packet, net in items:
+            self._put(
+                packet,
+                packet.src[0] * cols + packet.src[1],
+                packet.dst[0] * cols + packet.dst[1],
+                self._n if net is _YX else 0,
             )
-            i += 1
-        del pending[:i]
+        chunk = self._flush_inbox()
+        return chunk if chunk is not None else (_EMPTY_I64, _EMPTY_I64)
+
+    def inject_many(self, src, dst, network: NetworkId) -> int:
+        """Queue one cycle's REQUESTs straight into table rows.
+
+        Same contract as the base method; no :class:`Packet` is built.
+        """
+        src, dst = self._check_tiles(src, dst)
+        count = src.size
+        if not count:
+            return 0
+        first = reserve_packet_ids(count)
+        ids = np.arange(first, first + count, dtype=np.int64)
+        healthy = self._mesh.healthy
+        ok = healthy[src] & healthy[dst]
+        if not ok.all():
+            dropped = count - int(np.count_nonzero(ok))
+            self.dropped_unreachable += dropped
+            if self._obs is not None:
+                self._m_dropped.inc(dropped)
+            src, dst, ids = src[ok], dst[ok], ids[ok]
+            count = src.size
+            if not count:
+                return 0
+        self._stage_inbox()
+        table = self._table
+        new = table.add(count)
+        table.src[new] = src
+        table.dst[new] = dst
+        table.packet_id[new] = ids
+        keys = src + self._n if network is _YX else src
+        self._arrivals.append((keys, np.arange(new.start, new.stop, dtype=np.int64)))
+        return count
+
+    def _release_due_responses(self) -> None:
+        # Responses are scheduled in cycle order with a constant delay,
+        # so the queue is sorted by due cycle.  Released responses join
+        # the arrivals after the packets injected for this cycle: the
+        # base class's admission order (backlog, injected, responses).
+        responses = self._responses
+        cycle = self.cycle
+        if not responses or responses[0][0] > cycle:
+            return
+        self._stage_inbox()
+        while responses and responses[0][0] <= cycle:
+            _, keys, rows = responses.popleft()
+            self._arrivals.append((keys, rows))
 
     def _try_local_injections(self) -> None:
-        mesh = self._mesh
-        pend = self._pend
-        cols = self._cols
-        n = self._n
-        depth = self.fifo_depth
-        qlen_f = mesh.qlen_f
-        # Fold externally queued packets (checkpoint restore, released
-        # responses) into the per-tile backlog; packets from dead
-        # sources drop here, as in every engine.
+        # Packets queued by a checkpoint restore are the oldest backlog;
+        # those from dead sources drop here, as in every engine.
         if self._pending_injections:
             healthy = self._healthy_list
+            cols = self._cols
+            items = []
             for packet, net in self._pending_injections:
-                src = packet.src
-                idx = src[0] * cols + src[1]
-                if not healthy[idx]:
+                if not healthy[packet.src[0] * cols + packet.src[1]]:
                     self.dropped_unreachable += 1
                     if self._obs is not None:
                         self._m_dropped.inc()
                     continue
-                pend.push(net.value * n + idx, packet)
+                items.append((packet, net))
             self._pending_injections = []
+            keys, rows = self._to_table(items)
+            if rows.size:
+                self._arrivals.insert(0, (keys, rows))
+        self._stage_inbox()
+        admitted: list[tuple[np.ndarray, int]] = []   # (rows, YX count)
+        if self._backlog:
+            self._admit_backlog(admitted)
+        if self._arrivals:
+            self._admit_arrivals(admitted)
+        if admitted:
+            self._book_admission(admitted)
+        if self._obs is not None and self._backlog:
+            self._m_inject_backpressure.inc(self._backlog)
 
-        fresh = self._fresh
-        if not pend.count and not fresh:
+    def _admit_backlog(self, admitted: list) -> None:
+        """Move backlog heads into LOCAL FIFOs with free credit.
+
+        Each key admits up to its free LOCAL slots from the head of its
+        backlog, as the base class's ordered rescan does.
+        """
+        mesh = self._mesh
+        depth = self.fifo_depth
+        qlen_f = mesh.qlen_f
+        bk_len = self._bk_len
+        room = depth - qlen_f[self._local_lanes]
+        keys = np.flatnonzero((bk_len > 0) & (room > 0))
+        if not keys.size:
             return
-        cycle = self.cycle
-        acc_keys: list[int] = []
-        acc_rank: list[int] = []
-        pids: list[int] = []
-        dsts: list[int] = []
-        acc_cnt: dict[int, int] = {}
-        pool_free = mesh.free
-        pkt_list = mesh.pkt
-        ranked = False
-        c_yx = 0
+        take = np.minimum(room[keys], bk_len[keys])
+        lanes = keys * 5 + 4
+        tail = mesh.head_f[lanes] + qlen_f[lanes]
+        link = self._table.link
+        head = self._bk_head
+        buf_f = mesh.buf_f
+        k, ln, tl, t = keys, lanes, tail, take
+        cur = head[k]
+        rows = []
+        rank = 0
+        while True:
+            buf_f[ln * depth + (tl + rank) % depth] = cur
+            rows.append(cur)
+            nxt = link[cur]
+            more = t > rank + 1
+            if not more.all():
+                done = ~more
+                head[k[done]] = nxt[done]
+                if not more.any():
+                    break
+                k, ln, tl, t, nxt = k[more], ln[more], tl[more], t[more], nxt[more]
+            cur = nxt
+            rank += 1
+        qlen_f[lanes] += take.astype(np.int32)
+        bk_len[keys] -= take
+        self._backlog -= int(take.sum())
+        admitted.append((
+            np.concatenate(rows) if len(rows) > 1 else rows[0],
+            int(take[keys >= self._n].sum()),
+        ))
 
-        def take(key: int, rank: int, packet: Packet) -> None:
-            nonlocal c_yx
-            if packet.injected_cycle is None:
-                packet.injected_cycle = cycle
-            if not pool_free:
-                mesh._grow_pool()
-            pid = pool_free.pop()
-            pkt_list[pid] = packet
-            pids.append(pid)
-            dst = packet.dst
-            dsts.append(dst[0] * cols + dst[1])
-            acc_keys.append(key)
-            acc_rank.append(rank)
-            if key >= n:
-                c_yx += 1
+    def _admit_arrivals(self, admitted: list) -> None:
+        """Admit this cycle's arrivals; the overflow joins the backlog.
 
-        # Backlogged packets admit first (per-tile FIFO order).
-        if pend.count:
-            queues = pend.queues
-            keys = np.fromiter(queues.keys(), dtype=np.int64, count=len(queues))
-            open_keys = keys[qlen_f[keys * 5 + 4] < depth]
-            drained = 0
-            for key in open_keys.tolist():
-                queue = queues[key]
-                room = depth - int(qlen_f[key * 5 + 4])
-                taken = 0
-                while queue and taken < room:
-                    take(key, taken, queue.popleft())
-                    taken += 1
-                if taken:
-                    acc_cnt[key] = taken
-                    drained += taken
-                    if taken > 1:
-                        ranked = True
-                if not queue:
-                    del queues[key]
-            pend.count -= drained
+        An arrival is admitted when its rank among its key's arrivals
+        (arrival order) is below the key's free LOCAL credit.
+        """
+        arrivals = self._arrivals
+        if len(arrivals) == 1:
+            keys, rows = arrivals[0]
+        else:
+            keys = np.concatenate([k for k, _ in arrivals])
+            rows = np.concatenate([r for _, r in arrivals])
+        arrivals.clear()
+        count = keys.size
+        mesh = self._mesh
+        depth = self.fifo_depth
+        qlen_f = mesh.qlen_f
+        lanes = self._local_lanes[keys]
+        # The LOCAL FIFO slot each arrival would take.  A key still
+        # holding backlog after _admit_backlog has a full LOCAL FIFO (it
+        # took min(room, backlog)), so its arrivals see no room and
+        # queue behind that backlog.
+        slot = qlen_f[lanes]
+        # Keys that repeat admit in arrival order: sort stably by key
+        # and offset each arrival by its rank within its key.
+        unique = count < 2 or len(set(keys.tolist())) == count
+        if not unique:
+            order = keys.argsort(kind="stable")
+            keys, rows, lanes, slot = keys[order], rows[order], lanes[order], slot[order]
+            first = np.empty(count, dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            iota = np.arange(count)
+            slot += iota - np.maximum.accumulate(np.where(first, iota, 0))
+        ok = slot < depth
+        if not ok.all():
+            self._enqueue(keys[~ok], rows[~ok])
+            keys, rows, lanes, slot = keys[ok], rows[ok], lanes[ok], slot[ok]
+            if not rows.size:
+                return
+        mesh.buf_f[lanes * depth + (mesh.head_f[lanes] + slot) % depth] = rows
+        if unique:
+            qlen_f[lanes] += 1
+        else:
+            np.add.at(qlen_f, lanes, 1)
+        admitted.append((rows, int(np.count_nonzero(keys >= self._n))))
 
-        # Fresh packets follow; a tile with surviving backlog (its FIFO
-        # is full) queues them behind it instead.
-        if fresh:
-            queues = pend.queues
-            get_cnt = acc_cnt.get
-            keys_append = acc_keys.append
-            rank_append = acc_rank.append
-            pids_append = pids.append
-            dsts_append = dsts.append
-            for key, packet, net in fresh:
-                if key in queues:
-                    pend.push(key, packet)
-                    continue
-                rank = get_cnt(key, 0)
-                if int(qlen_f[key * 5 + 4]) + rank < depth:
-                    acc_cnt[key] = rank + 1
-                    if rank:
-                        ranked = True
-                    if packet.injected_cycle is None:
-                        packet.injected_cycle = cycle
-                    if not pool_free:
-                        mesh._grow_pool()
-                    pid = pool_free.pop()
-                    pkt_list[pid] = packet
-                    pids_append(pid)
-                    dst = packet.dst
-                    dsts_append(dst[0] * cols + dst[1])
-                    keys_append(key)
-                    rank_append(rank)
-                    if key >= n:
-                        c_yx += 1
-                else:
-                    pend.push(key, packet)
-            self._fresh = []
+    def _enqueue(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Append arrivals to their keys' backlogs, in order.
 
-        accepted = len(acc_keys)
-        if accepted:
-            # One vectorized FIFO apply for everything accepted.
-            k = np.array(acc_keys, dtype=np.int64)
-            pid_arr = np.array(pids, dtype=np.int64)
-            mesh.p_dst[pid_arr] = dsts
-            lane = k * 5 + 4
-            tail = mesh.head_f[lane] + qlen_f[lane]
-            if ranked:
-                tail += acc_rank
-                np.add.at(qlen_f, lane, 1)
-            else:
-                qlen_f[lane] += 1     # keys unique when no rank > 0
-            tail %= depth
-            mesh.buf_f[lane * depth + tail] = pid_arr
-            self.injected_count += accepted
-            self._in_flight += accepted
-            if c_yx:
-                self._net_occupancy[NET_ORDER[1]] += c_yx
-            if accepted - c_yx:
-                self._net_occupancy[NET_ORDER[0]] += accepted - c_yx
+        Each key's arrivals must be adjacent (key-sorted, or one per key).
+        """
+        count = keys.size
+        first = np.empty(count, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        link = self._table.link
+        inner = ~first[1:]
+        link[rows[:-1][inner]] = rows[1:][inner]
+        start = np.flatnonzero(first)
+        stop = np.append(start[1:], count) - 1
+        group = keys[start]
+        had = self._bk_len[group] > 0
+        link[self._bk_tail[group[had]]] = rows[start[had]]
+        fresh = ~had
+        self._bk_head[group[fresh]] = rows[start[fresh]]
+        self._bk_tail[group] = rows[stop]
+        self._bk_len[group] += stop - start + 1
+        self._backlog += count
 
+    def _book_admission(self, admitted: list) -> None:
+        """Stamp injection cycles and count the admitted packets."""
+        rows = np.concatenate([r for r, _ in admitted]) if len(admitted) > 1 else admitted[0][0]
+        injected = self._table.injected
+        injected[rows[injected[rows] < 0]] = self.cycle
+        accepted = rows.size
+        c_yx = sum(yx for _, yx in admitted)
+        self.injected_count += accepted
+        self._in_flight += accepted
+        if c_yx:
+            self._net_occupancy[NET_ORDER[1]] += c_yx
+        if accepted - c_yx:
+            self._net_occupancy[NET_ORDER[0]] += accepted - c_yx
         if self._obs is not None:
-            if accepted:
-                self._m_injected.inc(accepted)
-            if pend.count:
-                self._m_inject_backpressure.inc(pend.count)
+            self._m_injected.inc(accepted)
 
     def idle(self) -> bool:
         """True when no packet is queued, buffered or pending anywhere."""
-        if self._pend.count or self._fresh:
+        if (
+            self._backlog
+            or self._arrivals
+            or self._inbox_payload
+            or self._responses
+            or self._pending_injections
+        ):
             return False
-        return super().idle()
-
-    def _pending_injection_list(self) -> list:
-        n = self._n
-        items = self._pend.flatten(lambda key: NET_ORDER[key // n])
-        items.extend(self._pending_injections)
-        items.extend((packet, net) for _, packet, net in self._fresh)
-        return items
+        return self._in_flight == 0
 
     # ------------------------------------------------------------------
     # Per-cycle path
@@ -689,7 +853,12 @@ class VectorNocSimulator(NocSimulator):
     def step(self) -> None:
         """Advance the simulation by one cycle (vectorized kernel)."""
         self._release_due_responses()
-        if self._pending_injections or self._pend.count or self._fresh:
+        if (
+            self._pending_injections
+            or self._inbox_payload
+            or self._arrivals
+            or self._backlog
+        ):
             self._try_local_injections()
 
         mesh = self._mesh
@@ -704,45 +873,28 @@ class VectorNocSimulator(NocSimulator):
             moved = g_pid.size
             if self._chk_grant is not None and moved:
                 cols = self._cols
-                pkt = mesh.pkt
-                for v, o, i, pid in zip(
-                    g_v.tolist(), g_out.tolist(), g_in.tolist(), g_pid.tolist()
+                packets = self._table.packets(g_pid, cols)
+                for v, o, i, packet in zip(
+                    g_v.tolist(), g_out.tolist(), g_in.tolist(), packets
                 ):
                     net = NET_ORDER[v // n]
                     for fn in self._chk_grant:
-                        fn(
-                            self,
-                            net,
-                            divmod(v % n, cols),
-                            o,
-                            i,
-                            pkt[pid],
-                            (i + 1) % 5,
-                        )
+                        fn(self, net, divmod(v % n, cols), o, i, packet, (i + 1) % 5)
             if drop_pid.size:
-                self.dropped_unreachable += drop_pid.size
-                self.dropped_in_flight += drop_pid.size
-                self._in_flight -= drop_pid.size
-                for v, pid in zip(drop_v.tolist(), drop_pid.tolist()):
-                    net = NET_ORDER[v // n]
-                    self._net_occupancy[net] -= 1
-                    packet = mesh.release(pid)
-                    if self._chk_drop is not None:
-                        for fn in self._chk_drop:
-                            fn(self, packet, net)
+                self._drop(drop_v, drop_pid)
             if deliver_pid.size:
-                if self._obs is None:
-                    self._bulk_deliver(deliver_v, deliver_pid)
-                    if self._chk_deliver is not None:
-                        # Checkers see each delivery in order, after the
-                        # cycle's counters and responses are booked.
-                        delivered = self.delivered_packets[-deliver_pid.size:]
-                        for v, packet in zip(deliver_v.tolist(), delivered):
+                self._deliver_rows(deliver_v, deliver_pid)
+                if self._obs is not None or self._chk_deliver is not None:
+                    # Per-delivery hooks in delivery order, after the
+                    # cycle's counters and responses are booked.
+                    delivered = self.delivered_packets[-deliver_pid.size:]
+                    for v, packet in zip(deliver_v.tolist(), delivered):
+                        net = NET_ORDER[v // n]
+                        if self._obs is not None:
+                            self._record_delivery(packet, net)
+                        if self._chk_deliver is not None:
                             for fn in self._chk_deliver:
-                                fn(self, packet, NET_ORDER[v // n])
-                else:
-                    for v, pid in zip(deliver_v.tolist(), deliver_pid.tolist()):
-                        self._deliver(mesh.release(pid), NET_ORDER[v // n])
+                                fn(self, packet, net)
 
         self.link_stalls += stalled
         if self._obs is not None:
@@ -752,61 +904,80 @@ class VectorNocSimulator(NocSimulator):
                 fn(self)
         self.cycle += 1
 
-    def _bulk_deliver(self, deliver_v: np.ndarray, deliver_pid: np.ndarray) -> None:
-        """Deliver a cycle's packets without telemetry hooks.
+    def _drop(self, drop_v: np.ndarray, drop_rows: np.ndarray) -> None:
+        """Packets granted into a dead link leave the network."""
+        count = drop_rows.size
+        self.dropped_unreachable += count
+        self.dropped_in_flight += count
+        self._in_flight -= count
+        c_yx = count - int(np.searchsorted(drop_v, self._n))
+        self._net_occupancy[NET_ORDER[0]] -= count - c_yx
+        self._net_occupancy[NET_ORDER[1]] -= c_yx
+        if self._chk_drop is not None:
+            packets = self._table.packets(drop_rows, self._cols)
+            for v, packet in zip(drop_v.tolist(), packets):
+                for fn in self._chk_drop:
+                    fn(self, packet, NET_ORDER[v // self._n])
 
-        Field-for-field identical to looping the base ``_deliver``:
-        stamps, counters and response scheduling all match, including
-        response packet-id assignment order.
+    def _deliver_rows(self, deliver_v: np.ndarray, deliver_rows: np.ndarray) -> None:
+        """Deliver a cycle's packets as array operations.
+
+        Field-for-field what looping the base ``_deliver`` does: each
+        row is stamped and logged, and every delivered REQUEST appends
+        its RESPONSE (endpoints swapped, fresh ids in delivery order)
+        for the complementary network.
         """
-        mesh = self._mesh
+        table = self._table
         n = self._n
         cycle = self.cycle
-        pkt = mesh.pkt
-        free = mesh.free
-        delivered = self.delivered_packets
-        responses = self._pending_responses
-        due = cycle + self.response_delay
-        net_xy, net_yx = NET_ORDER
-        comp_xy, comp_yx = net_xy.complement, net_yx.complement
-        request = PacketKind.REQUEST
-        response_kind = PacketKind.RESPONSE
-        new = object.__new__
-        count = deliver_pid.size
-        c_yx = 0
-        for v, pid in zip(deliver_v.tolist(), deliver_pid.tolist()):
-            p = pkt[pid]
-            pkt[pid] = None
-            free.append(pid)
-            p.delivered_cycle = cycle
-            delivered.append(p)
-            if v >= n:
-                c_yx += 1
-                comp = comp_yx
-            else:
-                comp = comp_xy
-            if p.kind is request:
-                # Slot-direct construction skips __post_init__; the
-                # echoed address/payload were validated on the request.
-                r = new(Packet)
-                r.kind = response_kind
-                r.src = p.dst
-                r.dst = p.src
-                r.address = p.address
-                r.payload = p.payload
-                r.packet_id = next(_packets._packet_ids)
-                r.injected_cycle = None
-                r.delivered_cycle = None
-                r.request_id = p.packet_id
-                responses.append((due, r, comp))
-        c_xy = count - c_yx
+        count = deliver_rows.size
+        table.delivered[deliver_rows] = cycle
+        self._delivered_rows.extend(deliver_rows.tolist())
+        kind = table.kind[deliver_rows]
+        requests = count - int(np.count_nonzero(kind))     # REQUEST is 0
+        if requests:
+            rows, v = deliver_rows, deliver_v
+            if requests < count:
+                is_request = kind == _REQUEST_KIND
+                rows, v = rows[is_request], v[is_request]
+            first = reserve_packet_ids(requests)
+            # The response rows: fresh rows (not yet injected or
+            # delivered) holding the requests' address and payload with
+            # the endpoints swapped, kind RESPONSE and a fresh id linked
+            # to the request's.
+            new = table.add(requests)
+            table.ints[_RESPONSE_TO, new] = table.ints[_RESPONSE_FROM, rows]
+            table.kind[new] = _RESPONSE.value
+            table.packet_id[new] = np.arange(first, first + requests)
+            table.payload[new] = table.payload[rows]
+            self._responses.append((
+                cycle + self.response_delay,
+                (v + n) % (2 * n),          # same tile, other network
+                np.arange(new.start, new.stop, dtype=np.int64),
+            ))
+        # deliver_v ascends: XY deliveries first, then YX.
+        c_xy = int(deliver_v.searchsorted(n))
+        c_yx = count - c_xy
         self._in_flight -= count
+        net_xy, net_yx = NET_ORDER
         if c_xy:
             self._per_network_delivered[net_xy] += c_xy
             self._net_occupancy[net_xy] -= c_xy
         if c_yx:
             self._per_network_delivered[net_yx] += c_yx
             self._net_occupancy[net_yx] -= c_yx
+
+    def _delivery_stats(self) -> tuple[list[int], int, int]:
+        order = np.array(self._delivered_rows, dtype=np.int64)
+        table = self._table
+        injected = table.injected[order]
+        delivered = table.delivered[order]
+        latency = delivered - injected
+        known = (injected >= 0) & (delivered >= 0)
+        if not known.all():
+            latency = latency[known]
+        responses = int(np.count_nonzero(table.kind[order]))
+        return latency.tolist(), responses, order.size
 
     # ------------------------------------------------------------------
     # Telemetry and checker walks over flat state
@@ -847,19 +1018,55 @@ class VectorNocSimulator(NocSimulator):
     # ------------------------------------------------------------------
     # Checkpoint/restore (engine-portable layout; see base class)
 
+    def _pending_injection_list(self) -> list:
+        self._stage_inbox()
+        n = self._n
+        link = self._table.link
+        rows: list[int] = []
+        nets: list[NetworkId] = []
+        for key in np.flatnonzero(self._bk_len).tolist():
+            row = int(self._bk_head[key])
+            for _ in range(int(self._bk_len[key])):
+                rows.append(row)
+                nets.append(NET_ORDER[key // n])
+                row = int(link[row])
+        for keys, chunk in self._arrivals:
+            rows.extend(chunk.tolist())
+            nets.extend(NET_ORDER[key // n] for key in keys.tolist())
+        packets = self._table.packets(np.array(rows, dtype=np.int64), self._cols)
+        items = list(zip(packets, nets))
+        backlog = self._backlog
+        return items[:backlog] + list(self._pending_injections) + items[backlog:]
+
+    def _pending_response_list(self) -> list:
+        n = self._n
+        out = []
+        for due, keys, rows in self._responses:
+            packets = self._table.packets(rows, self._cols)
+            for packet, key in zip(packets, keys.tolist()):
+                out.append((due, packet, NET_ORDER[key // n]))
+        return out
+
+    def _set_pending_responses(self, responses: list) -> None:
+        self._responses.clear()
+        for due, group in itertools.groupby(responses, key=lambda item: item[0]):
+            keys, rows = self._to_table((packet, net) for _, packet, net in group)
+            self._responses.append((due, keys, rows))
+
     def _snapshot_engine_state(self) -> dict:
         mesh = self._mesh
         n = self._n
-        fifos = [
-            [
-                [
-                    mesh.fifo_packets(net_i * n + idx, port)
-                    for port in range(5)
-                ]
-                for idx in range(n)
-            ]
-            for net_i in range(2)
-        ]
+        fifos = [[[[] for _ in range(5)] for _ in range(n)] for _ in range(2)]
+        places: list[list] = []
+        rows: list[int] = []
+        for lane in np.flatnonzero(mesh.qlen_f[:-1]).tolist():
+            v, port = divmod(lane, 5)
+            queue = mesh.fifo_rows(v, port)
+            places.extend([fifos[v // n][v % n][port]] * len(queue))
+            rows.extend(queue)
+        packets = self._table.packets(np.array(rows, dtype=np.int64), self._cols)
+        for place, packet in zip(places, packets):
+            place.append(packet)
         rr = [
             mesh.rr[net_i * n:(net_i + 1) * n].tolist() for net_i in range(2)
         ]
@@ -870,17 +1077,19 @@ class VectorNocSimulator(NocSimulator):
 
     def _restore_engine_state(self, state: dict) -> None:
         mesh = self._mesh
-        cols = self._cols
         n = self._n
+        items, lanes = [], []
         for net_i in range(2):
             for idx in range(n):
                 if not mesh.healthy[idx]:
                     continue
                 for port in range(5):
                     for packet in state["fifos"][net_i][idx][port]:
-                        dst = packet.dst
-                        pid = mesh.acquire(packet, dst[0] * cols + dst[1])
-                        mesh.push_port(net_i * n + idx, port, pid)
+                        items.append((packet, NET_ORDER[net_i]))
+                        lanes.append((net_i * n + idx, port))
             rows = slice(net_i * n, (net_i + 1) * n)
             mesh.rr[rows] = np.asarray(state["rr"][net_i], dtype=np.int8)
             mesh.fwd[rows] = np.asarray(state["fwd"][net_i], dtype=np.int64)
+        _, table_rows = self._to_table(items)
+        for (v, port), row in zip(lanes, table_rows.tolist()):
+            mesh.push_port(v, port, row)

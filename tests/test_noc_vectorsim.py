@@ -8,21 +8,27 @@ traffic as the reference engine (the oracle) and requires bit-identical
 reports, delivery order and telemetry.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import NetworkError
+from repro.errors import ConfigError, NetworkError
 from repro.noc.dualnetwork import NetworkId
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.noc.loadlatency import measure_load_latency
-from repro.noc.packets import Packet, PacketKind
+from repro.noc.packets import (
+    Packet,
+    PacketKind,
+    materialise_packets,
+    reserve_packet_ids,
+)
 from repro.noc.routing import RoutingPolicy, build_port_lut, dor_port_codes
 from repro.noc.simulator import ENGINES, NocSimulator
 from repro.noc.vectorsim import _MAX_TILES, VectorNocSimulator
-from repro.workloads.traffic import TrafficPattern, generate_traffic
+from repro.workloads.traffic import TrafficPattern, generate_traffic, traffic_schedule
 
 ENGINE_PAIR = ("reference", "vector")
 
@@ -379,3 +385,188 @@ class TestEngineState:
             sim.drain()
             assert sim.injected_count == 3
             assert sim.report().delivered == 3
+
+
+def _fields(sim, base):
+    """Delivered packets field for field, ids relative to ``base``."""
+    return [
+        (
+            p.kind, p.src, p.dst, p.address, p.payload,
+            p.packet_id - base,
+            None if p.request_id is None else p.request_id - base,
+            p.injected_cycle, p.delivered_cycle,
+        )
+        for p in sim.delivered_packets
+    ]
+
+
+class TestColumnEngine:
+    """Array injection (``inject_many``) and column packet state."""
+
+    CFG = SystemConfig(rows=6, cols=6)
+
+    @pytest.mark.parametrize("engine", ENGINE_PAIR)
+    @pytest.mark.parametrize(
+        "src,dst,field",
+        [([0, -1], [1, 2], "src"), ([0, 1], [2, 36], "dst"), ([36], [0], "src")],
+    )
+    def test_inject_many_rejects_off_mesh(self, engine, src, dst, field):
+        sim = NocSimulator(self.CFG, engine=engine)
+        with pytest.raises(ConfigError, match=field):
+            sim.inject_many(np.array(src), np.array(dst), NetworkId.XY)
+        assert sim.idle() and sim.dropped_unreachable == 0
+
+    @pytest.mark.parametrize("engine", ENGINE_PAIR)
+    def test_inject_many_rejects_ragged_slices(self, engine):
+        sim = NocSimulator(self.CFG, engine=engine)
+        with pytest.raises(NetworkError):
+            sim.inject_many(np.array([0, 1]), np.array([2]), NetworkId.XY)
+
+    def test_inject_many_faulty_endpoints_drop_alike(self):
+        """Requests touching a faulty tile are counted as drops and keep
+        their reserved ids, identically on both engines."""
+        fmap = FaultMap(self.CFG, frozenset({(0, 1)}))
+        fields = {}
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(self.CFG, fault_map=fmap, engine=engine)
+            base = reserve_packet_ids(0)
+            queued = sim.inject_many(
+                np.array([0, 1, 2, 3]), np.array([30, 4, 1, 9]), NetworkId.YX
+            )
+            assert queued == 2
+            assert sim.dropped_unreachable == 2
+            sim.drain()
+            fields[engine] = _fields(sim, base)
+        assert fields["reference"] == fields["vector"]
+        assert {f[5] for f in fields["vector"] if f[0] is PacketKind.REQUEST} == {0, 3}
+
+    def test_vector_inject_leaves_callers_packet_unstamped(self):
+        sim = NocSimulator(self.CFG, engine="vector")
+        packet = Packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(2, 3))
+        sim.inject(packet, NetworkId.XY)
+        sim.drain()
+        assert packet.injected_cycle is None and packet.delivered_cycle is None
+        delivered = sim.delivered_packets[0]
+        assert delivered is not packet
+        assert delivered.packet_id == packet.packet_id
+        assert delivered.injected_cycle == 0 and delivered.delivered_cycle == 5
+
+    def test_preset_injection_cycle_is_kept(self):
+        """A packet that arrives already stamped keeps its stamp on
+        admission, on both engines (the latency counts from it)."""
+        latencies = {}
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(self.CFG, engine=engine)
+            sim.run(5)
+            packet = Packet(kind=PacketKind.RESPONSE, src=(0, 0), dst=(0, 3))
+            packet.injected_cycle = 1
+            sim.inject(packet, NetworkId.XY)
+            sim.drain()
+            latencies[engine] = sim.report().latencies
+        assert latencies["reference"] == latencies["vector"] == [7]
+
+    @staticmethod
+    def _backlogged_run(sim, schedule, until, extra_src, extra_dst):
+        """HOTSPOT schedule via inject_many, plus hand-made packets on
+        every third cycle injected before and after the slice."""
+        for cycle in range(sim.cycle, until):
+            lo, hi = np.searchsorted(schedule.cycle, [cycle, cycle + 1])
+            if cycle % 3 == 0:
+                sim.inject(
+                    Packet(
+                        kind=PacketKind.REQUEST, src=extra_src, dst=extra_dst,
+                        address=0x5A5A, payload=2**64 - 1,
+                    ),
+                    NetworkId.XY,
+                )
+            sim.inject_many(schedule.src[lo:hi], schedule.dst[lo:hi], NetworkId.XY)
+            if cycle % 3 == 0:
+                sim.inject(
+                    Packet(
+                        kind=PacketKind.RESPONSE, src=extra_dst, dst=extra_src,
+                        address=1, payload=7,
+                    ),
+                    NetworkId.YX,
+                )
+            sim.step()
+
+    def _setup(self):
+        fmap = random_fault_map(self.CFG, 2, rng=5)
+        hotspot = (self.CFG.rows // 2, self.CFG.cols // 2)
+        assert not fmap.is_faulty(hotspot)
+        schedule = traffic_schedule(self.CFG, TrafficPattern.HOTSPOT, 0.4, 30, seed=8)
+        # Both DoR paths between (0, 0) and the hotspot avoid the faults.
+        assert fmap.faulty == {(3, 5), (4, 4)}
+        return fmap, schedule, (0, 0), hotspot
+
+    def test_mixed_injection_under_backlog(self):
+        fmap, schedule, extra_src, extra_dst = self._setup()
+        fields, reports, backlogs = {}, {}, {}
+        for engine in ENGINE_PAIR:
+            sim = NocSimulator(self.CFG, fault_map=fmap, engine=engine)
+            base = reserve_packet_ids(0)
+            self._backlogged_run(sim, schedule, 15, extra_src, extra_dst)
+            # Admission depends only on each (network, source) queue's
+            # order; compare the queues, not one engine's flattening.
+            backlogs[engine] = sorted(
+                ((net.value, p.src, p.packet_id - base)
+                 for p, net in sim._pending_injection_list()),
+                key=lambda entry: entry[:2],
+            )
+            self._backlogged_run(sim, schedule, 30, extra_src, extra_dst)
+            sim.drain()
+            reports[engine] = sim.report()
+            fields[engine] = _fields(sim, base)
+        assert backlogs["vector"]     # a LOCAL-FIFO backlog formed
+        assert backlogs["reference"] == backlogs["vector"]
+        assert reports["reference"] == reports["vector"]
+        assert fields["reference"] == fields["vector"]
+        # Every response names a request this run injected.
+        requests = {f[5] for f in fields["vector"] if f[0] is PacketKind.REQUEST}
+        answered = [f[6] for f in fields["vector"] if f[6] is not None]
+        assert answered and set(answered) <= requests
+        assert any(f[4] == 2**64 - 1 and f[3] == 0x5A5A for f in fields["vector"])
+
+    def test_save_mid_backlog_on_vector_resume_on_reference(self, tmp_path):
+        fmap, schedule, extra_src, extra_dst = self._setup()
+        whole = NocSimulator(self.CFG, fault_map=fmap, engine="vector")
+        base_whole = reserve_packet_ids(0)
+        self._backlogged_run(whole, schedule, 30, extra_src, extra_dst)
+        whole.drain()
+
+        first = NocSimulator(self.CFG, fault_map=fmap, engine="vector")
+        base_split = reserve_packet_ids(0)
+        self._backlogged_run(first, schedule, 15, extra_src, extra_dst)
+        assert first._backlog > 0
+        path = tmp_path / "backlog.npz"
+        first.save_state(path)
+        second = NocSimulator.load_state(path, engine="reference")
+        self._backlogged_run(second, schedule, 30, extra_src, extra_dst)
+        second.drain()
+
+        assert second.report() == whole.report()
+        assert second.link_stalls == whole.link_stalls
+        assert _fields(second, base_split) == _fields(whole, base_whole)
+
+    def test_untraced_vector_run_noc_builds_no_packet(self):
+        """The CLI's vector path keeps traffic in arrays end to end: no
+        Packet is built.  Packets come from their dataclass ``__init__``
+        or, slot-direct, from ``materialise_packets``; a profiler hook
+        counts calls to either (the reference run shows it sees them)."""
+        from repro.cli import run_noc
+
+        constructors = {Packet.__init__.__code__, materialise_packets.__code__}
+        calls = {"vector": 0, "reference": 0}
+        for engine in calls:
+
+            def probe(frame, event, arg, engine=engine):
+                if event == "call" and frame.f_code in constructors:
+                    calls[engine] += 1
+
+            sys.setprofile(probe)
+            try:
+                run_noc(self.CFG, cycles=40, rate=0.3, seed=3, faults=2, engine=engine)
+            finally:
+                sys.setprofile(None)
+        assert calls["vector"] == 0
+        assert calls["reference"] > 0

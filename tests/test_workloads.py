@@ -16,7 +16,12 @@ from repro.workloads.graphs import (
     rmat_graph,
 )
 from repro.workloads.sssp import DistributedSssp, reference_sssp
-from repro.workloads.traffic import TrafficPattern, destination_for, generate_traffic
+from repro.workloads.traffic import (
+    TrafficPattern,
+    destination_for,
+    generate_traffic,
+    traffic_schedule,
+)
 
 import numpy as np
 
@@ -178,3 +183,70 @@ class TestTraffic:
         cfg = SystemConfig(rows=4, cols=4)
         with pytest.raises(WorkloadError):
             generate_traffic(cfg, TrafficPattern.UNIFORM, 1.5, 10)
+
+    @pytest.mark.parametrize("make", [traffic_schedule, generate_traffic])
+    @pytest.mark.parametrize("hotspot", [(9, 9), (-1, 0), (0, 4), (1,), "a", (1.5, 2)])
+    def test_off_mesh_hotspot_rejected(self, make, hotspot):
+        """An off-mesh hotspot is a WorkloadError naming the field, not a
+        late ConfigError at inject (or, under array indexing, a silent
+        wrap of (-1, 0) onto a real tile)."""
+        cfg = SystemConfig(rows=4, cols=4)
+        with pytest.raises(WorkloadError, match="hotspot"):
+            make(cfg, TrafficPattern.HOTSPOT, 0.5, 10, hotspot=hotspot)
+
+    @pytest.mark.parametrize("make", [traffic_schedule, generate_traffic])
+    @pytest.mark.parametrize("cycles", [2.5, "10", None, True])
+    def test_non_integer_cycles_rejected(self, make, cycles):
+        cfg = SystemConfig(rows=4, cols=4)
+        with pytest.raises(WorkloadError, match="cycles"):
+            make(cfg, TrafficPattern.UNIFORM, 0.1, cycles)
+
+    def test_numpy_integer_cycles_accepted(self):
+        cfg = SystemConfig(rows=4, cols=4)
+        schedule = traffic_schedule(cfg, TrafficPattern.UNIFORM, 0.5, np.int64(3))
+        assert set(schedule.cycle.tolist()) <= {0, 1, 2}
+
+
+def _per_tile_schedule(config, pattern, rate, cycles, rng, hotspot=None):
+    """The per-tile scalar loop ``traffic_schedule`` replaced (the oracle)."""
+    out = []
+    coords = list(config.tile_coords())
+    for cycle in range(cycles):
+        draws = rng.random(len(coords))
+        for coord, draw in zip(coords, draws):
+            if draw >= rate:
+                continue
+            dst = destination_for(coord, pattern, config, rng, hotspot)
+            if dst == coord:
+                continue
+            out.append((cycle, coord, dst))
+    return out
+
+
+class TestTrafficScheduleOracle:
+    """The array schedule is bit-identical to the per-tile scalar loop."""
+
+    @pytest.mark.parametrize("rows,cols", [(32, 32), (5, 7), (1, 9)])
+    @pytest.mark.parametrize("pattern", list(TrafficPattern))
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 1.0])
+    def test_matches_per_tile_loop(self, rows, cols, pattern, rate):
+        cfg = SystemConfig(rows=rows, cols=cols)
+        for hotspot in (None, (rows - 1, 0)):
+            want_rng = np.random.default_rng(17)
+            want = _per_tile_schedule(cfg, pattern, rate, 6, want_rng, hotspot)
+
+            got_rng = np.random.default_rng(17)
+            schedule = traffic_schedule(cfg, pattern, rate, 6, seed=got_rng, hotspot=hotspot)
+            got = [
+                (cycle, divmod(src, cols), divmod(dst, cols))
+                for cycle, src, dst in zip(*(a.tolist() for a in schedule))
+            ]
+            assert got == want
+            # Same stream position afterwards: the vectorised draws
+            # consumed exactly what the scalar loop did.
+            assert got_rng.random() == want_rng.random()
+
+            traffic = generate_traffic(cfg, pattern, rate, 6, seed=17, hotspot=hotspot)
+            assert [(c, p.src, p.dst) for c, p in traffic] == want
+            ids = [p.packet_id for _, p in traffic]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
