@@ -23,7 +23,8 @@ from ..config import Coord
 from ..errors import EmulatorError, NetworkError
 from ..fastpath import VECTOR_ENGINE_KINDS, resolve_engine_kind
 from ..noc.connectivity import _TABLE_CACHE
-from ..noc.routing import dor_path
+from ..noc.kernel import _round_trip_walk
+from ..noc.routing import RoutingPolicy, dor_path
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from .system import (
     DETOUR_SOFTWARE_PENALTY,
@@ -49,24 +50,24 @@ def reference_route(
 ) -> tuple[int, bool, bool]:
     """One-way hops, detour flag and reachability of one flow, from scratch.
 
-    The oracle derivation: the kernel's fault-aware network assignment,
-    then an explicit ``dor_path`` walk for a direct route or the
-    two-leg Manhattan sum through the detour tile.  An unreachable pair
-    is ``(0, False, False)``.
+    The oracle derivation: walk the request and response ``dor_path`` of
+    each network (:func:`~repro.noc.kernel._round_trip_walk`, not the
+    segment tables the kernel and the vector engine's route table read);
+    a clear round trip costs the path's hop count, any other pair goes
+    through the kernel's detour tile at its two-leg Manhattan sum.  An
+    unreachable pair is ``(0, False, False)``.
     """
-    assignment = system.kernel.assign(src, dst, allow_detour=True)
-    if assignment.is_detour:
-        via = assignment.detour_via
-        assert via is not None
-        hops = (
-            abs(via[0] - src[0]) + abs(via[1] - src[1])
-            + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
-        )
-        return hops, True, True
-    if assignment.reachable:
-        assert assignment.network is not None
-        return len(dor_path(src, dst, assignment.network.policy)) - 1, False, True
-    return 0, False, False
+    if _round_trip_walk(system.fault_map, src, dst):
+        # Both networks' DoR paths are minimal: either gives the hops.
+        return len(dor_path(src, dst, RoutingPolicy.XY)) - 1, False, True
+    via = system.kernel.find_detour(src, dst)
+    if via is None:
+        return 0, False, False
+    hops = (
+        abs(via[0] - src[0]) + abs(via[1] - src[1])
+        + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
+    )
+    return hops, True, True
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """The assembled waferscale system (paper Sections II and VI).
 
-Builds the tile grid over a fault map, attaches the kernel's network
+Holds the tile grid over a fault map, attaches the kernel's network
 assignment (dual DoR networks, Section VI) and provides:
 
 * a unified-memory view: any core can load/store any shared address, with
   remote accesses priced by the mesh round trip;
 * whole-system program loading (broadcast, Section VII);
 * lock-step execution of all cores.
+
+Tiles (cores, crossbars and SRAM banks) are built on first use of an ISA
+entry point; the message-passing emulator never touches them.
 
 Network latency model: a remote access costs
 ``base + hop_latency * hops(request) + service + hop_latency * hops(response)``
@@ -44,9 +47,27 @@ class WaferscaleSystem:
         self.fault_map = fault_map or FaultMap(self.config)
         self.memory_map = MemoryMap(self.config)
         self.kernel = KernelRouter(self.fault_map)
-        self.tiles: dict[Coord, Tile] = {}
-        for coord in self.config.tile_coords():
-            if not self.fault_map.is_faulty(coord):
+        self._healthy = self.fault_map.healthy_tiles()
+        if not self._healthy:
+            raise EmulatorError("no healthy tiles in the system")
+        self._healthy_set = frozenset(self._healthy)
+        self._tiles: dict[Coord, Tile] | None = None
+        self.network_accesses = 0
+        self.network_hops_total = 0
+
+    # -- topology helpers ---------------------------------------------------
+
+    @property
+    def tiles(self) -> dict[Coord, Tile]:
+        """Every healthy tile, row-major, built on first use.
+
+        The message-passing emulator reads only :meth:`healthy_coords`,
+        :attr:`kernel` and :attr:`fault_map`, so it never pays for the
+        cores and banks; the ISA entry points build them through here.
+        """
+        if self._tiles is None:
+            self._tiles = {}
+            for coord in self._healthy:
                 tile = Tile(
                     coord,
                     self.config,
@@ -54,24 +75,18 @@ class WaferscaleSystem:
                     remote_access=self._remote_latency,
                 )
                 tile._bank_resolver = self._resolve_bank
-                self.tiles[coord] = tile
-        if not self.tiles:
-            raise EmulatorError("no healthy tiles in the system")
-        self.network_accesses = 0
-        self.network_hops_total = 0
-
-    # -- topology helpers ---------------------------------------------------
+                self._tiles[coord] = tile
+        return self._tiles
 
     def tile(self, coord: Coord) -> Tile:
         """A healthy tile (raises for faulty/absent tiles)."""
-        try:
-            return self.tiles[coord]
-        except KeyError:
-            raise EmulatorError(f"tile {coord} is faulty or absent") from None
+        if coord not in self._healthy_set:
+            raise EmulatorError(f"tile {coord} is faulty or absent")
+        return self.tiles[coord]
 
     def healthy_coords(self) -> list[Coord]:
         """Healthy tile coordinates, row-major."""
-        return [c for c in self.config.tile_coords() if c in self.tiles]
+        return list(self._healthy)
 
     # -- network model -------------------------------------------------------
 
@@ -128,11 +143,12 @@ class WaferscaleSystem:
 
     def run_to_completion(self, max_cycles: int = 1_000_000) -> int:
         """Step all cores in lock-step until every core halts."""
+        tiles = self.tiles.values()
         cycles = 0
-        while not all(t.all_halted for t in self.tiles.values()):
+        while not all(t.all_halted for t in tiles):
             if cycles >= max_cycles:
                 raise EmulatorError(f"system exceeded {max_cycles} cycles")
-            for tile in self.tiles.values():
+            for tile in tiles:
                 tile.step()
             cycles += 1
         return cycles
@@ -141,7 +157,9 @@ class WaferscaleSystem:
 
     @property
     def total_remote_accesses(self) -> int:
-        """Remote shared accesses issued system-wide."""
+        """Remote shared accesses issued system-wide (0 before any tile exists)."""
+        if self._tiles is None:
+            return 0
         return sum(t.remote_reads + t.remote_writes for t in self.tiles.values())
 
     @property

@@ -90,6 +90,13 @@ class SystemConfig:
             raise ConfigError("pillar_bond_yield must be in (0, 1]")
         if self.pillars_per_pad < 1:
             raise ConfigError("pillars_per_pad must be >= 1")
+        # SRAMs are word-addressed (32-bit words): sizes are whole words.
+        for name in ("bank_bytes", "private_sram_per_core_bytes"):
+            size = getattr(self, name)
+            if size <= 0 or size % 4:
+                raise ConfigError(
+                    f"{name} must be a positive multiple of 4 bytes, got {size!r}"
+                )
         if self.shared_banks_per_tile > self.memory_banks_per_tile:
             raise ConfigError("shared banks cannot exceed total banks per tile")
         if self.edge_supply_voltage <= self.nominal_vdd:

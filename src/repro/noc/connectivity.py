@@ -70,54 +70,67 @@ class PairDisconnection:
 
 
 @lru_cache(maxsize=4)
+def _segment_bounds(
+    rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Min/max segment-endpoint grids ``(cmin, cmax, rmin, rmax)``.
+
+    ``cmin[a, b] = min(a, b)`` over column pairs, and likewise for the
+    others; :func:`_segment_tables` gathers its cumulative sums at them.
+    """
+    col_a = np.arange(cols)[:, None]
+    col_b = np.arange(cols)[None, :]
+    row_a = np.arange(rows)[:, None]
+    row_b = np.arange(rows)[None, :]
+    return (
+        np.minimum(col_a, col_b),
+        np.maximum(col_a, col_b),
+        np.minimum(row_a, row_b),
+        np.maximum(row_a, row_b),
+    )
+
+
+@lru_cache(maxsize=4)
 def _coord_grid(rows: int, cols: int) -> dict:
     """Per-geometry precompute shared by every fault map of one config.
 
     The X-Y L of ``(r1,c1)->(r2,c2)`` is blocked iff some fault sits in
     row ``r1`` with column in ``[min(c1,c2), max(c1,c2)]`` or in column
     ``c2`` with row in ``[min(r1,r2), max(r1,r2)]``.  Both conditions
-    live in tiny per-map tables — ``(rows, cols, cols)`` for row
-    segments, ``(rows, rows, cols)`` for column segments — and expand to
-    the full ordered-pair matrix by pure ``tile``/``repeat`` layout
-    tricks, so the per-map work never loops over faults and never
-    gathers with million-entry index arrays.  Cached here: the min/max
-    segment-endpoint grids the tables are built from, the destination
-    coordinate vectors, and the same-row-or-column pair mask used by
-    :func:`same_row_col_share`.
+    live in tiny per-map tables (:func:`_segment_tables`) — ``(rows,
+    cols, cols)`` for row segments, ``(rows, rows, cols)`` for column
+    segments — and expand to the full ordered-pair matrix by pure
+    ``tile``/``repeat`` layout tricks, so the per-map work never loops
+    over faults and never gathers with million-entry index arrays.
+    Cached here: the destination coordinate vectors, and the
+    same-row-or-column pair mask used by :func:`same_row_col_share`.
     """
-    col_a = np.arange(cols)[:, None]
-    col_b = np.arange(cols)[None, :]
-    row_a = np.arange(rows)[:, None]
-    row_b = np.arange(rows)[None, :]
     flat = np.arange(rows * cols)
     r, c = flat // cols, flat % cols
     return {
-        "cmin": np.minimum(col_a, col_b),
-        "cmax": np.maximum(col_a, col_b),
-        "rmin": np.minimum(row_a, row_b),
-        "rmax": np.maximum(row_a, row_b),
         "dst_r": r,                     # destination row per flat index
         "dst_c": c,                     # destination column per flat index
         "same_rc": (r[:, None] == r[None, :]) | (c[:, None] == c[None, :]),
     }
 
 
-def _segment_tables(
-    fault_arr: np.ndarray, grid: dict
-) -> tuple[np.ndarray, np.ndarray]:
+def _segment_tables(fault_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-map segment fault tables from two cumulative-sum tables.
 
     ``tbl_row[r, a, b]``: any fault in row ``r``, columns
     ``[min(a,b), max(a,b)]``; ``tbl_col[a, b, c]``: any fault in column
-    ``c``, rows ``[min(a,b), max(a,b)]``.
+    ``c``, rows ``[min(a,b), max(a,b)]``.  The X-Y L from ``(r1, c1)``
+    to ``(r2, c2)`` (endpoints included) is blocked iff
+    ``tbl_row[r1, c1, c2] or tbl_col[r1, r2, c2]``.
     """
     rows, cols = fault_arr.shape
+    cmin, cmax, rmin, rmax = _segment_bounds(rows, cols)
     row_cum = np.zeros((rows, cols + 1), dtype=np.int16)
     np.cumsum(fault_arr, axis=1, dtype=np.int16, out=row_cum[:, 1:])
     col_cum = np.zeros((rows + 1, cols), dtype=np.int16)
     np.cumsum(fault_arr, axis=0, dtype=np.int16, out=col_cum[1:, :])
-    tbl_row = row_cum[:, grid["cmax"] + 1] > row_cum[:, grid["cmin"]]
-    tbl_col = col_cum[grid["rmax"] + 1, :] > col_cum[grid["rmin"], :]
+    tbl_row = row_cum[:, cmax + 1] > row_cum[:, cmin]
+    tbl_col = col_cum[rmax + 1, :] > col_cum[rmin, :]
     return tbl_row, tbl_col
 
 
@@ -136,7 +149,7 @@ def _blockage_matrix(fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     n = rows * cols
     grid = _coord_grid(rows, cols)
     fault_arr = fault_map.as_bool_array()
-    tbl_row, tbl_col = _segment_tables(fault_arr, grid)
+    tbl_row, tbl_col = _segment_tables(fault_arr)
 
     # Row-segment term: depends on (source tile, destination column), and
     # tbl_row reshaped to (n, cols) is already indexed by source flat id,
@@ -260,7 +273,7 @@ def _pair_blockage_sparse(fault_map: FaultMap) -> PairDisconnection:
     h = n - int(fault_arr.sum())
     if h < 2:
         raise NetworkError("need at least two healthy tiles")
-    R, C = _segment_tables(fault_arr, _coord_grid(rows, cols))
+    R, C = _segment_tables(fault_arr)
     c_open = (~C).astype(np.float32)         # (a, b, e): column segment clear
 
     # one_way_full = n^2 - sum_{a,c,b,e} (1-R[a,c,e]) (1-C[a,b,e]).

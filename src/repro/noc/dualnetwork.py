@@ -8,17 +8,27 @@ exactly the tiles of the X-Y path from A to B (in reverse), the response
 retraces the request's path — so two-way communication works whenever one
 non-faulty path exists in either orientation, and request/response cycles
 cannot deadlock against each other.
+
+So a round trip on the X-Y network visits exactly the X-Y L from src to
+dst, and one on the Y-X network the X-Y L from dst to src.
+:meth:`DualNetwork.round_trip_ok` answers from the fault map's per-row and
+per-column segment tables (:func:`~repro.noc.connectivity._segment_tables`)
+instead of walking either path.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..config import Coord, SystemConfig
 from ..errors import RoutingError
+from .connectivity import _segment_tables
 from .faults import FaultMap
-from .routing import RoutingPolicy, dor_path, path_is_clear
+from .routing import RoutingPolicy, dor_path
 
 
 class NetworkId(enum.Enum):
@@ -40,7 +50,7 @@ class NetworkId(enum.Enum):
 
 @dataclass(frozen=True)
 class DualNetwork:
-    """Path-level view of the two networks over one fault map."""
+    """Round-trip view of the two networks over one fault map."""
 
     fault_map: FaultMap
 
@@ -49,21 +59,24 @@ class DualNetwork:
         """The underlying system configuration."""
         return self.fault_map.config
 
-    def request_path(self, src: Coord, dst: Coord, network: NetworkId) -> list[Coord]:
-        """Tiles a request traverses on the chosen network."""
-        return dor_path(src, dst, network.policy)
-
-    def response_path(self, src: Coord, dst: Coord, network: NetworkId) -> list[Coord]:
-        """Tiles the response traverses (complementary network, dst->src)."""
-        return dor_path(dst, src, network.complement.policy)
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column segment fault tables, built once per network."""
+        return _segment_tables(self.fault_map.as_bool_array())
 
     def round_trip_ok(self, src: Coord, dst: Coord, network: NetworkId) -> bool:
-        """Can a request on ``network`` and its response both complete?"""
-        req = self.request_path(src, dst, network)
-        rsp = self.response_path(src, dst, network)
-        return path_is_clear(req, self.fault_map) and path_is_clear(
-            rsp, self.fault_map
-        )
+        """Can a request on ``network`` and its response both complete?
+
+        Both legs visit one X-Y L: ``src -> dst`` on the X-Y network,
+        ``dst -> src`` on the Y-X network (module docstring), so the
+        answer is one lookup in each segment table.
+        """
+        config = self.config
+        config.validate_coord(src)
+        config.validate_coord(dst)
+        (r1, c1), (r2, c2) = (src, dst) if network is NetworkId.XY else (dst, src)
+        tbl_row, tbl_col = self._segments
+        return not (tbl_row[r1, c1, c2] or tbl_col[r1, r2, c2])
 
     def usable_networks(self, src: Coord, dst: Coord) -> list[NetworkId]:
         """Networks on which the full request/response round trip works."""

@@ -21,6 +21,7 @@ from ..config import Coord
 from .connectivity import _shared_table
 from .dualnetwork import DualNetwork, NetworkId
 from .faults import FaultMap
+from .routing import dor_path, path_is_clear
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,33 @@ class KernelRouter:
         )
 
 
+def _round_trip_walk(fault_map: FaultMap, src: Coord, dst: Coord) -> bool:
+    """Round trip on some network, by walking both legs' DoR paths."""
+    return any(
+        path_is_clear(dor_path(src, dst, n.policy), fault_map)
+        and path_is_clear(dor_path(dst, src, n.complement.policy), fault_map)
+        for n in NetworkId
+    )
+
+
 def _find_detour_reference(
     fault_map: FaultMap, src: Coord, dst: Coord
 ) -> Coord | None:
     """Per-tile scalar detour search (test oracle for the route table).
 
-    Walks every healthy tile as a candidate, checks both legs with
-    :meth:`DualNetwork.connected` path walks, and keeps the first tile
-    of minimal total hop count.  No runtime path calls it.
+    Walks every healthy tile as a candidate, checks both legs by walking
+    their request and response paths (:func:`_round_trip_walk`, not the
+    segment tables behind :meth:`DualNetwork.connected`), and keeps the
+    first tile of minimal total hop count.  No runtime path calls it.
     """
-    dual = DualNetwork(fault_map)
     best: Coord | None = None
     best_cost = None
     for via in fault_map.healthy_tiles():
         if via in (src, dst):
             continue
-        if not dual.connected(src, via):
+        if not _round_trip_walk(fault_map, src, via):
             continue
-        if not dual.connected(via, dst):
+        if not _round_trip_walk(fault_map, via, dst):
             continue
         cost = (
             abs(via[0] - src[0]) + abs(via[1] - src[1])

@@ -409,10 +409,10 @@ class RouteCoherenceChecker(InvariantChecker):
     per-fault-map route table (direct-reachability matrix, closed-form
     Manhattan hops, memoised detours).  On every ``sample``-th routed
     flow this checker re-derives the route with
-    :func:`~repro.arch.emulator.reference_route` — kernel assignment
-    plus an explicit ``dor_path`` walk — and compares.  Direct pairs
-    are re-derived by path walks; a detour's via tile comes from the
-    same shared table, whose search the tests check against
+    :func:`~repro.arch.emulator.reference_route` and compares.  Direct
+    pairs are re-derived by walking the request and response
+    ``dor_path``; a detour's via tile comes from the same shared table,
+    whose search the tests check against
     :func:`~repro.noc.kernel._find_detour_reference`.  The scalar
     emulator derives every route that way already and has no cached
     routes to check.  ``sample=1`` checks every flow (campaigns);

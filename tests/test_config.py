@@ -80,6 +80,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(packet_width_bits=500, link_width_bits=400)
 
+    @pytest.mark.parametrize("field", ["bank_bytes", "private_sram_per_core_bytes"])
+    @pytest.mark.parametrize("size", [0, -8, 6, 130, float("nan")])
+    def test_rejects_bad_sram_size_naming_field(self, field, size):
+        # Non-positive and non-word-multiple sizes both fail at the
+        # boundary, naming the field; from_dict takes the same check.
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(rows=2, cols=2, **{field: size})
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig.from_dict({"rows": 2, "cols": 2, field: size})
+
+    @pytest.mark.parametrize("field", ["bank_bytes", "private_sram_per_core_bytes"])
+    def test_accepts_one_word_sram(self, field):
+        assert getattr(SystemConfig(rows=2, cols=2, **{field: 4}), field) == 4
+
 
 class TestCoordinates:
     def test_tile_coords_row_major(self):

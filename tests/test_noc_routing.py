@@ -1,12 +1,16 @@
 """Tests for repro.noc routing, topology, faults and dual networks."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.config import SystemConfig
-from repro.errors import FaultMapError, NetworkError, RoutingError
+from repro.errors import ConfigError, FaultMapError, NetworkError, RoutingError
 from repro.noc.dualnetwork import DualNetwork, NetworkId, response_retraces_request
 from repro.noc.faults import FaultMap, bonding_informed_fault_map, random_fault_map
+from repro.noc.kernel import _find_detour_reference
 from repro.noc.router import Port
 from repro.noc.routing import (
     PORT_LOCAL,
@@ -243,3 +247,91 @@ class TestDualNetwork:
     def test_pick_network_returns_usable(self, clean_map):
         dual = DualNetwork(clean_map)
         assert dual.pick_network((1, 1), (5, 5)) in NetworkId
+
+
+def _walked_round_trip(fmap, src, dst, network):
+    """Oracle: walk the request path and the response path tile by tile."""
+    return path_is_clear(dor_path(src, dst, network.policy), fmap) and path_is_clear(
+        dor_path(dst, src, network.complement.policy), fmap
+    )
+
+
+def _maps_up_to_two_faults(rows, cols):
+    cfg = SystemConfig(rows=rows, cols=cols)
+    coords = list(cfg.tile_coords())
+    for k in (0, 1, 2):
+        for faulty in itertools.combinations(coords, k):
+            yield FaultMap(cfg, frozenset(faulty))
+
+
+class TestRoundTripOracle:
+    """``round_trip_ok`` reads segment tables; the oracle walks paths."""
+
+    @staticmethod
+    def _assert_agrees(fmap, pairs):
+        dual = DualNetwork(fmap)
+        for src, dst in pairs:
+            want = [n for n in NetworkId if _walked_round_trip(fmap, src, dst, n)]
+            for n in NetworkId:
+                assert dual.round_trip_ok(src, dst, n) == (n in want), (
+                    fmap.faulty, src, dst, n,
+                )
+            assert dual.usable_networks(src, dst) == want
+            assert dual.connected(src, dst) == bool(want)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4)])
+    def test_every_map_with_up_to_two_faults(self, rows, cols):
+        maps = 0
+        for fmap in _maps_up_to_two_faults(rows, cols):
+            coords = list(fmap.config.tile_coords())
+            self._assert_agrees(fmap, itertools.product(coords, coords))
+            maps += 1
+        n = rows * cols
+        assert maps == 1 + n + n * (n - 1) // 2
+
+    @pytest.mark.parametrize(
+        "rows, cols, faults, seed",
+        [(1, 8, 2, 0), (1, 8, 3, 1), (5, 7, 4, 2), (5, 7, 9, 3)],
+    )
+    def test_random_maps_all_pairs(self, rows, cols, faults, seed):
+        fmap = random_fault_map(SystemConfig(rows=rows, cols=cols), faults, rng=seed)
+        coords = list(fmap.config.tile_coords())
+        self._assert_agrees(fmap, itertools.product(coords, coords))
+
+    @pytest.mark.parametrize("faults, seed", [(5, 0), (20, 1)])
+    def test_full_wafer_sampled_pairs(self, paper_cfg, faults, seed):
+        fmap = random_fault_map(paper_cfg, faults, rng=seed)
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(paper_cfg.tiles, size=(1500, 2))
+        pairs = [
+            (divmod(int(a), paper_cfg.cols), divmod(int(b), paper_cfg.cols))
+            for a, b in flat
+        ]
+        # Pairs touching a fault's row or column, where blockage happens.
+        for r, c in sorted(fmap.faulty):
+            pairs += [((r, 0), (r, paper_cfg.cols - 1)), ((0, c), (paper_cfg.rows - 1, c))]
+        self._assert_agrees(fmap, pairs)
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (4, 0), (0, 4), (4, 4)])
+    def test_off_mesh_endpoint_raises(self, bad):
+        dual = DualNetwork(FaultMap(SystemConfig(rows=4, cols=4)))
+        for network in NetworkId:
+            with pytest.raises(ConfigError):
+                dual.round_trip_ok(bad, (1, 1), network)
+            with pytest.raises(ConfigError):
+                dual.round_trip_ok((1, 1), bad, network)
+        with pytest.raises(ConfigError):
+            dual.connected((0, 0), bad)
+
+    def test_detour_oracle_walks_paths_itself(self, monkeypatch):
+        # The detour oracle must not read the segment tables it checks.
+        fmap = FaultMap(SystemConfig(rows=4, cols=4), frozenset({(1, 1), (2, 2)}))
+        want = _find_detour_reference(fmap, (1, 0), (1, 2))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("detour oracle read DualNetwork")
+
+        monkeypatch.setattr(DualNetwork, "round_trip_ok", forbidden)
+        monkeypatch.setattr(DualNetwork, "connected", forbidden)
+        assert _find_detour_reference(fmap, (1, 0), (1, 2)) == want
+        assert want is not None
