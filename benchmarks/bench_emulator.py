@@ -13,8 +13,9 @@ Two gated points, both at the paper's 32x32 (2048-chiplet) array:
 What is gated.  The two engines share everything but the delivery
 barrier (``Emulator._deliver``: route every flow, account its cycles,
 fill the inboxes): the same superstep loop calls the same workload
-``compute`` on every healthy tile, and both read the fault map's one
-shared route table (:func:`repro.noc.connectivity._shared_table`) for
+``compute`` on the same tiles (both workloads are mail-driven, so only
+the tiles with mail), and both read the fault map's one shared route
+table (:func:`repro.noc.connectivity._shared_table`) for
 detours.  So the floor compares the time spent inside delivery
 barriers — per-flow ``reference_route`` path walks against one
 ``_flow_kernel`` call per superstep.  The table is built once per map,
@@ -22,7 +23,8 @@ untimed, before either engine runs (its cost is reported as
 ``table_build_s``), and each engine's time is the best of ``REPEATS``
 interleaved runs on a fresh system.  Whole-run times and their ratio
 are recorded alongside, not gated: at this message count the shared
-per-tile ``compute`` calls are most of a vector run.
+``compute`` calls and superstep bookkeeping are about half of a vector
+run.
 
 Runnable two ways::
 

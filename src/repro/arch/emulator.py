@@ -9,15 +9,20 @@ inter-tile messages, and the emulator accounts cycles using the same
 latency model as :class:`~repro.arch.system.WaferscaleSystem`.
 
 The superstep model (compute locally, exchange messages, repeat) matches
-how BFS/SSSP are written for such machines, and the message path respects
-the kernel's fault-aware network assignment — so a workload run on a
-faulty wafer exercises the dual-network resiliency machinery end to end.
+how BFS/SSSP are written for such machines.  It is mail-driven: a
+superstep computes only on the tiles that have mail plus the tiles the
+workload declares active (every healthy tile unless it declares a set),
+so a sparse frontier costs in proportion to its size, not the wafer's.
+The message path respects the kernel's fault-aware network assignment —
+so a workload run on a faulty wafer exercises the dual-network
+resiliency machinery end to end.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..config import Coord
 from ..errors import EmulatorError, NetworkError
@@ -68,6 +73,21 @@ def reference_route(
         + abs(dst[0] - via[0]) + abs(dst[1] - via[1])
     )
     return hops, True, True
+
+
+def message_words(words) -> int:
+    """``words`` as a Python ``int`` >= 1; anything else is an EmulatorError.
+
+    Python and numpy integers pass; ``bool``, ``float`` and ``str`` do
+    not, so both engines price exactly the same integer word count.
+    """
+    if type(words) is not int:
+        if isinstance(words, bool) or not isinstance(words, numbers.Integral):
+            raise EmulatorError(f"message words must be an integer, got {words!r}")
+        words = int(words)
+    if words < 1:
+        raise EmulatorError("message must carry at least one word")
+    return words
 
 
 @dataclass
@@ -151,9 +171,10 @@ class Emulator:
         self.checkers = list(checkers or ())
         fns = [c.on_route for c in self.checkers if hasattr(c, "on_route")]
         self._chk_route = fns or None
-        self._inboxes: dict[Coord, list[Message]] = {
-            coord: [] for coord in system.healthy_coords()
-        }
+        self._coords = system.healthy_coords()
+        self._healthy: frozenset[Coord] = system._healthy_set
+        # Only tiles with mail have an inbox entry (created on delivery).
+        self._inboxes: dict[Coord, list[Message]] = {}
         self._outbox: list[Message] = []
 
         tel = resolve_telemetry(telemetry)
@@ -173,12 +194,11 @@ class Emulator:
 
     def send(self, src: Coord, dst: Coord, payload: object, words: int = 2) -> None:
         """Queue a message for delivery at the next superstep barrier."""
-        if src not in self._inboxes:
+        if src not in self._healthy:
             raise EmulatorError(f"source tile {src} is faulty or absent")
-        if dst not in self._inboxes:
+        if dst not in self._healthy:
             raise EmulatorError(f"destination tile {dst} is faulty or absent")
-        if words < 1:
-            raise EmulatorError("message must carry at least one word")
+        words = message_words(words)
         self._outbox.append(Message(src=src, dst=dst, payload=payload, words=words))
 
     def send_batch(
@@ -197,6 +217,9 @@ class Emulator:
         flat arrays and materialise :class:`Message` objects lazily at the
         delivery barrier.
         """
+        if src not in self._healthy:
+            raise EmulatorError(f"source tile {src} is faulty or absent")
+        words = message_words(words)
         cols = self.system.config.cols
         for dst in dsts:
             if not isinstance(dst, tuple):
@@ -221,11 +244,11 @@ class Emulator:
             flows.setdefault((message.src, message.dst), []).append(message)
         self._outbox = []
 
+        inboxes = self._inboxes
         slowest = 0
         for (src, dst), messages in flows.items():
             if src == dst:
-                for message in messages:
-                    self._inboxes[dst].append(message)
+                inboxes.setdefault(dst, []).extend(messages)
                 continue
             hops, is_detour = self._route(src, dst)
             if is_detour:
@@ -255,15 +278,25 @@ class Emulator:
                 self.telemetry.metrics.counter(
                     "emu.tile_messages", tile=f"{src[0]},{src[1]}"
                 ).inc(len(messages))
-            for message in messages:
-                self._inboxes[dst].append(message)
+            inboxes.setdefault(dst, []).extend(messages)
         return slowest
 
     # -- superstep loop -------------------------------------------------------
 
+    def _schedule(self, active: Iterable[Coord] | None) -> frozenset[Coord] | None:
+        """Validate a declared active set once; ``None`` means every tile."""
+        if active is None:
+            return None
+        coords = tuple(active)
+        for coord in coords:
+            if coord not in self._healthy:
+                raise EmulatorError(f"active tile {coord} is faulty or absent")
+        return frozenset(coords)
+
     def superstep(
         self,
         compute: Callable[[Coord, list[Message], "Emulator"], int],
+        active: Iterable[Coord] | None = None,
     ) -> bool:
         """Run one superstep.
 
@@ -271,18 +304,33 @@ class Emulator:
         optionally calls :meth:`send`, and returns its local compute cycle
         count.  Returns True when the step did any work (messages moved or
         compute reported nonzero cycles) — the workload's convergence test.
+
+        ``active`` declares the tiles with work of their own this step.
+        ``compute`` runs on the tiles that have mail plus the tiles in
+        ``active``, in row-major order; ``None`` (the default) runs it on
+        every healthy tile.  The caller's contract: a tile outside
+        ``active`` with an empty inbox would compute 0 cycles, send
+        nothing and change no state, so skipping it changes nothing.
         """
+        return self._superstep(compute, self._schedule(active))
+
+    def _superstep(
+        self,
+        compute: Callable[[Coord, list[Message], "Emulator"], int],
+        active: frozenset[Coord] | None,
+    ) -> bool:
         inboxes = self._inboxes
-        self._inboxes = {coord: [] for coord in inboxes}
+        self._inboxes = {}
+        # Row-major either way, so sends interleave as on every tile.
+        schedule = self._coords if active is None else sorted(inboxes.keys() | active)
 
         busiest = 0
-        any_messages = False
-        for coord, inbox in inboxes.items():
-            cycles = compute(coord, inbox, self)
+        for coord in schedule:
+            cycles = compute(coord, inboxes.get(coord) or [], self)
             if cycles < 0:
                 raise EmulatorError("compute cycles cannot be negative")
-            busiest = max(busiest, cycles)
-            any_messages = any_messages or bool(inbox)
+            if cycles > busiest:
+                busiest = cycles
 
         sent_before = self.stats.messages_sent
         network_cycles = self._deliver()
@@ -305,18 +353,22 @@ class Emulator:
                 network_cycles=network_cycles,
                 messages=step_messages,
             )
-        return bool(network_cycles) or busiest > 0 or any_messages
+        return bool(network_cycles) or busiest > 0 or bool(inboxes)
 
     def run(
         self,
         compute: Callable[[Coord, list[Message], "Emulator"], int],
         max_supersteps: int = 10_000,
+        active: Iterable[Coord] | None = None,
     ) -> EmulationStats:
-        """Run supersteps until quiescent (no work and no messages)."""
+        """Run supersteps until quiescent (no work and no messages).
+
+        ``active`` is validated once and declared for every superstep
+        (see :meth:`superstep`).
+        """
+        declared = self._schedule(active)
         for _ in range(max_supersteps):
-            progressed = self.superstep(compute)
-            if not progressed and not self._outbox and not any(
-                self._inboxes.values()
-            ):
+            progressed = self._superstep(compute, declared)
+            if not progressed and not self._outbox and not self._inboxes:
                 return self.stats
         raise EmulatorError(f"workload did not converge in {max_supersteps} steps")

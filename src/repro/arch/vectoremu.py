@@ -49,7 +49,7 @@ from ..config import Coord
 from ..errors import EmulatorError, NetworkError
 from ..noc.connectivity import _RouteTable, _shared_table
 from ..obs.telemetry import Telemetry
-from .emulator import Emulator, Message
+from .emulator import Emulator, Message, message_words
 from .system import (
     DETOUR_SOFTWARE_PENALTY,
     HOP_LATENCY,
@@ -204,7 +204,8 @@ class VectorEmulator(Emulator):
         cols = self._cols
         self._sc_src.append(src[0] * cols + src[1])
         self._sc_dst.append(dst[0] * cols + dst[1])
-        self._sc_words.append(words)
+        # The validated word count, as the scalar engine queued it.
+        self._sc_words.append(self._outbox[-1].words)
 
     def send_batch(
         self,
@@ -213,10 +214,9 @@ class VectorEmulator(Emulator):
         payload: object = None,
         words: int = 2,
     ) -> None:
-        if src not in self._inboxes:
+        if src not in self._healthy:
             raise EmulatorError(f"source tile {src} is faulty or absent")
-        if words < 1:
-            raise EmulatorError("message must carry at least one word")
+        words = message_words(words)
         cols = self._cols
         if isinstance(dsts, np.ndarray):
             dst_ids = dsts.astype(np.int64, copy=True).ravel()
@@ -319,7 +319,7 @@ class VectorEmulator(Emulator):
         pos = 0
         perm_list = fl.perm.tolist()
         for j, count in enumerate(fl.counts.tolist()):
-            inbox = inboxes[coord_of[dst_of_flow[j]]]
+            inbox = inboxes.setdefault(coord_of[dst_of_flow[j]], [])
             for i in perm_list[pos:pos + count]:
                 inbox.append(msgs[i])
             pos += count

@@ -102,7 +102,8 @@ class DistributedBfs:
                         )
             return edges_scanned * CYCLES_PER_EDGE
 
-        stats = emulator.run(compute, max_supersteps=max_supersteps)
+        # Mail-driven: a tile with an empty inbox has nothing to relax.
+        stats = emulator.run(compute, max_supersteps=max_supersteps, active=())
         return BfsResult(source=source, distance=distance, stats=stats)
 
 

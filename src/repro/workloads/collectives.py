@@ -899,7 +899,10 @@ class CollectiveDriver:
 
         self.reset()
         emulator = Emulator(self.system, engine=engine)
-        stats = emulator.run(self.compute, max_supersteps=max_supersteps)
+        # Only ranks send a phase; every other tile computes nothing.
+        stats = emulator.run(
+            self.compute, max_supersteps=max_supersteps, active=self.rank_coords
+        )
         self.verify()
         return stats
 

@@ -73,6 +73,8 @@ class DistributedPageRank:
         ranks = {v: 1.0 / n for v in self.graph.nodes}
         owner = self.partition.owner_of
         emulator = Emulator(self.system, engine=engine)
+        # Scatter runs on the tiles owning a vertex; gather is mail-driven.
+        owners = frozenset(self.partition.owner.values())
         iterations_run = 0
 
         for _ in range(iterations):
@@ -93,7 +95,7 @@ class DistributedPageRank:
                                 ("contrib", neighbor, share))
                 return count * CYCLES_PER_CONTRIBUTION
 
-            emulator.superstep(scatter)
+            emulator.superstep(scatter, active=owners)
 
             # Superstep B: gather and update.
             def gather(tile: Coord, inbox: list[Message], em: Emulator) -> int:
@@ -102,7 +104,7 @@ class DistributedPageRank:
                     incoming[vertex] += share
                 return len(inbox) * CYCLES_PER_CONTRIBUTION
 
-            emulator.superstep(gather)
+            emulator.superstep(gather, active=())
 
             base = (1.0 - self.damping) / n
             new_ranks = {

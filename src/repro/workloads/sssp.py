@@ -95,7 +95,8 @@ class DistributedSssp:
                         em.send(tile, owner(neighbor), ("relax", neighbor, candidate))
             return relaxations * CYCLES_PER_RELAXATION
 
-        stats = emulator.run(compute, max_supersteps=max_supersteps)
+        # Mail-driven: a tile with an empty inbox has nothing to relax.
+        stats = emulator.run(compute, max_supersteps=max_supersteps, active=())
         return SsspResult(source=source, distance=distance, stats=stats)
 
 

@@ -101,4 +101,5 @@ class FrontierWave:
         self.reset()
         emulator = Emulator(self.system, engine=engine)
         self.seed_sends(emulator)
-        return emulator.run(self.compute, max_supersteps=max_supersteps)
+        # Mail-driven: only a tile holding part of the wave forwards it.
+        return emulator.run(self.compute, max_supersteps=max_supersteps, active=())

@@ -9,10 +9,12 @@ unreachable destination must raise the same :class:`NetworkError`
 message.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.arch.emulator import ENGINES, Emulator
+from repro.arch.emulator import ENGINES, Emulator, clear_route_cache
 from repro.arch.system import WaferscaleSystem
 from repro.arch.tile import Tile
 from repro.arch.vectoremu import VectorEmulator
@@ -21,8 +23,14 @@ from repro.errors import EmulatorError, NetworkError, ReproError
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.verify.invariants import RouteCoherenceChecker
 from repro.workloads.bfs import DistributedBfs, reference_bfs
-from repro.workloads.collectives import CollectiveDriver, CollectiveSpec
+from repro.workloads.collectives import (
+    PATTERNS,
+    PLACEMENTS,
+    CollectiveDriver,
+    CollectiveSpec,
+)
 from repro.workloads.graphs import random_graph
+from repro.workloads.pagerank import DistributedPageRank
 from repro.workloads.sssp import DistributedSssp
 from repro.workloads.waves import FrontierWave
 
@@ -146,6 +154,290 @@ class TestWorkloadDifferential:
             emulator.send(healthy[0], dst, payload=None)
         emulator.superstep(lambda tile, inbox, em: 0)
         assert checker.checks > 0
+
+
+class TestMessageWords:
+    """Both engines price the same integer word count or reject it alike."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("words", [2.5, 2.0, "3", True, np.bool_(True), None])
+    def test_non_integer_words_rejected(self, engine, words):
+        emulator = Emulator(_system(4, 4), engine=engine)
+        with pytest.raises(EmulatorError, match="words"):
+            emulator.send((0, 0), (3, 3), None, words=words)
+        with pytest.raises(EmulatorError, match="words"):
+            emulator.send_batch((0, 0), [(3, 3)], words=words)
+        with pytest.raises(EmulatorError, match="words"):
+            emulator.send_batch((0, 0), np.array([15]), words=words)
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("words", [0, -1, np.int64(0)])
+    def test_words_below_one_rejected(self, engine, words):
+        emulator = Emulator(_system(4, 4), engine=engine)
+        with pytest.raises(EmulatorError, match="at least one word"):
+            emulator.send((0, 0), (3, 3), None, words=words)
+        with pytest.raises(EmulatorError, match="at least one word"):
+            emulator.send_batch((0, 0), [(3, 3)], words=words)
+
+    def test_numpy_integer_words_priced_like_python_int(self):
+        stats = {}
+        for engine in ("reference", "vector"):
+            for words in (3, np.int64(3), np.uint8(3)):
+                emulator = Emulator(_system(4, 4), engine=engine)
+                emulator.send((0, 0), (3, 3), None, words=words)
+                emulator.send_batch((0, 1), [(3, 3)], words=words)
+                emulator.superstep(lambda tile, inbox, em: 0)
+                stats[engine, repr(words)] = emulator.stats
+        assert len({repr(s) for s in stats.values()}) == 1
+        assert all(type(s.network_cycles) is int for s in stats.values())
+
+
+class _CountingCoords:
+    """An ``active`` iterable that counts how often it is iterated."""
+
+    def __init__(self, coords):
+        self.coords = list(coords)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.coords)
+
+
+class TestActiveValidation:
+    @staticmethod
+    def _faulty():
+        cfg = SystemConfig(rows=4, cols=4)
+        return WaferscaleSystem(cfg, FaultMap(cfg).with_fault((2, 2)))
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("bad", [(2, 2), (4, 0), (0, -1)])
+    def test_superstep_rejects_bad_active_tile(self, engine, bad):
+        emulator = Emulator(self._faulty(), engine=engine)
+        match = f"active tile {re.escape(str(bad))} is faulty or absent"
+        with pytest.raises(EmulatorError, match=match):
+            emulator.superstep(lambda tile, inbox, em: 0, active=[(0, 0), bad])
+        assert emulator.stats.supersteps == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("bad", [(2, 2), (0, 4)])
+    def test_run_rejects_bad_active_tile(self, engine, bad):
+        emulator = Emulator(self._faulty(), engine=engine)
+        with pytest.raises(EmulatorError, match=f"active tile {re.escape(str(bad))} is faulty"):
+            emulator.run(lambda tile, inbox, em: 0, active=[bad])
+        assert emulator.stats.supersteps == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_run_validates_active_once(self, engine):
+        emulator = Emulator(self._faulty(), engine=engine)
+        emulator.send((0, 0), (0, 1), 3)
+
+        def relay(tile, inbox, em):
+            for message in inbox:
+                if message.payload:
+                    em.send(tile, (3, 3), message.payload - 1)
+            return len(inbox)
+
+        active = _CountingCoords([(1, 1), (3, 0)])
+        stats = emulator.run(relay, active=active)
+        assert stats.supersteps > 2
+        assert active.iterations == 1
+
+
+def _every_tile(m):
+    """Drop every declared ``active``: ``compute`` runs on every healthy tile."""
+    emu_run, emu_superstep = Emulator.run, Emulator.superstep
+    m.setattr(
+        Emulator, "run",
+        lambda self, compute, max_supersteps=10_000, active=None:
+        emu_run(self, compute, max_supersteps),
+    )
+    m.setattr(
+        Emulator, "superstep",
+        lambda self, compute, active=None: emu_superstep(self, compute),
+    )
+
+
+def _schedule_runs(monkeypatch, run):
+    """``run(engine)`` on both engines, as declared and on every tile.
+
+    The every-tile schedule drops each ``active`` argument the workload
+    passes, so ``compute`` runs on every healthy tile each superstep.
+    Returns ``{(engine, schedule): run(engine)}``.
+    """
+    out = {}
+    for engine in ("reference", "vector"):
+        clear_route_cache()
+        out[engine, "declared"] = run(engine)
+        with monkeypatch.context() as m:
+            _every_tile(m)
+            clear_route_cache()
+            out[engine, "every-tile"] = run(engine)
+    return out
+
+
+def _assert_all_equal(runs):
+    first = next(iter(runs.values()))
+    for key, value in runs.items():
+        assert value == first, key
+
+
+class TestScheduleDifferential:
+    """Declared schedules change no stat, inbox order or result."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize(
+        "rows, faults, ranks", [(8, 5, 12), (32, 8, 20)], ids=["8x8", "32x32"]
+    )
+    def test_collectives(self, monkeypatch, pattern, placement, rows, faults, ranks):
+        system = _system(rows, rows, faults=faults)
+        spec = CollectiveSpec(
+            pattern, seed=4, ranks=ranks, segments=2, root=1, placement=placement
+        )
+        driver = CollectiveDriver(system, spec)
+
+        def run(engine):
+            stats = driver.run(engine=engine)
+            return stats, {r: dict(slots) for r, slots in driver.state.items()}
+
+        runs = _schedule_runs(monkeypatch, run)
+        _assert_all_equal(runs)
+        assert runs["vector", "declared"][0].messages_sent > 0
+
+    @pytest.mark.parametrize("rows, faults", [(8, 5), (32, 8)], ids=["8x8", "32x32"])
+    def test_bfs_and_sssp(self, monkeypatch, rows, faults):
+        system = _system(rows, rows, faults=faults)
+        graph = random_graph(nodes=60, seed=5, weighted=True)
+        bfs = DistributedBfs(system, graph)
+        sssp = DistributedSssp(system, graph)
+
+        def run(engine):
+            b = bfs.run(0, engine=engine)
+            s = sssp.run(0, engine=engine)
+            return b.stats, b.distance, s.stats, s.distance
+
+        runs = _schedule_runs(monkeypatch, run)
+        _assert_all_equal(runs)
+        assert runs["vector", "declared"][1] == reference_bfs(graph, 0)
+
+    @pytest.mark.parametrize("rows, faults", [(8, 5), (32, 8)], ids=["8x8", "32x32"])
+    def test_wave(self, monkeypatch, rows, faults):
+        system = _system(rows, rows, faults=faults)
+        wave = FrontierWave(system, width=6, fanout=3, ttl=4, seed=5)
+        runs = _schedule_runs(monkeypatch, lambda engine: wave.run(engine=engine))
+        _assert_all_equal(runs)
+        assert runs["vector", "declared"].supersteps > 1
+
+    @pytest.mark.parametrize("rows, faults", [(8, 5), (32, 8)], ids=["8x8", "32x32"])
+    def test_pagerank(self, monkeypatch, rows, faults):
+        system = _system(rows, rows, faults=faults)
+        graph = random_graph(nodes=50, seed=6)
+        pagerank = DistributedPageRank(system, graph)
+
+        def run(engine):
+            result = pagerank.run(iterations=5, engine=engine)
+            return result.stats, result.ranks, result.iterations
+
+        runs = _schedule_runs(monkeypatch, run)
+        _assert_all_equal(runs)
+        assert runs["vector", "declared"][0].messages_sent > 0
+
+
+def _record_computes(m, log):
+    """Wrap every ``compute`` the emulator runs; log (step, tile, mail)."""
+    emu_run, emu_superstep = Emulator.run, Emulator.superstep
+
+    def recorded(compute):
+        def wrapper(tile, inbox, em):
+            log.append((em.stats.supersteps, tile, bool(inbox)))
+            return compute(tile, inbox, em)
+
+        return wrapper
+
+    m.setattr(
+        Emulator, "run",
+        lambda self, compute, *args, **kwargs:
+        emu_run(self, recorded(compute), *args, **kwargs),
+    )
+    m.setattr(
+        Emulator, "superstep",
+        lambda self, compute, *args, **kwargs:
+        emu_superstep(self, recorded(compute), *args, **kwargs),
+    )
+
+
+class TestComputeCalls:
+    """``compute`` runs once per superstep on exactly mail ∪ active."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_superstep_calls_mail_and_active_in_row_major_order(self, engine):
+        emulator = Emulator(_system(4, 4), engine=engine)
+        emulator.send((0, 0), (3, 1), "a")
+        emulator.send_batch((0, 0), [(1, 2), (3, 1)], payload="b")
+        emulator.superstep(lambda tile, inbox, em: 0, active=())
+        calls = []
+
+        def compute(tile, inbox, em):
+            calls.append((tile, [m.payload for m in inbox]))
+            return 0
+
+        emulator.superstep(compute, active=[(2, 0), (1, 2)])
+        assert calls == [
+            ((1, 2), ["b"]),
+            ((2, 0), []),
+            ((3, 1), ["a", "b"]),
+        ]
+        calls.clear()
+        emulator.superstep(compute)
+        assert [tile for tile, _ in calls] == emulator.system.healthy_coords()
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_calls_equal_mail_union_active(self, monkeypatch, engine):
+        cfg = SystemConfig(rows=8, cols=8)
+        system = WaferscaleSystem(cfg, random_fault_map(cfg, 4, rng=2))
+        driver = CollectiveDriver(
+            system, CollectiveSpec("ring-all-reduce", seed=1, ranks=10, segments=2)
+        )
+        graph = random_graph(nodes=40, seed=1)
+        wave = FrontierWave(system, width=4, fanout=2, ttl=3, seed=1)
+        pagerank = DistributedPageRank(system, graph)
+        owners = frozenset(pagerank.partition.owner.values())
+        cases = [
+            (lambda: driver.run(engine=engine), lambda step: set(driver.rank_coords)),
+            (lambda: DistributedBfs(system, graph).run(0, engine=engine), lambda step: set()),
+            (lambda: wave.run(engine=engine), lambda step: set()),
+            (
+                lambda: pagerank.run(iterations=3, engine=engine),
+                lambda step: set(owners) if step % 2 == 0 else set(),
+            ),
+        ]
+        for run, declared in cases:
+            every = _schedule_log(monkeypatch, run, every_tile=True)
+            sparse = _schedule_log(monkeypatch, run, every_tile=False)
+            # A step that calls no tile is missing from the sparse log.
+            assert set(sparse) <= set(every)
+            for step, calls in every.items():
+                tiles = [tile for tile, _ in sparse.get(step, [])]
+                mail = {tile for tile, has_mail in calls if has_mail}
+                assert tiles == sorted(mail | declared(step)), step
+            total_every = sum(len(c) for c in every.values())
+            total_sparse = sum(len(c) for c in sparse.values())
+            assert total_sparse < total_every
+
+
+def _schedule_log(monkeypatch, run, every_tile):
+    """``{step: [(tile, has_mail), ...]}`` of one run's compute calls."""
+    log = []
+    with monkeypatch.context() as m:
+        if every_tile:
+            _every_tile(m)
+        _record_computes(m, log)
+        run()
+    steps: dict[int, list] = {}
+    for step, tile, mail in log:
+        steps.setdefault(step, []).append((tile, mail))
+    return steps
 
 
 class TestMessagePassingBuildsNoTiles:
