@@ -5,9 +5,10 @@ paths, verifies the results are identical, and records the speedups in
 ``BENCH_analysis.json`` — the perf trajectory of the analysis layer,
 mirroring ``bench_noc_sim.py`` for the simulator:
 
-* **PDN** — constant-power fixed point over a batch of activity maps:
-  per-map fresh-``spsolve`` solves vs one cached LU factorization shared
-  by the whole :meth:`PdnSolver.solve_many` batch (floor: >=5x);
+* **PDN** — constant-power fixed point over a series of activity maps:
+  per-map fresh-``spsolve`` solves vs sequential :meth:`PdnSolver.solve`
+  calls on one solver, which factorizes the mesh once and reuses the LU
+  for every map (floor: >=5x);
 * **connectivity** — the same drawn 32x32 Fig. 6 fault maps through
   the per-fault broadcast oracle (``_pair_blockage_reference``) and the
   factorized sparse kernel behind :func:`disconnected_fraction`
@@ -69,7 +70,8 @@ def _bench_pdn(scale: float) -> dict:
     tel = Telemetry()
     start = time.perf_counter()
     with use_telemetry(tel):
-        fast = PdnSolver(cfg).solve_many(maps, load_model="constant_power")
+        solver = PdnSolver(cfg)
+        fast = [solver.solve(m, load_model="constant_power") for m in maps]
     fast_s = time.perf_counter() - start
 
     for ref_sol, fast_sol in zip(reference, fast):

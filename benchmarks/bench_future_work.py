@@ -10,7 +10,13 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.clock.cdc import worst_chain_analysis
-from repro.noc.oddeven import compare_routing_schemes
+from repro.noc.dualnetwork import DualNetwork
+from repro.noc.faults import FaultMap
+from repro.noc.oddeven import (
+    compare_routing_schemes,
+    odd_even_path,
+    path_respects_turn_model,
+)
 from repro.pdn.dtc import dtc_upgrade_summary
 from repro.pdn.twv import max_tile_power_w, solve_twv_delivery
 from repro.thermal.limits import max_power_per_tile_w, system_power_budget_w
@@ -105,50 +111,56 @@ def test_futurework_thermal_envelope(benchmark, paper_cfg):
     assert system_budget > 1_000.0
 
 
-def test_futurework_adaptive_cycle_sim(benchmark):
-    """Footnote 4 at cycle level: adaptive odd-even vs dual-DoR delivery.
+def test_futurework_adaptive_wall_paths(benchmark):
+    """Footnote 4 at path level: odd-even routes round a fault wall.
 
-    On a fault map containing a two-deep wall, the dual-DoR network must
-    drop the same-row pairs crossing it (no path on either L); the
-    adaptive network delivers them.
+    On a fault map containing a two-deep wall, the dual-DoR scheme has no
+    usable network for the same-row pairs crossing it (no path on either
+    L), while the odd-even turn model finds a turn-legal detour in both
+    directions.  Deadlock freedom of those routes is Chiu's turn-model
+    theorem (ref [18]): every route that obeys the two odd-even rules is
+    deadlock-free without virtual channels, so a turn-legal path is the
+    whole obligation.
     """
-    from repro.noc.adaptive import AdaptiveNocSimulator
-    from repro.noc.dualnetwork import NetworkId
-    from repro.noc.faults import FaultMap
-    from repro.noc.packets import Packet, PacketKind
-    from repro.noc.simulator import NocSimulator
-
     cfg = SystemConfig(rows=8, cols=8)
     fmap = FaultMap(cfg, frozenset({(0, 4), (1, 4)}))
-    pairs = [((0, c), (0, 7)) for c in range(4)] + [((r, 1), (r, 6)) for r in (2, 5)]
+    walled = [((0, c), (0, 7)) for c in range(4)]
+    pairs = walled + [((r, 1), (r, 6)) for r in (2, 5)]
 
-    def run_both():
-        adaptive = AdaptiveNocSimulator(cfg, fault_map=fmap)
-        for src, dst in pairs:
-            adaptive.inject(Packet(kind=PacketKind.REQUEST, src=src, dst=dst))
-        adaptive.drain(max_cycles=30_000)
-
-        dor = NocSimulator(cfg, fault_map=fmap)
-        for src, dst in pairs:
-            dor.inject(
-                Packet(kind=PacketKind.REQUEST, src=src, dst=dst), NetworkId.XY
+    def route_all():
+        dual = DualNetwork(fmap)
+        return [
+            (
+                src,
+                dst,
+                odd_even_path(src, dst, fmap),
+                odd_even_path(dst, src, fmap),
+                dual.usable_networks(src, dst),
             )
-        dor.run(3_000)
-        return adaptive.report(), dor.report()
+            for src, dst in pairs
+        ]
 
-    adaptive_report, dor_report = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        ("pairs offered", len(pairs)),
-        ("adaptive delivered", f"{adaptive_report.delivered} "
-         f"(all round trips: {adaptive_report.all_delivered})"),
-        ("dual-DoR delivered", dor_report.delivered),
-        ("dual-DoR dropped/stuck",
-         2 * len(pairs) - dor_report.delivered),
-        ("adaptive mean latency", f"{adaptive_report.mean_latency:.1f} cycles"),
+    routes = benchmark.pedantic(route_all, rounds=1, iterations=1)
+    for src, dst, there, back, usable in routes:
+        for path in (there, back):
+            assert path is not None, (src, dst)
+            assert path_respects_turn_model(path), path
+        assert there[0] == src and there[-1] == dst
+        assert back[0] == dst and back[-1] == src
+        if (src, dst) in walled:
+            assert usable == [], (src, dst, usable)
+        else:
+            assert len(usable) == 2, (src, dst, usable)
+    rows = [("pair", "odd-even hops (there/back)", "dual-DoR usable networks")]
+    rows += [
+        (
+            f"{src}->{dst}",
+            f"{len(there) - 1}/{len(back) - 1}",
+            ", ".join(n.name for n in usable) or "none",
+        )
+        for src, dst, there, back, usable in routes
     ]
-    print_series("Adaptive vs dual-DoR under a fault wall (cycle level)", rows)
-    assert adaptive_report.all_delivered
-    assert dor_report.delivered < 2 * len(pairs)
+    print_series("Odd-even vs dual-DoR under a fault wall (path level)", rows)
 
 
 def test_futurework_cdc_analysis(benchmark):

@@ -3,16 +3,11 @@
 from .dse import (
     DesignPoint,
     sweep_array_size,
-    sweep_io_pitch,
-    sweep_link_width,
 )
-from .render import render_field, render_fault_overlay
+from .render import render_field
 
 __all__ = [
     "DesignPoint",
     "sweep_array_size",
-    "sweep_io_pitch",
-    "sweep_link_width",
     "render_field",
-    "render_fault_overlay",
 ]

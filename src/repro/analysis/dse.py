@@ -2,23 +2,15 @@
 
 The library's payoff for a downstream user: vary one technology or
 architecture knob and watch every derived quantity move consistently.
-Three sweeps the paper's discussion invites:
-
-* **array size** — how do power delivery, clock depth, bandwidth and
-  load time scale from small arrays up to (and past) 32x32?
-* **I/O pitch** — the Si-IF roadmap: finer pillars buy more I/Os per
-  chiplet and wider links, but bonding-yield redundancy must keep up;
-* **link width** — network bandwidth versus I/O budget.
+The sweep here is **array size**: how power delivery, clock depth,
+bandwidth and load time scale from small arrays up to (and past) 32x32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..config import SystemConfig
-from ..errors import ConfigError
-from ..geometry.chiplet import compute_chiplet
-from ..io.bonding import chiplet_bond_yield
 from ..noc.topology import MeshTopology
 from ..pdn.solver import PdnSolver
 from ..dft.multichain import load_time_model, row_chains
@@ -80,56 +72,3 @@ def sweep_array_size(sizes: list[int] | None = None) -> list[DesignPoint]:
         cfg = SystemConfig(rows=size, cols=size)
         points.append(_evaluate(cfg, f"{size}x{size}"))
     return points
-
-
-def sweep_io_pitch(pitches_um: list[float] | None = None) -> list[dict]:
-    """Finer Cu-pillar pitch: more I/Os per chiplet, same bonding math.
-
-    Reports the maximum perimeter I/Os at each pitch and the per-chiplet
-    bond yield at 1 and 2 pillars per pad (more I/Os need redundancy even
-    more badly).
-    """
-    pitches = pitches_um or [20.0, 10.0, 5.0, 2.0]
-    chiplet = compute_chiplet()
-    out: list[dict] = []
-    for pitch in pitches:
-        if pitch <= 0:
-            raise ConfigError("pitch must be positive")
-        max_ios = chiplet.max_perimeter_ios(pitch, pad_rows=2)
-        out.append(
-            {
-                "pitch_um": pitch,
-                "max_perimeter_ios": max_ios,
-                "bond_yield_1_pillar": chiplet_bond_yield(max_ios, 0.9999, 1),
-                "bond_yield_2_pillars": chiplet_bond_yield(max_ios, 0.9999, 2),
-            }
-        )
-    return out
-
-
-def sweep_link_width(widths: list[int] | None = None) -> list[dict]:
-    """Wider mesh links: bandwidth vs compute-chiplet I/O budget."""
-    from ..io.budget import compute_io_budget
-
-    widths = widths or [100, 200, 400, 480]
-    out: list[dict] = []
-    for width in widths:
-        # Scale the I/O budget with the link so wide links stay legal;
-        # budget feasibility is reported, not assumed.
-        ios_needed_guess = 4 * width + 420
-        cfg = SystemConfig(
-            link_width_bits=width,
-            ios_per_compute_chiplet=max(2020, ios_needed_guess),
-        )
-        topo = MeshTopology(cfg)
-        budget = compute_io_budget(cfg)
-        out.append(
-            {
-                "link_width_bits": width,
-                "network_ios": budget.network_ios,
-                "total_ios": budget.total,
-                "fits_perimeter": budget.fits_perimeter(cfg.io_pad_pitch_um),
-                "link_bw_gbps": topo.link_bandwidth_bps() / 1e9,
-            }
-        )
-    return out

@@ -1,9 +1,8 @@
 """ASCII rendering of per-tile scalar fields (voltage, temperature, ...).
 
 Dependency-free visualisation for terminals and logs: maps a
-``(rows, cols)`` field onto a character ramp, with optional fault-map
-overlay.  Used by the examples to show the Fig. 2 droop map and thermal
-maps without any plotting library.
+``(rows, cols)`` field onto a character ramp.  Used by the examples to
+show the Fig. 2 droop map and thermal maps without any plotting library.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReproError
-from ..noc.faults import FaultMap
 
 RAMP = " .:-=+*#%@"
 
@@ -43,26 +41,3 @@ def render_field(
     if legend:
         lines.append(f"[{ramp[0]}]={lo:.3g}  [{ramp[-1]}]={hi:.3g}")
     return "\n".join(lines)
-
-
-def render_fault_overlay(
-    field: np.ndarray,
-    fault_map: FaultMap,
-    ramp: str = RAMP,
-) -> str:
-    """Render a field with faulty tiles marked ``X``."""
-    array = np.asarray(field, dtype=float)
-    cfg = fault_map.config
-    if array.shape != (cfg.rows, cfg.cols):
-        raise ReproError(
-            f"field shape {array.shape} != grid {(cfg.rows, cfg.cols)}"
-        )
-    base = render_field(array, ramp=ramp, legend=False).splitlines()
-    out = []
-    for r, line in enumerate(base):
-        chars = list(line)
-        for c in range(cfg.cols):
-            if fault_map.is_faulty((r, c)):
-                chars[c] = "X"
-        out.append("".join(chars))
-    return "\n".join(out)

@@ -60,10 +60,3 @@ class MemoryBank:
         self._words.clear()
         self.reads = 0
         self.writes = 0
-
-
-def bank_bandwidth_bytes_per_s(freq_hz: float, banks: int = 5) -> float:
-    """Aggregate bandwidth of one tile's banks (32-bit word per cycle each)."""
-    if freq_hz <= 0 or banks < 1:
-        raise EmulatorError("frequency and bank count must be positive")
-    return banks * WORD_BYTES * freq_hz

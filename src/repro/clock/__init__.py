@@ -16,15 +16,12 @@ from .forwarding import (
 from .passive_cdn import PassiveCdnModel
 from .placement import (
     best_single_generator,
-    depth_report,
     forwarding_depths,
     greedy_generator_set,
 )
-from .pll import PllModel
 from .resiliency import (
     clock_coverage_theorem_holds,
     monte_carlo_clock_coverage,
-    unreachable_tiles,
 )
 
 __all__ = [
@@ -41,11 +38,8 @@ __all__ = [
     "simulate_clock_setup",
     "PassiveCdnModel",
     "best_single_generator",
-    "depth_report",
     "forwarding_depths",
     "greedy_generator_set",
-    "PllModel",
     "clock_coverage_theorem_holds",
     "monte_carlo_clock_coverage",
-    "unreachable_tiles",
 ]

@@ -6,7 +6,8 @@ problems kill it.  First, the parasitics of a >15,000mm^2 tree with 1024
 sinks exceed 450pF and 120nH; the distributed-RC settling limit puts the
 usable toggle rate below 1MHz, and no crystal oscillator both drives that
 load and holds sub-100ps absolute jitter.  Second, interior PLLs lack a
-stable supply anyway (see :mod:`repro.clock.pll`).
+stable supply anyway: interior tiles see their regulated supply wander
+within the 1.0-1.2V band, so only edge tiles can generate a clock.
 
 This module quantifies the first argument so the rejection can be
 re-derived from geometry.

@@ -117,12 +117,3 @@ def greedy_generator_set(
         assert best_tile is not None
         generators.append(best_tile)
     return generators, max_depth(config, generators, faulty)
-
-
-def depth_report(config: SystemConfig, counts: list[int] | None = None) -> list[tuple[int, int]]:
-    """(generator count, max depth) series for a clean wafer."""
-    out: list[tuple[int, int]] = []
-    for count in counts or [1, 2, 4]:
-        _, depth = greedy_generator_set(config, count)
-        out.append((count, depth))
-    return out

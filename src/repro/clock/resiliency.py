@@ -5,8 +5,6 @@ non-faulty tile *unless all of a tile's neighbours are faulty* — more
 precisely, unless the tile is disconnected from every generator in the
 subgraph of healthy tiles.  This module provides:
 
-* :func:`unreachable_tiles` — exact reachability via the forwarding
-  simulator;
 * :func:`clock_coverage_theorem_holds` — machine-checks the paper's
   induction claim on arbitrary fault maps;
 * :func:`monte_carlo_clock_coverage` — coverage statistics versus fault
@@ -33,32 +31,6 @@ from scipy.sparse.csgraph import breadth_first_order
 from ..config import Coord, SystemConfig
 from ..errors import ClockError
 from .forwarding import simulate_clock_setup
-
-
-def unreachable_tiles(
-    config: SystemConfig,
-    faulty: set[Coord] | frozenset[Coord],
-    generators: list[Coord] | None = None,
-) -> set[Coord]:
-    """Healthy tiles the fast clock cannot reach."""
-    result = simulate_clock_setup(config, generators=generators, faulty=faulty)
-    return set(result.unclocked_tiles)
-
-
-def isolated_tiles(config: SystemConfig, faulty: set[Coord] | frozenset[Coord]) -> set[Coord]:
-    """Healthy tiles whose four neighbours are all faulty.
-
-    These are unusable regardless of clocking: the inter-tile network
-    cannot reach them either (the paper's point about Fig. 4's tile 2).
-    """
-    out: set[Coord] = set()
-    for coord in config.tile_coords():
-        if coord in faulty:
-            continue
-        nbrs = config.neighbors(coord)
-        if nbrs and all(n in faulty for n in nbrs):
-            out.add(coord)
-    return out
 
 
 def clock_coverage_theorem_holds(

@@ -9,6 +9,7 @@ used for cycle-level simulation and for reproducing Fig. 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
@@ -82,6 +83,20 @@ class SystemConfig:
     reticle_tile_rows: int = params.RETICLE_TILE_ROWS
 
     def __post_init__(self) -> None:
+        # NaN passes every range check below (all comparisons with NaN
+        # are false), so finiteness is checked first.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.tile_peak_power_w < 0:
+            raise ConfigError(
+                f"tile_peak_power_w must be non-negative, got {self.tile_peak_power_w!r}"
+            )
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"tile array must be at least 1x1, got {self.rows}x{self.cols}")
         if self.cores_per_tile < 1:
@@ -263,6 +278,10 @@ class SystemConfig:
         ``variant(rows=..., cols=...)``.
         """
         return self.variant(rows=rows, cols=cols)
+
+
+# Field types are strings here (``from __future__ import annotations``).
+_FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "float")
 
 
 def paper_config() -> SystemConfig:

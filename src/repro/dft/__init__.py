@@ -8,14 +8,12 @@ from .assembly import (
 )
 from .broadcast import BroadcastLoader, LoadMode
 from .dap import CoreDap, TileDapChain
-from .jtag import JtagChain, JtagDevice, TapController, TapState
+from .jtag import JtagChain, JtagDevice
 from .mbist import (
     FaultKind,
     FaultyBank,
     InjectedFault,
     march_c_minus,
-    mats_plus,
-    mbist_runtime_s,
 )
 from .multichain import ChainPlan, MultiChainPlan, load_time_model
 from .probe import PadSet, ProbeCard, can_probe, probe_plan
@@ -32,14 +30,10 @@ __all__ = [
     "TileDapChain",
     "JtagChain",
     "JtagDevice",
-    "TapController",
-    "TapState",
     "FaultKind",
     "FaultyBank",
     "InjectedFault",
     "march_c_minus",
-    "mats_plus",
-    "mbist_runtime_s",
     "ChainPlan",
     "MultiChainPlan",
     "load_time_model",

@@ -1,119 +1,16 @@
-"""IEEE 1149.1 TAP controller and daisy-chain model (paper Section VII).
+"""JTAG daisy-chain model (paper Section VII).
 
 The cores expose ARM Debug Access Ports driven over JTAG (IEEE 1149.1
-minus boundary scan).  This module implements the standard 16-state TAP
-controller state machine and a bit-exact shift model for a chain of JTAG
-devices, which the DAP/broadcast/unrolling layers build on.
+minus boundary scan).  This module implements a bit-exact shift model
+for a chain of JTAG devices, which the DAP/broadcast/unrolling layers
+build on.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from ..errors import JtagError
-
-
-class TapState(enum.Enum):
-    """The 16 states of the IEEE 1149.1 TAP controller."""
-
-    TEST_LOGIC_RESET = "test-logic-reset"
-    RUN_TEST_IDLE = "run-test-idle"
-    SELECT_DR_SCAN = "select-dr-scan"
-    CAPTURE_DR = "capture-dr"
-    SHIFT_DR = "shift-dr"
-    EXIT1_DR = "exit1-dr"
-    PAUSE_DR = "pause-dr"
-    EXIT2_DR = "exit2-dr"
-    UPDATE_DR = "update-dr"
-    SELECT_IR_SCAN = "select-ir-scan"
-    CAPTURE_IR = "capture-ir"
-    SHIFT_IR = "shift-ir"
-    EXIT1_IR = "exit1-ir"
-    PAUSE_IR = "pause-ir"
-    EXIT2_IR = "exit2-ir"
-    UPDATE_IR = "update-ir"
-
-
-# (state, tms) -> next state, straight from the standard's state diagram.
-_TRANSITIONS: dict[tuple[TapState, int], TapState] = {
-    (TapState.TEST_LOGIC_RESET, 0): TapState.RUN_TEST_IDLE,
-    (TapState.TEST_LOGIC_RESET, 1): TapState.TEST_LOGIC_RESET,
-    (TapState.RUN_TEST_IDLE, 0): TapState.RUN_TEST_IDLE,
-    (TapState.RUN_TEST_IDLE, 1): TapState.SELECT_DR_SCAN,
-    (TapState.SELECT_DR_SCAN, 0): TapState.CAPTURE_DR,
-    (TapState.SELECT_DR_SCAN, 1): TapState.SELECT_IR_SCAN,
-    (TapState.CAPTURE_DR, 0): TapState.SHIFT_DR,
-    (TapState.CAPTURE_DR, 1): TapState.EXIT1_DR,
-    (TapState.SHIFT_DR, 0): TapState.SHIFT_DR,
-    (TapState.SHIFT_DR, 1): TapState.EXIT1_DR,
-    (TapState.EXIT1_DR, 0): TapState.PAUSE_DR,
-    (TapState.EXIT1_DR, 1): TapState.UPDATE_DR,
-    (TapState.PAUSE_DR, 0): TapState.PAUSE_DR,
-    (TapState.PAUSE_DR, 1): TapState.EXIT2_DR,
-    (TapState.EXIT2_DR, 0): TapState.SHIFT_DR,
-    (TapState.EXIT2_DR, 1): TapState.UPDATE_DR,
-    (TapState.UPDATE_DR, 0): TapState.RUN_TEST_IDLE,
-    (TapState.UPDATE_DR, 1): TapState.SELECT_DR_SCAN,
-    (TapState.SELECT_IR_SCAN, 0): TapState.CAPTURE_IR,
-    (TapState.SELECT_IR_SCAN, 1): TapState.TEST_LOGIC_RESET,
-    (TapState.CAPTURE_IR, 0): TapState.SHIFT_IR,
-    (TapState.CAPTURE_IR, 1): TapState.EXIT1_IR,
-    (TapState.SHIFT_IR, 0): TapState.SHIFT_IR,
-    (TapState.SHIFT_IR, 1): TapState.EXIT1_IR,
-    (TapState.EXIT1_IR, 0): TapState.PAUSE_IR,
-    (TapState.EXIT1_IR, 1): TapState.UPDATE_IR,
-    (TapState.PAUSE_IR, 0): TapState.PAUSE_IR,
-    (TapState.PAUSE_IR, 1): TapState.EXIT2_IR,
-    (TapState.EXIT2_IR, 0): TapState.SHIFT_IR,
-    (TapState.EXIT2_IR, 1): TapState.UPDATE_IR,
-    (TapState.UPDATE_IR, 0): TapState.RUN_TEST_IDLE,
-    (TapState.UPDATE_IR, 1): TapState.SELECT_DR_SCAN,
-}
-
-
-class TapController:
-    """One TAP controller state machine."""
-
-    def __init__(self) -> None:
-        self.state = TapState.TEST_LOGIC_RESET
-        self.tck_cycles = 0
-
-    def step(self, tms: int) -> TapState:
-        """Advance one TCK with the given TMS value."""
-        if tms not in (0, 1):
-            raise JtagError("TMS must be 0 or 1")
-        self.state = _TRANSITIONS[(self.state, tms)]
-        self.tck_cycles += 1
-        return self.state
-
-    def reset(self) -> None:
-        """Five TMS=1 clocks reach Test-Logic-Reset from any state."""
-        for _ in range(5):
-            self.step(1)
-        if self.state is not TapState.TEST_LOGIC_RESET:
-            raise JtagError("TAP failed to reset (corrupt transition table)")
-
-    def goto_shift_dr(self) -> int:
-        """Drive TMS from Run-Test/Idle to Shift-DR; returns cycles used."""
-        before = self.tck_cycles
-        for tms in (1, 0, 0):       # Select-DR, Capture-DR, Shift-DR
-            self.step(tms)
-        return self.tck_cycles - before
-
-    def goto_shift_ir(self) -> int:
-        """Drive TMS from Run-Test/Idle to Shift-IR; returns cycles used."""
-        before = self.tck_cycles
-        for tms in (1, 1, 0, 0):
-            self.step(tms)
-        return self.tck_cycles - before
-
-    def exit_to_idle(self) -> int:
-        """Shift -> Exit1 -> Update -> Run-Test/Idle; returns cycles used."""
-        before = self.tck_cycles
-        for tms in (1, 1, 0):       # Exit1, Update, Run-Test/Idle
-            self.step(tms)
-        return self.tck_cycles - before
 
 
 @dataclass

@@ -2,10 +2,9 @@
 
 Section VII loads "test routines" into the cores through JTAG; the
 routine any memory-heavy chiplet runs first is a march test over its
-banks.  This module implements the standard March C- algorithm (and the
-cheaper MATS+ for quick during-assembly checks) against the
-:class:`~repro.arch.membank.MemoryBank` model, with a fault-injection
-wrapper so detection coverage is testable.
+banks.  This module implements the standard March C- algorithm against
+the :class:`~repro.arch.membank.MemoryBank` model, with a
+fault-injection wrapper so detection coverage is testable.
 
 March C- elements (⇕ any order, ⇑ ascending, ⇓ descending):
 
@@ -147,29 +146,3 @@ def march_c_minus(bank: FaultyBank | MemoryBank) -> MbistResult:
         ("down", [("r", zero)]),
     ]
     return _march(bank, elements, "March C-")
-
-
-def mats_plus(bank: FaultyBank | MemoryBank) -> MbistResult:
-    """MATS+ (5N operations): detects all stuck-at faults, cheap."""
-    one, zero = ALL_ONES, 0
-    elements = [
-        ("up", [("w", zero)]),
-        ("up", [("r", zero), ("w", one)]),
-        ("down", [("r", one), ("w", zero)]),
-    ]
-    return _march(bank, elements, "MATS+")
-
-
-def mbist_runtime_s(
-    bank_bytes: int, freq_hz: float, operations_per_word: int = 10
-) -> float:
-    """Wall-clock estimate of a march run at the core's clock.
-
-    March C- performs 10 operations per word; a core executing the test
-    routine issues roughly one memory operation per few cycles, so this
-    is the optimistic (bandwidth-bound) figure.
-    """
-    if bank_bytes < 0 or freq_hz <= 0 or operations_per_word < 1:
-        raise JtagError("invalid MBIST runtime parameters")
-    words = bank_bytes // WORD_BYTES
-    return words * operations_per_word / freq_hz

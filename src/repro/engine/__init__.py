@@ -35,7 +35,7 @@ from .observe import (
     TelemetryObserver,
     ThroughputObserver,
 )
-from .seeding import as_seed_sequence, rng_from, seed_fingerprint, spawn_trial_seeds
+from .seeding import as_seed_sequence, seed_fingerprint, spawn_trial_seeds
 
 __all__ = [
     "CIStop",
@@ -53,7 +53,6 @@ __all__ = [
     "TelemetryObserver",
     "ThroughputObserver",
     "as_seed_sequence",
-    "rng_from",
     "seed_fingerprint",
     "spawn_trial_seeds",
 ]

@@ -46,11 +46,6 @@ def spawn_trial_seeds(seed: SeedLike, trials: int) -> list[np.random.SeedSequenc
     return as_seed_sequence(seed).spawn(trials)
 
 
-def rng_from(seed: SeedLike) -> np.random.Generator:
-    """Build a generator from any seed form."""
-    return np.random.default_rng(as_seed_sequence(seed))
-
-
 def seed_fingerprint(seed: SeedLike) -> list[int]:
     """A JSON-serialisable identity for a seed (used in cache keys)."""
     seq = as_seed_sequence(seed)

@@ -56,10 +56,6 @@ class SubstrateError(ReproError):
     """Si-IF substrate design failure (DRC violation, unroutable net...)."""
 
 
-class DrcError(SubstrateError):
-    """A design-rule check failed."""
-
-
 class EmulatorError(ReproError):
     """Functional emulator error (bad address, halted core access...)."""
 

@@ -2,7 +2,6 @@
 
 from .bringup import (
     BringupReport,
-    fault_map_from_json,
     fault_map_to_json,
     run_bringup,
 )
@@ -10,7 +9,6 @@ from .characterize import (
     ShmooResult,
     characterization_report,
     characterize,
-    characterize_activity_sweep,
 )
 from .designer import DesignFlowResult, run_design_flow
 from .report import SystemReport, table1_report
@@ -18,13 +16,11 @@ from .validate import CheckResult, ValidationReport, validate_design
 
 __all__ = [
     "BringupReport",
-    "fault_map_from_json",
     "fault_map_to_json",
     "run_bringup",
     "ShmooResult",
     "characterization_report",
     "characterize",
-    "characterize_activity_sweep",
     "DesignFlowResult",
     "run_design_flow",
     "SystemReport",

@@ -169,22 +169,3 @@ def fault_map_to_json(fault_map: FaultMap) -> str:
         "faulty": sorted([list(coord) for coord in fault_map.faulty]),
     }
     return json.dumps(payload, indent=2)
-
-
-def fault_map_from_json(text: str, config: SystemConfig | None = None) -> FaultMap:
-    """Load a fault map; validates the grid shape against ``config``."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"bad fault-map JSON: {exc}") from None
-    for key in ("rows", "cols", "faulty"):
-        if key not in payload:
-            raise ReproError(f"fault-map JSON missing {key!r}")
-    cfg = config or SystemConfig(rows=payload["rows"], cols=payload["cols"])
-    if (cfg.rows, cfg.cols) != (payload["rows"], payload["cols"]):
-        raise ReproError(
-            f"fault map grid {payload['rows']}x{payload['cols']} does not "
-            f"match config {cfg.rows}x{cfg.cols}"
-        )
-    faulty = frozenset((int(r), int(c)) for r, c in payload["faulty"])
-    return FaultMap(cfg, faulty)

@@ -170,61 +170,6 @@ def characterize(
     return ShmooResult(config=cfg, fmax_hz=fmax, regulated_v=regulated)
 
 
-def characterize_activity_sweep(
-    activity_factors: list[float],
-    config: SystemConfig | None = None,
-    process_sigma: float = 0.02,
-    seed: int = 0,
-    telemetry: Telemetry | None = None,
-) -> list[tuple[float, ShmooResult]]:
-    """Shmoo the wafer across activity levels in one batched PDN solve.
-
-    Each activity factor scales every tile's power to
-    ``activity * tile_peak_power_w``; the whole sweep shares a single
-    mesh factorization through :meth:`PdnSolver.solve_many`, so adding
-    sweep points costs triangular solves, not fresh factorizations.  The
-    process spread is drawn once (from ``seed``), so sweep points differ
-    only in power delivery — the activity axis of the shmoo plot.
-    """
-    cfg = config or SystemConfig()
-    factors = [float(a) for a in activity_factors]
-    if not factors:
-        raise ReproError("activity sweep needs at least one factor")
-    if any(a < 0 for a in factors):
-        raise ReproError("activity factors must be non-negative")
-    if process_sigma < 0:
-        raise ReproError("process sigma must be non-negative")
-    tel = resolve_telemetry(telemetry)
-    k = _calibrate_k()
-    rng = np.random.default_rng(seed)
-    spread = rng.normal(1.0, process_sigma, size=(cfg.rows, cfg.cols))
-    ldo = LdoModel()
-
-    solver = PdnSolver(cfg)
-    with tel.tracer.span(
-        "flow.activity_sweep", cat="flow", points=len(factors)
-    ):
-        solutions = solver.solve_many(
-            [a * cfg.tile_peak_power_w for a in factors]
-        )
-
-    results: list[tuple[float, ShmooResult]] = []
-    for factor, solution in zip(factors, solutions):
-        regulated = np.empty((cfg.rows, cfg.cols))
-        fmax = np.empty((cfg.rows, cfg.cols))
-        for r in range(cfg.rows):
-            for c in range(cfg.cols):
-                v_reg = ldo.regulate(float(solution.voltages[r, c]))
-                regulated[r, c] = v_reg
-                fmax[r, c] = _fmax_hz(v_reg, k) * spread[r, c]
-        results.append(
-            (factor, ShmooResult(config=cfg, fmax_hz=fmax, regulated_v=regulated))
-        )
-    if tel.enabled:
-        tel.metrics.counter("flow.activity_points").inc(len(factors))
-    return results
-
-
 def characterization_report(result: ShmooResult) -> str:
     """Human-readable characterization summary."""
     lines = [

@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 
 from ..config import SystemConfig
-from ..errors import ReproError
 from .designer import DesignFlowResult, run_design_flow
 from .report import table1_report
 
@@ -71,16 +70,3 @@ def design_report_markdown(
         flow, buffer, include_characterization=include_characterization
     )
     return buffer.getvalue()
-
-
-def export_design_report(
-    path: str,
-    config: SystemConfig | None = None,
-    **kwargs,
-) -> None:
-    """Run the flow and write the report to a file."""
-    if not path:
-        raise ReproError("report path must be non-empty")
-    text = design_report_markdown(config, **kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)

@@ -1,7 +1,6 @@
 """Wafer, tile, chiplet and reticle geometry (paper Sections II and VIII)."""
 
 from .chiplet import ChipletKind, ChipletSpec, compute_chiplet, memory_chiplet
-from .padring import IoColumnSet, PadRing, build_pad_ring
 from .reticle import Reticle, ReticlePlan, plan_reticles
 from .wafer import TilePlacement, WaferLayout, build_layout
 
@@ -10,9 +9,6 @@ __all__ = [
     "ChipletSpec",
     "compute_chiplet",
     "memory_chiplet",
-    "IoColumnSet",
-    "PadRing",
-    "build_pad_ring",
     "Reticle",
     "ReticlePlan",
     "plan_reticles",

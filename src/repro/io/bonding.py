@@ -98,19 +98,3 @@ class BondingYieldModel:
             pillar_yield=self.pillar_yield,
             pillars_per_pad=pillars_per_pad,
         )
-
-
-def paper_yield_comparison() -> dict[str, float]:
-    """The Section V headline numbers, re-derived.
-
-    Returns single- and dual-pillar per-chiplet yields and expected faulty
-    chiplet counts for the 2048-chiplet wafer.
-    """
-    single = BondingYieldModel(pillars_per_pad=1)
-    dual = BondingYieldModel(pillars_per_pad=2)
-    return {
-        "single_pillar_chiplet_yield": single.chiplet_yield,
-        "dual_pillar_chiplet_yield": dual.chiplet_yield,
-        "single_pillar_expected_faulty": single.expected_faulty,
-        "dual_pillar_expected_faulty": dual.expected_faulty,
-    }

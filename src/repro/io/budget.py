@@ -120,15 +120,3 @@ def memory_io_budget(config: SystemConfig | None = None) -> ChipletIoBudget:
         power_ios=power,
         spare_ios=spare,
     )
-
-
-def system_io_totals(config: SystemConfig | None = None) -> dict[str, int]:
-    """Wafer-level I/O and pillar totals (the paper's 3.7M+ figure)."""
-    cfg = config or SystemConfig()
-    per_tile = cfg.ios_per_compute_chiplet + cfg.ios_per_memory_chiplet
-    total_ios = per_tile * cfg.tiles
-    return {
-        "ios_per_tile": per_tile,
-        "total_ios": total_ios,
-        "total_pillars": total_ios * params.PILLARS_PER_PAD,
-    }

@@ -1,6 +1,5 @@
 """Waferscale mesh network: routing, resiliency, simulation (Section VI)."""
 
-from .adaptive import AdaptiveNocSimulator, AdaptiveRouter
 from .checkpoint import load_noc_state, read_checkpoint_manifest, save_noc_state
 from .connectivity import (
     ConnectivityStats,
@@ -30,8 +29,6 @@ from .topology import MeshTopology
 from .vectorsim import VectorNocSimulator
 
 __all__ = [
-    "AdaptiveNocSimulator",
-    "AdaptiveRouter",
     "ConnectivityStats",
     "disconnected_fraction",
     "monte_carlo_disconnection",

@@ -198,23 +198,3 @@ def next_hop(current: Coord, dst: Coord, policy: RoutingPolicy) -> Coord:
     if r != dr:
         return (r + (1 if dr > r else -1), c)
     return (r, c + (1 if dc > c else -1))
-
-
-def paths_are_disjoint(src: Coord, dst: Coord) -> bool:
-    """Do the X-Y and Y-X paths share only their endpoints?
-
-    True exactly when the pair is not in the same row or column — the
-    paper's observation about which pairs gain path diversity (Fig. 7).
-    """
-    if src == dst or same_row_or_column(src, dst):
-        # Same-row/column pairs degenerate: both dimension orders walk the
-        # identical straight segment, so there is only one physical path.
-        return False
-    xy = set(xy_path(src, dst)[1:-1])
-    yx = set(yx_path(src, dst)[1:-1])
-    return not (xy & yx)
-
-
-def same_row_or_column(src: Coord, dst: Coord) -> bool:
-    """Pairs sharing a row/column have a single physical path."""
-    return src[0] == dst[0] or src[1] == dst[1]

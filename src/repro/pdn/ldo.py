@@ -89,26 +89,3 @@ class LdoModel:
         """Heat burned in the pass device: ``(V_in - V_out) * I``."""
         v_out = self.regulate(v_in)
         return max(v_in - v_out, 0.0) * load_a
-
-
-def ldo_efficiency_map(voltages, load_a: float, ldo: LdoModel | None = None):
-    """Per-tile LDO efficiency for a PDN voltage map.
-
-    Parameters
-    ----------
-    voltages:
-        ``(rows, cols)`` delivered-voltage array from a
-        :class:`~repro.pdn.solver.PdnSolution`.
-    load_a:
-        Logic load current per tile.
-    """
-    import numpy as np
-
-    model = ldo or LdoModel()
-    volts = np.asarray(voltages, dtype=float)
-    out = np.empty_like(volts)
-    flat_in = volts.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i, v in enumerate(flat_in):
-        flat_out[i] = model.efficiency(float(v), load_a)
-    return out

@@ -21,9 +21,8 @@ drooping to roughly 1.4V at the array centre during peak draw.
 
 The Laplacian depends only on the mesh geometry, never on the load, so
 the solver caches one sparse LU factorization (:func:`splu`) and every
-subsequent solve — each fixed-point iteration, every new power map, all
-columns of a :meth:`PdnSolver.solve_many` batch — costs a pair of
-triangular solves instead of a fresh factorization.  Pass
+subsequent solve — each fixed-point iteration, every new power map —
+costs a pair of triangular solves instead of a fresh factorization.  Pass
 ``engine="reference"`` to keep the historical fresh-``spsolve``-per-call
 path (the reference the differential tests compare against; see
 :mod:`repro.fastpath`).
@@ -157,8 +156,7 @@ class PdnSolver:
     checkers:
         Optional :class:`~repro.verify.invariants.InvariantChecker`
         instances (e.g. ``KclResidualChecker``, ``DroopBoundChecker``);
-        each is run against every solution this solver produces —
-        including every :meth:`solve_many` column — and raises
+        each is run against every solution this solver produces and raises
         :class:`~repro.verify.invariants.InvariantViolation` on failure.
     """
 
@@ -253,7 +251,7 @@ class PdnSolver:
         return self._laplacian, self._edge_conductance
 
     def _linear_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``laplacian @ x = rhs`` (``rhs`` may be a matrix of columns).
+        """Solve ``laplacian @ x = rhs``.
 
         On the fast engine the first call LU-factorizes the
         Laplacian and every call afterwards is a pair of triangular
@@ -261,11 +259,7 @@ class PdnSolver:
         """
         laplacian, _ = self._ensure_system()
         if self.engine != "fast":
-            if rhs.ndim == 1:
-                return spsolve(laplacian, rhs)
-            return np.column_stack(
-                [spsolve(laplacian, rhs[:, i]) for i in range(rhs.shape[1])]
-            )
+            return spsolve(laplacian, rhs)
         tel = resolve_telemetry(None)
         if self._lu is None:
             self._lu = splu(laplacian.tocsc())
@@ -286,6 +280,8 @@ class PdnSolver:
             raise PdnError(
                 f"power map shape {power.shape} != array {(cfg.rows, cfg.cols)}"
             )
+        if not np.isfinite(power).all():
+            raise PdnError("tile_power_w must be finite (got NaN or inf)")
         if (power < 0).any():
             raise PdnError("tile power must be non-negative")
         return power
@@ -378,93 +374,6 @@ class PdnSolver:
                 power_loads_w=power,
             )
         )
-
-    def solve_many(
-        self,
-        power_maps: "list[float | np.ndarray]",
-        load_model: str = "ldo",
-        max_iterations: int = 100,
-        tolerance_v: float = 1e-6,
-        min_load_voltage: float = 0.2,
-    ) -> list[PdnSolution]:
-        """Solve the mesh for a batch of power maps.
-
-        The factorization is shared across the whole batch.  The linear
-        ``"ldo"`` model solves every map in a single multi-RHS triangular
-        solve; ``"constant_power"`` iterates all maps jointly, retiring
-        each map's column from the right-hand-side block as soon as it
-        converges, so per-map iteration counts (and voltages) match a
-        sequence of individual :meth:`solve` calls exactly.
-        """
-        cfg = self.config
-        if load_model not in ("ldo", "constant_power"):
-            raise PdnError(f"unknown load model {load_model!r}")
-        if not power_maps:
-            return []
-        powers = [self._validate_power(p) for p in power_maps]
-        _, edge_g = self._ensure_system()
-        v_edge = cfg.edge_supply_voltage
-        injection = edge_g * v_edge
-        flat = np.stack([p.reshape(-1) for p in powers], axis=1)  # (n, m)
-        m = flat.shape[1]
-
-        if load_model == "ldo":
-            load_current = flat / cfg.ff_corner_voltage
-            voltages = self._linear_solve(injection[:, None] - load_current)
-            return [
-                self._checked(
-                    PdnSolution(
-                        config=cfg,
-                        voltages=voltages[:, i].reshape(cfg.rows, cfg.cols),
-                        currents=load_current[:, i].reshape(cfg.rows, cfg.cols),
-                        edge_voltage=v_edge,
-                        iterations=1,
-                        converged=True,
-                        power_loads_w=powers[i],
-                    )
-                )
-                for i in range(m)
-            ]
-
-        voltages = np.full((cfg.tiles, m), v_edge)
-        iterations = np.zeros(m, dtype=int)
-        active = np.ones(m, dtype=bool)
-        for iteration in range(1, max_iterations + 1):
-            idx = np.nonzero(active)[0]
-            load_v = np.maximum(voltages[:, idx], min_load_voltage)
-            rhs = injection[:, None] - flat[:, idx] / load_v
-            new_voltages = self._linear_solve(rhs)
-            if new_voltages.ndim == 1:
-                new_voltages = new_voltages[:, None]
-            delta = np.abs(new_voltages - voltages[:, idx]).max(axis=0)
-            voltages[:, idx] = new_voltages
-            iterations[idx] = iteration
-            active[idx[delta < tolerance_v]] = False
-            if not active.any():
-                break
-        if active.any():
-            raise ConvergenceError(
-                f"PDN fixed point did not converge for {int(active.sum())} "
-                f"of {m} power maps in {max_iterations} iterations"
-            )
-
-        out: list[PdnSolution] = []
-        for i in range(m):
-            load_v = np.maximum(voltages[:, i], min_load_voltage)
-            out.append(
-                self._checked(
-                    PdnSolution(
-                        config=cfg,
-                        voltages=voltages[:, i].reshape(cfg.rows, cfg.cols),
-                        currents=(flat[:, i] / load_v).reshape(cfg.rows, cfg.cols),
-                        edge_voltage=v_edge,
-                        iterations=int(iterations[i]),
-                        converged=True,
-                        power_loads_w=powers[i],
-                    )
-                )
-            )
-        return out
 
 
 def solve_pdn(

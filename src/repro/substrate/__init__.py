@@ -3,13 +3,11 @@
 from .connectors import ConnectorPlan, ConnectorTechnology, plan_connectors
 from .degraded import DegradedModeReport, degraded_mode_report
 from .drc import DrcReport, run_drc
-from .export import export_to_file, import_from_file, read_layout, write_layout
 from .fanout import EdgeFanout, plan_edge_fanout
-from .layout import LayoutDatabase, Rect, build_layout_database, geometric_drc
 from .netlist import InterChipletNet, NetClass, extract_netlist
 from .router import RoutedWire, RoutingResult, SubstrateRouter
 from .stack import LayerStack, MetalLayer, default_stack
-from .stitching import stitch_geometry, wire_geometry_for_net
+from .stitching import stitch_geometry
 
 __all__ = [
     "ConnectorPlan",
@@ -19,14 +17,6 @@ __all__ = [
     "degraded_mode_report",
     "DrcReport",
     "run_drc",
-    "export_to_file",
-    "import_from_file",
-    "read_layout",
-    "write_layout",
-    "LayoutDatabase",
-    "Rect",
-    "build_layout_database",
-    "geometric_drc",
     "EdgeFanout",
     "plan_edge_fanout",
     "InterChipletNet",
@@ -39,5 +29,4 @@ __all__ = [
     "MetalLayer",
     "default_stack",
     "stitch_geometry",
-    "wire_geometry_for_net",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import DrcError
 from .router import RoutedWire, RoutingResult
 from .stack import LayerStack, default_stack
 from .stitching import intra_reticle_geometry, stitch_geometry
@@ -118,12 +117,3 @@ def run_drc(result: RoutingResult, stack: LayerStack | None = None) -> DrcReport
             )
 
     return report
-
-
-def assert_clean(report: DrcReport) -> None:
-    """Raise :class:`DrcError` when the report has violations."""
-    if not report.clean:
-        summary = ", ".join(
-            f"{rule}: {count}" for rule, count in report.by_rule().items()
-        )
-        raise DrcError(f"DRC failed ({summary})")

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 
 from ..config import Coord, SystemConfig
-from ..errors import SubstrateError
 
 
 class NetClass(enum.Enum):
@@ -170,14 +169,3 @@ def extract_netlist(config: SystemConfig | None = None) -> list[InterChipletNet]
                 )
 
     return nets
-
-
-def netlist_summary(nets: list[InterChipletNet]) -> dict[str, int]:
-    """Net counts by class — a quick sanity view of an extraction."""
-    if not nets:
-        raise SubstrateError("empty netlist")
-    out: dict[str, int] = {}
-    for net in nets:
-        out[net.net_class.value] = out.get(net.net_class.value, 0) + 1
-    out["total"] = len(nets)
-    return out

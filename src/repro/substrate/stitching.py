@@ -11,7 +11,6 @@ the router's capacity math) are unchanged.
 from __future__ import annotations
 
 from .. import params
-from ..errors import SubstrateError
 
 
 def stitch_geometry() -> tuple[float, float]:
@@ -22,32 +21,3 @@ def stitch_geometry() -> tuple[float, float]:
 def intra_reticle_geometry() -> tuple[float, float]:
     """(width_um, space_um) for wires fully inside one reticle."""
     return (params.INTRA_RETICLE_WIRE_WIDTH_UM, params.INTRA_RETICLE_WIRE_SPACE_UM)
-
-
-def wire_geometry_for_net(crosses_boundary: bool) -> tuple[float, float]:
-    """Pick the wire geometry for a net."""
-    return stitch_geometry() if crosses_boundary else intra_reticle_geometry()
-
-
-def check_constant_pitch() -> None:
-    """The stitch rule must preserve pitch, or the router's tracks break."""
-    w1, s1 = intra_reticle_geometry()
-    w2, s2 = stitch_geometry()
-    if abs((w1 + s1) - (w2 + s2)) > 1e-9:
-        raise SubstrateError(
-            f"stitch geometry changes pitch: {w1 + s1} != {w2 + s2}"
-        )
-
-
-def overlay_tolerance_um(width_um: float, min_overlap_um: float = 1.5) -> float:
-    """Lateral stitching misalignment a wire of given width tolerates.
-
-    Two exposures overlap at the boundary; the wire survives while the
-    printed segments still overlap by ``min_overlap_um``.  Fattening from
-    2um to 3um raises the tolerance by 1um — the point of the rule.
-    """
-    if width_um <= 0:
-        raise SubstrateError("width must be positive")
-    if min_overlap_um < 0:
-        raise SubstrateError("overlap requirement must be non-negative")
-    return max(width_um - min_overlap_um, 0.0)

@@ -1,12 +1,10 @@
 """Waferscale thermal analysis (the paper's 'higher-power systems' work)."""
 
-from .grid import ThermalGrid, ThermalSolution, solve_thermal
-from .limits import max_power_per_tile_w, thermal_headroom_c
+from .grid import ThermalGrid, ThermalSolution
+from .limits import max_power_per_tile_w
 
 __all__ = [
     "ThermalGrid",
     "ThermalSolution",
-    "solve_thermal",
     "max_power_per_tile_w",
-    "thermal_headroom_c",
 ]

@@ -168,13 +168,3 @@ class ThermalGrid:
             ambient_c=ambient_c,
             tile_power_w=power,
         )
-
-
-def solve_thermal(
-    config: SystemConfig | None = None,
-    tile_power_w: float | np.ndarray | None = None,
-    ambient_c: float = 25.0,
-    **grid_kwargs,
-) -> ThermalSolution:
-    """One-call thermal solve with default cooling."""
-    return ThermalGrid(config, **grid_kwargs).solve(tile_power_w, ambient_c)

@@ -15,19 +15,6 @@ from .grid import ThermalGrid
 DEFAULT_TJ_MAX_C = 105.0
 
 
-def thermal_headroom_c(
-    config: SystemConfig | None = None,
-    tile_power_w: float | None = None,
-    ambient_c: float = 25.0,
-    tj_max_c: float = DEFAULT_TJ_MAX_C,
-    **grid_kwargs,
-) -> float:
-    """Degrees of margin between the hotspot and the junction limit."""
-    cfg = config or SystemConfig()
-    solution = ThermalGrid(cfg, **grid_kwargs).solve(tile_power_w, ambient_c)
-    return tj_max_c - solution.max_temperature_c
-
-
 def max_power_per_tile_w(
     config: SystemConfig | None = None,
     ambient_c: float = 25.0,

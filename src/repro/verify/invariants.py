@@ -21,8 +21,7 @@ hook           fired
 =============  ==========================================================
 
 PDN checkers implement ``check_solution(solver, solution)`` and are run
-by :class:`~repro.pdn.solver.PdnSolver` on every solve (including every
-:meth:`~repro.pdn.solver.PdnSolver.solve_many` column).  Emulator
+by :class:`~repro.pdn.solver.PdnSolver` on every solve.  Emulator
 checkers implement ``on_route(emulator, src, dst, cached)``, fired by
 the vector emulator on every route-table lookup.  DfT chain integrity is stateless and exposed as
 :class:`ChainIntegrityChecker` methods usable on any plan/session.

@@ -2,7 +2,6 @@
 
 from .chiplet_yield import (
     DefectModel,
-    assembled_system_yield,
     die_yield,
     known_good_die_rate,
 )
@@ -21,7 +20,6 @@ from .system_yield import (
 
 __all__ = [
     "DefectModel",
-    "assembled_system_yield",
     "die_yield",
     "known_good_die_rate",
     "CostInputs",

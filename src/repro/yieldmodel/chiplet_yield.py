@@ -64,33 +64,3 @@ def known_good_die_rate(
     y = die_yield(area_mm2, model)
     escapes = (1.0 - y) * (1.0 - test_coverage)
     return y / (y + escapes)
-
-
-def assembled_system_yield(
-    chiplet_count: int,
-    kgd_rate: float,
-    chiplet_bond_yield: float,
-    tolerated_faulty: int = 0,
-) -> float:
-    """Probability an assembled wafer has at most ``tolerated_faulty`` bad tiles.
-
-    Each placed chiplet is good iff it was truly good (KGD) *and* bonded
-    (Section V's dual-pillar yield).  The dual-network fault tolerance of
-    Section VI is what makes ``tolerated_faulty > 0`` acceptable — without
-    it, waferscale assembly yield would be essentially zero.
-    """
-    if chiplet_count < 1:
-        raise ConfigError("need at least one chiplet")
-    if not 0.0 <= kgd_rate <= 1.0 or not 0.0 <= chiplet_bond_yield <= 1.0:
-        raise ConfigError("rates must be probabilities")
-    if tolerated_faulty < 0:
-        raise ConfigError("tolerated_faulty must be non-negative")
-
-    from math import comb
-
-    p_good = kgd_rate * chiplet_bond_yield
-    p_bad = 1.0 - p_good
-    return sum(
-        comb(chiplet_count, k) * (p_bad**k) * (p_good ** (chiplet_count - k))
-        for k in range(tolerated_faulty + 1)
-    )

@@ -14,8 +14,7 @@ import pytest
 from repro.arch.emulator import Emulator, clear_route_cache
 from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
-from repro.errors import NetworkError, PdnError
-from repro.flow.characterize import characterize_activity_sweep
+from repro.errors import NetworkError
 from repro.engine import (
     CIStop,
     ExperimentEngine,
@@ -280,32 +279,6 @@ class TestPdnDifferential:
             assert np.allclose(ref_sol.currents, fast_sol.currents, atol=1e-12)
             assert ref_sol.iterations == fast_sol.iterations
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    @pytest.mark.parametrize("load_model", ["ldo", "constant_power"])
-    def test_solve_many_matches_individual_solves(
-        self, small_cfg, load_model, engine
-    ):
-        rng = np.random.default_rng(1)
-        maps = [
-            rng.uniform(0.2, 1.0, size=(small_cfg.rows, small_cfg.cols))
-            * small_cfg.tile_peak_power_w
-            for _ in range(4)
-        ]
-        solver = PdnSolver(small_cfg, engine=engine)
-        batch = solver.solve_many(maps, load_model=load_model)
-        for power, batched in zip(maps, batch):
-            single = solver.solve(power, load_model=load_model)
-            assert np.allclose(single.voltages, batched.voltages, atol=1e-12)
-            assert single.iterations == batched.iterations
-            assert batched.converged
-
-    def test_solve_many_empty_batch(self, small_cfg):
-        assert PdnSolver(small_cfg).solve_many([]) == []
-
-    def test_solve_many_rejects_bad_model(self, small_cfg):
-        with pytest.raises(PdnError, match="unknown load model"):
-            PdnSolver(small_cfg).solve_many([0.1], load_model="nope")
-
     def test_factorization_telemetry_counters(self, small_cfg):
         tel = Telemetry()
         with use_telemetry(tel):
@@ -347,25 +320,6 @@ class TestPdnSolutionPowerLoads:
         solution = PdnSolver(small_cfg).solve()
         assert solution.power_loads_w is not None
         assert solution.delivery_efficiency is not None
-
-
-class TestActivitySweep:
-    def test_sweep_shares_factorization(self, small_cfg):
-        tel = Telemetry()
-        with use_telemetry(tel):
-            results = characterize_activity_sweep(
-                [0.25, 0.5, 1.0], config=small_cfg
-            )
-        assert tel.metrics.counter("pdn.factorizations").value == 1
-        assert [factor for factor, _ in results] == [0.25, 0.5, 1.0]
-        min_v = [shmoo.regulated_v.min() for _, shmoo in results]
-        assert min_v[0] >= min_v[-1]
-
-    def test_sweep_validates_inputs(self, small_cfg):
-        with pytest.raises(Exception, match="at least one"):
-            characterize_activity_sweep([], config=small_cfg)
-        with pytest.raises(Exception, match="non-negative"):
-            characterize_activity_sweep([-0.5], config=small_cfg)
 
 
 # ---------------------------------------------------------------------------

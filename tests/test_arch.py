@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.core import Core, CoreState
 from repro.arch.crossbar import Crossbar
 from repro.arch.isa import Opcode, assemble
-from repro.arch.membank import MemoryBank, bank_bandwidth_bytes_per_s
+from repro.arch.membank import MemoryBank
 from repro.arch.memorymap import (
     CORE_PRIVATE_BASE,
     SHARED_BASE,
@@ -115,12 +115,6 @@ class TestMemoryBank:
         assert bank.reads == 1 and bank.writes == 1 and bank.access_count == 2
         bank.clear()
         assert bank.access_count == 0 and bank.read_word(0) == 0
-
-    def test_table1_bank_bandwidth(self):
-        # 1024 tiles x 5 banks x 4B x 300MHz = 6.144 TB/s.
-        total = 1024 * bank_bandwidth_bytes_per_s(300e6, banks=5)
-        assert total == pytest.approx(6.144e12)
-
 
 class TestAssembler:
     def test_forward_labels(self):
@@ -283,12 +277,14 @@ class TestCrossbar:
         xbar = Crossbar(masters=4, targets=["bank0", "bank1"])
         grants = xbar.arbitrate({0: "bank0", 1: "bank1"})
         assert grants == {0: True, 1: True}
+        assert xbar.stats.contention_ratio == 0.0
 
     def test_contention_one_winner(self):
         xbar = Crossbar(masters=4, targets=["bank0"])
         grants = xbar.arbitrate({0: "bank0", 1: "bank0", 2: "bank0"})
         assert sum(grants.values()) == 1
         assert xbar.stats.stalls == 2
+        assert xbar.stats.contention_ratio == pytest.approx(2 / 3)
 
     def test_round_robin_fairness(self):
         xbar = Crossbar(masters=3, targets=["t"])
@@ -342,6 +338,9 @@ class TestWaferscaleSystem:
         """)
         system.tile((0, 0)).load_program(0, program)
         system.tile((0, 0)).cores[0].run()
+        # The store was served by the owner's shared bank, not locally.
+        assert system.tile((2, 2)).shared_bank_accesses == 1
+        assert system.tile((0, 0)).shared_bank_accesses == 0
         assert system.read_shared((2, 2), 1, 64) == 777
 
     def test_broadcast_and_lockstep(self, tiny_cfg):

@@ -12,6 +12,7 @@ from repro.dft.assembly import (
     sweep_check_intervals,
 )
 from repro.errors import ConfigError, FaultMapError, JtagError
+from repro.io.bonding import chiplet_bond_yield
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.noc.remap import (
     best_logical_grid,
@@ -82,6 +83,23 @@ class TestAssemblyPolicy:
         with pytest.raises(JtagError):
             AssemblyPolicy(check_interval=1, fault_budget=-1)
 
+    def test_default_failure_rate_is_the_section5_bond_yield(self):
+        cfg = SystemConfig(rows=8, cols=8, pillars_per_pad=1)
+        y_compute = chiplet_bond_yield(
+            cfg.ios_per_compute_chiplet, cfg.pillar_bond_yield, 1
+        )
+        y_memory = chiplet_bond_yield(
+            cfg.ios_per_memory_chiplet, cfg.pillar_bond_yield, 1
+        )
+        p_fail = 1.0 - y_compute * y_memory
+        # Single-pillar pads: roughly one tile in four fails to bond.
+        assert 0.2 < p_fail < 0.4
+        policy = AssemblyPolicy(check_interval=8)
+        for seed in range(3):
+            assert assemble_wafer(cfg, policy, rng=seed) == assemble_wafer(
+                cfg, policy, rng=seed, tile_fail_probability=p_fail
+            )
+
     def test_invalid_probability(self, small_cfg):
         with pytest.raises(JtagError):
             assemble_wafer(
@@ -110,6 +128,19 @@ class TestLots:
     def test_bad_policy(self):
         with pytest.raises(ConfigError):
             BinPolicy(full_spec_max_faults=10, degraded_max_faults=5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: BinPolicy(full_spec_max_faults=-1),
+            lambda cfg: simulate_lot(cfg, wafers=2, tile_fail_probability=1.5),
+            lambda cfg: simulate_lot(cfg, wafers=2, tile_fail_probability=-0.1),
+        ],
+        ids=["negative-full-spec", "probability-above-1", "probability-below-0"],
+    )
+    def test_malformed_lot_inputs_rejected(self, small_cfg, call):
+        with pytest.raises(ConfigError):
+            call(small_cfg)
 
     def test_sellable_tiles_bounded(self, paper_cfg):
         report = simulate_lot(paper_cfg, wafers=10, tile_fail_probability=0.01)
@@ -175,6 +206,13 @@ class TestRemap:
         fmap = FaultMap(cfg, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
         with pytest.raises(FaultMapError):
             largest_fault_free_rectangle(fmap)
+
+    def test_deletion_that_empties_the_array_raises(self):
+        cfg = SystemConfig(rows=2, cols=2)
+        # A diagonal: each deletion leaves one fault in the last row.
+        fmap = FaultMap(cfg, frozenset({(0, 0), (1, 1)}))
+        with pytest.raises(FaultMapError, match="whole array"):
+            row_column_deletion(fmap)
 
     def test_best_grid_picks_larger(self, small_cfg):
         fmap = random_fault_map(small_cfg, 5, rng=0)

@@ -142,6 +142,25 @@ class TestEmuCommand:
         assert results["reference"]["messages_sent"] > 0
         assert results["reference"] == results["fast"] == results["vector"]
 
+    def test_stencil_engines_agree_on_a_clean_array(self, capsys):
+        results = {}
+        for engine in ("reference", "vector"):
+            cmd = ["emu", "--rows", "4", "--cols", "4", "--seed", "1",
+                   "--workload", "stencil", "--engine", engine, "--json"]
+            assert main(cmd) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result.pop("engine") == engine
+            results[engine] = result
+        assert results["reference"]["iterations"] == 10
+        assert results["reference"]["messages_sent"] > 0
+        assert results["reference"] == results["vector"]
+
+    def test_stencil_rejects_faults(self):
+        cmd = ["emu", "--rows", "4", "--cols", "4", "--faults", "1",
+               "--workload", "stencil"]
+        with pytest.raises(SystemExit, match="drop --faults"):
+            main(cmd)
+
 
 class TestNocCommand:
     @pytest.mark.parametrize("pattern", ["uniform", "transpose", "hotspot"])
@@ -159,6 +178,32 @@ class TestNocCommand:
             results[engine] = result
         assert results["reference"]["delivered"] > 0
         assert results["reference"] == results["fast"] == results["vector"]
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-every", "--halt-at"])
+    def test_checkpoint_flags_need_a_path(self, flag):
+        cmd = COMMANDS["noc"] + [flag, "5"]
+        with pytest.raises(SystemExit, match="requires --checkpoint PATH"):
+            main(cmd)
+
+    def test_invariant_checkers_leave_the_result_alone(self, capsys):
+        cmd = ["noc", "--rows", "6", "--cols", "6", "--cycles", "40",
+               "--rate", "0.1", "--faults", "3", "--seed", "2", "--json"]
+        assert main(cmd) == 0
+        plain = json.loads(capsys.readouterr().out)["result"]
+        assert main(cmd + ["--check"]) == 0
+        checked = json.loads(capsys.readouterr().out)["result"]
+        assert plain.pop("checked") is False
+        assert checked.pop("checked") is True
+        assert checked == plain
+
+    def test_text_names_checkpoint_and_resume(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "run.npz")
+        cmd = COMMANDS["noc"] + ["--checkpoint", ckpt]
+        assert main(cmd + ["--checkpoint-every", "10"]) == 0
+        written = capsys.readouterr().out
+        assert f"checkpoint: {ckpt} (2 snapshot(s) written)" in written
+        assert main(COMMANDS["noc"] + ["--resume", ckpt]) == 0
+        assert f"resumed from {ckpt} at cycle" in capsys.readouterr().out
 
 
 class TestCollectiveCommand:
@@ -199,10 +244,40 @@ class TestCollectiveCommand:
         assert [p["faults"] for p in points] == [0, 2]
         assert payload["result"]["engine"] == "vector"
 
+    def test_sweep_rejects_dataflow(self):
+        cmd = ["collective", "--rows", "5", "--cols", "5", "--pattern",
+               "dataflow", "--sweep-faults", "0,2"]
+        with pytest.raises(SystemExit, match="spec patterns only"):
+            main(cmd)
+
+    def test_sweep_text_lists_every_fault_count(self, capsys):
+        cmd = ["collective", "--rows", "5", "--cols", "5", "--ranks", "6",
+               "--sweep-faults", "0,2", "--trials", "2", "--no-cache"]
+        assert main(cmd) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["faults", "trials_ok", "words/cycle",
+                                    "mean", "cycles"]
+        assert [line.split()[:2] for line in lines[2:]] == [["0", "2"], ["2", "2"]]
+
     def test_verify_collective_suite_listed(self):
         from repro.verify import SUITES
 
         assert "collective" in SUITES
+
+
+class TestObsCommand:
+    def test_diff_of_unreadable_file_is_a_structured_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        other = tmp_path / "other.json"
+        other.write_text("{}")
+        cmd = ["obs", "diff", missing, str(other)]
+        assert main(cmd + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert validate_envelope_document(payload) == []
+        assert payload["ok"] is False
+        assert "cannot load JSON document" in payload["result"]["error"]
+        assert main(cmd) == 1
+        assert capsys.readouterr().out.startswith("obs diff: ERROR ")
 
 
 class TestEngineFlags:

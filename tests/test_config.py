@@ -90,6 +90,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             SystemConfig.from_dict({"rows": 2, "cols": 2, field: size})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # NaN passed the edge > nominal check: NaN comparisons are false.
+            ("edge_supply_voltage", float("nan")),
+            ("edge_supply_voltage", float("inf")),
+            ("nominal_vdd", float("nan")),
+            ("tile_peak_power_w", float("nan")),
+            ("tile_peak_power_w", float("inf")),
+            ("tile_peak_power_w", -1.0),
+            ("ff_corner_voltage", float("-inf")),
+            ("pillar_bond_yield", float("nan")),
+            ("wire_pitch_um", float("nan")),
+            ("compute_chiplet_w_mm", "wide"),
+        ],
+    )
+    def test_rejects_bad_float_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(rows=2, cols=2, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig.from_dict({"rows": 2, "cols": 2, field: value})
+
+    def test_accepts_zero_tile_power(self):
+        assert SystemConfig(rows=2, cols=2, tile_peak_power_w=0.0).tile_peak_power_w == 0.0
+
     @pytest.mark.parametrize("field", ["bank_bytes", "private_sram_per_core_bytes"])
     def test_accepts_one_word_sram(self, field):
         assert getattr(SystemConfig(rows=2, cols=2, **{field: 4}), field) == 4

@@ -1,19 +1,23 @@
 """Tests for repro.dft (JTAG, DAP chains, broadcast, unrolling, probes)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.membank import MemoryBank
 from repro.config import SystemConfig
 from repro.dft.broadcast import BroadcastLoader, LoadMode
-from repro.dft.dap import ChainMode, TileDapChain
-from repro.dft.jtag import JtagChain, JtagDevice, TapController, TapState
+from repro.dft.dap import ChainMode, CoreDap, TileDapChain
+from repro.dft.jtag import JtagChain, JtagDevice
+from repro.dft.mbist import _march
 from repro.dft.multichain import (
     load_time_model,
     paper_load_time_comparison,
     row_chains,
     single_chain,
 )
-from repro.dft.probe import PadSet, ProbeCard, can_probe, probe_plan
+from repro.dft.probe import PadSet, ProbeCard, ProbePlan, can_probe, probe_plan
 from repro.dft.unrolling import (
     ChainTestSession,
     TileUnderTest,
@@ -21,51 +25,6 @@ from repro.dft.unrolling import (
     locate_faulty_tiles,
 )
 from repro.errors import JtagError
-
-
-class TestTapController:
-    def test_reset_from_anywhere(self):
-        tap = TapController()
-        tap.step(0)                         # Run-Test/Idle
-        tap.goto_shift_dr()
-        tap.reset()
-        assert tap.state is TapState.TEST_LOGIC_RESET
-
-    def test_dr_scan_path(self):
-        tap = TapController()
-        tap.step(0)
-        assert tap.state is TapState.RUN_TEST_IDLE
-        tap.goto_shift_dr()
-        assert tap.state is TapState.SHIFT_DR
-        tap.exit_to_idle()
-        assert tap.state is TapState.RUN_TEST_IDLE
-
-    def test_ir_scan_path(self):
-        tap = TapController()
-        tap.step(0)
-        tap.goto_shift_ir()
-        assert tap.state is TapState.SHIFT_IR
-
-    def test_invalid_tms_rejected(self):
-        with pytest.raises(JtagError):
-            TapController().step(2)
-
-    @given(tms_sequence=st.lists(st.integers(0, 1), min_size=1, max_size=100))
-    def test_all_transitions_defined(self, tms_sequence):
-        tap = TapController()
-        for tms in tms_sequence:
-            state = tap.step(tms)
-            assert isinstance(state, TapState)
-
-    @given(tms_sequence=st.lists(st.integers(0, 1), max_size=50))
-    def test_five_ones_always_reset(self, tms_sequence):
-        """The IEEE 1149.1 guarantee: 5x TMS=1 reaches Test-Logic-Reset."""
-        tap = TapController()
-        for tms in tms_sequence:
-            tap.step(tms)
-        for _ in range(5):
-            tap.step(1)
-        assert tap.state is TapState.TEST_LOGIC_RESET
 
 
 class TestJtagChain:
@@ -167,6 +126,16 @@ class TestBroadcastLoader:
         tile = loader.estimate(4096, LoadMode.BROADCAST_TILE)
         assert tile.reduction_vs_unicast == pytest.approx(14.0)
 
+    def test_tile_latency_reduction_is_14x(self):
+        assert BroadcastLoader().tile_latency_reduction() == pytest.approx(14.0)
+
+    def test_simulate_tile_load_reaches_every_core(self):
+        tile = BroadcastLoader().simulate_tile_load([7, 9])
+        assert tile.mode is ChainMode.BROADCAST
+        assert [dap.loaded_words for dap in tile.daps] == [[7, 9]] * 14
+        # Chained view of the same tile: one JTAG device per core.
+        assert len(tile.chain.devices) == 14
+
     def test_seconds_at_tck(self):
         loader = BroadcastLoader(tck_hz=10e6)
         estimate = loader.estimate(1250, LoadMode.BROADCAST_CHAIN)    # 10k bits
@@ -214,6 +183,16 @@ class TestUnrollingFig10:
     def test_bad_indices_rejected(self):
         with pytest.raises(JtagError):
             ChainTestSession(tiles=[TileUnderTest(index=5)])
+
+    def test_unbonded_chiplet_cuts_the_chain(self):
+        tiles = [TileUnderTest(index=i, forward_mode=True) for i in range(5)]
+        session = ChainTestSession(tiles=tiles)
+        assert session.reachable_prefix() == 5
+        tiles[3].bonded = False
+        # Tiles 0-2 forward, tile 3 is missing: its bypass wiring is gone.
+        assert session.reachable_prefix() == 3
+        tiles[1].forward_mode = False
+        assert session.reachable_prefix() == 2
 
     @given(health=st.lists(st.booleans(), min_size=1, max_size=64))
     @settings(max_examples=50)
@@ -294,3 +273,79 @@ class TestProbeFig8:
     def test_pad_geometry_validation(self):
         with pytest.raises(JtagError):
             PadSet(name="bad", count=1, pitch_um=5.0, width_um=7.0)
+
+
+def _probeable_fine_pads():
+    plan = probe_plan(2020)
+    return ProbePlan(
+        fine_pads=replace(plan.fine_pads, pitch_um=100.0, width_um=50.0),
+        test_pads=plan.test_pads,
+    )
+
+
+def _probed_fine_pads():
+    plan = probe_plan(2020)
+    return ProbePlan(
+        fine_pads=replace(plan.fine_pads, probed=True),
+        test_pads=plan.test_pads,
+    )
+
+
+_CFG4 = SystemConfig(rows=4, cols=4)
+
+#: (id, call, message) for every DFT model input that cannot describe
+#: test hardware; each must raise JtagError naming the problem.
+_MALFORMED_DFT_INPUTS = [
+    ("load-negative-bytes",
+     lambda: load_time_model(row_chains(_CFG4), total_bytes=-4),
+     "total_bytes"),
+    ("load-zero-cycles-per-word",
+     lambda: load_time_model(row_chains(_CFG4), cycles_per_word=0),
+     "cycles_per_word"),
+    ("load-zero-tck",
+     lambda: load_time_model(row_chains(_CFG4), tck_hz=0.0),
+     "TCK"),
+    ("broadcast-no-cores", lambda: BroadcastLoader(cores_per_tile=0),
+     "cores and tiles"),
+    ("broadcast-zero-tck", lambda: BroadcastLoader(tck_hz=0.0), "TCK"),
+    ("broadcast-negative-program",
+     lambda: BroadcastLoader().estimate(-1, LoadMode.UNICAST),
+     "program size"),
+    ("dap-negative-core", lambda: CoreDap(-1), "core index"),
+    ("dap-chain-no-cores", lambda: TileDapChain(cores=0), "at least one core"),
+    ("dap-empty-payload",
+     lambda: TileDapChain().scan_bits_for_all_cores(0), "at least one bit"),
+    ("device-without-bypass",
+     lambda: JtagDevice("d", ir_length=4, dr_lengths={"IDCODE": 32}),
+     "BYPASS"),
+    ("empty-chain", lambda: JtagChain([]), "at least one device"),
+    ("empty-unroll-session", lambda: ChainTestSession(tiles=[]), "no tiles"),
+    ("assembly-bonded-count",
+     lambda: during_assembly_check(5, [True] * 4), "out of range"),
+    ("padset-negative-count",
+     lambda: PadSet(name="p", count=-1, pitch_um=10.0, width_um=5.0),
+     "non-negative"),
+    ("padset-zero-pitch",
+     lambda: PadSet(name="p", count=1, pitch_um=0.0, width_um=5.0),
+     "geometry must be positive"),
+    ("probe-fine-pads-probeable",
+     lambda: _probeable_fine_pads().validate(), "should not be probeable"),
+    ("probe-fine-pads-probed",
+     lambda: _probed_fine_pads().validate(), "never be probed"),
+    ("march-direction",
+     lambda: _march(MemoryBank(64), [("sideways", [("r", 0)])], "bad"),
+     "direction"),
+    ("march-op",
+     lambda: _march(MemoryBank(64), [("up", [("x", 0)])], "bad"),
+     "op"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [case[1:] for case in _MALFORMED_DFT_INPUTS],
+    ids=[case[0] for case in _MALFORMED_DFT_INPUTS],
+)
+def test_malformed_dft_inputs_rejected(call, message):
+    with pytest.raises(JtagError, match=message):
+        call()

@@ -1,5 +1,7 @@
 """Tests for bring-up orchestration, cost model, interposer, energy, load-latency."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,6 @@ from repro.arch.energy import EnergyModel
 from repro.config import SystemConfig
 from repro.errors import ConfigError, EmulatorError, NetworkError, ReproError
 from repro.flow.bringup import (
-    fault_map_from_json,
     fault_map_to_json,
     run_bringup,
 )
@@ -18,8 +19,8 @@ from repro.io.interposer import (
     si_if,
     technology_comparison,
 )
-from repro.noc.faults import FaultMap, random_fault_map
-from repro.noc.loadlatency import measure_load_latency
+from repro.noc.faults import random_fault_map
+from repro.noc.loadlatency import LoadLatencyCurve, measure_load_latency
 from repro.yieldmodel.cost import (
     CostInputs,
     chiplet_system_cost,
@@ -77,25 +78,10 @@ class TestBringup:
         report = run_bringup(cfg, true_bonding_faults=set(fmap.faulty))
         assert report.bonding_faults == set(fmap.faulty)
 
-
-class TestFaultMapPersistence:
-    def test_roundtrip(self, small_cfg):
-        fmap = random_fault_map(small_cfg, 6, rng=1)
-        loaded = fault_map_from_json(fault_map_to_json(fmap))
-        assert loaded.faulty == fmap.faulty
-        assert (loaded.config.rows, loaded.config.cols) == (8, 8)
-
-    def test_grid_mismatch_rejected(self, small_cfg):
-        fmap = FaultMap(small_cfg)
-        text = fault_map_to_json(fmap)
-        with pytest.raises(ReproError):
-            fault_map_from_json(text, SystemConfig(rows=4, cols=4))
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(ReproError):
-            fault_map_from_json("not json")
-        with pytest.raises(ReproError):
-            fault_map_from_json("{}")
+    def test_final_map_serialises_for_the_kernel(self, small_cfg):
+        report = run_bringup(small_cfg, true_bonding_faults={(5, 0), (2, 4)})
+        payload = json.loads(fault_map_to_json(report.final_map))
+        assert payload == {"rows": 8, "cols": 8, "faulty": [[2, 4], [5, 0]]}
 
 
 class TestCostModel:
@@ -213,6 +199,28 @@ class TestLoadLatency:
             measure_load_latency(cfg, rates=[1.5])
         with pytest.raises(NetworkError, match="rates"):
             measure_load_latency(cfg, rates=[])
+
+    def test_saturation_rate_is_the_first_knee(self):
+        cfg = SystemConfig(rows=4, cols=4)
+        curve = measure_load_latency(
+            cfg, rates=[0.5, 0.02], warm_cycles=60, seed=1,
+            latency_saturation_factor=1.0,
+        )
+        # Points come back sorted; with a knee at 1x zero-load latency
+        # the heavier point is past it and the lighter one is not.
+        assert [p.injection_rate for p in curve.points] == [0.02, 0.5]
+        assert [p.saturated for p in curve.points] == [False, True]
+        assert curve.saturation_rate() == 0.5
+        assert curve.rows()[1][-1] == "SAT"
+
+    def test_no_knee_inside_the_sweep(self):
+        cfg = SystemConfig(rows=4, cols=4)
+        curve = measure_load_latency(cfg, rates=[0.02], warm_cycles=40)
+        assert curve.saturation_rate() == float("inf")
+        empty = LoadLatencyCurve(cfg, curve.pattern, [])
+        assert empty.saturation_rate() == float("inf")
+        with pytest.raises(NetworkError, match="empty curve"):
+            empty.zero_load_latency()
 
     def test_rows_render(self):
         cfg = SystemConfig(rows=4, cols=4)

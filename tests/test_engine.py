@@ -247,6 +247,16 @@ class TestObservability:
         assert record.trials_per_second > 0
         assert record.mean_trial_s >= 0
 
+    def test_added_observer_sees_later_runs(self):
+        engine = ExperimentEngine()
+        engine.run(_draw_trial, experiment="t", trials=2, seed=0)
+        observer = ThroughputObserver()
+        engine.add_observer(observer)
+        result = engine.run(_draw_trial, experiment="t", trials=3, seed=1)
+        assert observer.total_trials == 3
+        assert result.trials_per_second > 0
+        assert result.speedup > 0
+
     def test_cache_hit_runs_no_trials(self, tmp_path):
         observer = ThroughputObserver()
         cache = ResultCache(tmp_path / "cache")

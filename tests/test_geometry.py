@@ -1,4 +1,4 @@
-"""Tests for repro.geometry (wafer, chiplet, reticle, padring)."""
+"""Tests for repro.geometry (wafer, chiplet, reticle)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +11,6 @@ from repro.geometry.chiplet import (
     compute_chiplet,
     memory_chiplet,
     tile_area_mm2,
-)
-from repro.geometry.padring import (
-    PadClass,
-    PadRing,
-    Side,
-    IoPad,
-    build_pad_ring,
 )
 from repro.geometry.reticle import plan_reticles
 from repro.geometry.wafer import WaferLayout, build_layout
@@ -67,6 +60,12 @@ class TestWaferLayout:
 
     def test_placements_count(self, small_cfg):
         assert len(WaferLayout(small_cfg).placements()) == 64
+
+    def test_centre_tiles_nearest_array_centre(self, paper_cfg):
+        layout = WaferLayout(paper_cfg)
+        centre = layout.distance_to_center_mm((16, 16))
+        assert centre < paper_cfg.tile_pitch_y_mm
+        assert centre < layout.distance_to_center_mm((0, 0)) / 10
 
     def test_placement_positions_monotonic(self, small_cfg):
         layout = WaferLayout(small_cfg)
@@ -122,6 +121,11 @@ class TestReticle:
             reticle = plan.reticle_of(coord)
             assert reticle.covers(coord)
 
+    def test_reticle_tile_lists_partition_the_array(self, paper_cfg):
+        plan = plan_reticles(paper_cfg)
+        covered = [c for r in plan.reticles if not r.is_edge for c in r.tile_coords]
+        assert sorted(covered) == list(paper_cfg.tile_coords())
+
     def test_boundary_pairs_cross(self, paper_cfg):
         plan = plan_reticles(paper_cfg)
         # Column 11 -> 12 crosses the first vertical reticle boundary.
@@ -143,48 +147,3 @@ class TestReticle:
         plan = plan_reticles(cfg)
         assert plan.step_count == 1
         assert not plan.boundary_tile_pairs()
-
-
-class TestPadRing:
-    def test_compute_ring_builds(self):
-        ring = build_pad_ring(compute_chiplet())
-        assert ring.pads
-        assert ring.total_pillars == 2 * len(ring.pads)
-
-    def test_column_sets_partition(self):
-        ring = build_pad_ring(compute_chiplet(), memory_extended=60)
-        set1 = ring.column_set(1)
-        set2 = ring.column_set(2)
-        assert set1.count + set2.count == len(ring.pads)
-
-    def test_essential_pads_exclude_extended_memory(self):
-        ring = build_pad_ring(
-            memory_chiplet(), network_per_side=100,
-            memory_essential=40, memory_extended=60,
-        )
-        essential = ring.essential_pads()
-        assert all(p.pad_class is not PadClass.MEMORY_EXTENDED for p in essential)
-
-    def test_side_pads_sorted(self):
-        ring = build_pad_ring(compute_chiplet())
-        pads = ring.side_pads(Side.NORTH)
-        assert list(p.index for p in pads) == sorted(p.index for p in pads)
-
-    def test_overflow_rejected(self):
-        tiny = ChipletSpec(
-            kind=ChipletKind.COMPUTE, width_mm=0.1, height_mm=0.1, io_count=10
-        )
-        with pytest.raises(GeometryError):
-            build_pad_ring(tiny, network_per_side=500)
-
-    def test_bad_column_set_index(self):
-        ring = build_pad_ring(compute_chiplet())
-        with pytest.raises(GeometryError):
-            ring.column_set(3)
-
-    def test_pad_validation(self):
-        with pytest.raises(GeometryError):
-            IoPad(side=Side.NORTH, index=0, column_set=5, pad_class=PadClass.SPARE)
-        with pytest.raises(GeometryError):
-            IoPad(side=Side.NORTH, index=0, column_set=1,
-                  pad_class=PadClass.SPARE, pillars=0)

@@ -13,11 +13,12 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import CheckpointError
-from repro.noc.checkpoint import read_checkpoint_manifest
+from repro.noc.checkpoint import _state_hash, read_checkpoint_manifest
 from repro.noc.dualnetwork import NetworkId
 from repro.noc.faults import random_fault_map
 from repro.noc.simulator import NocSimulator
@@ -29,6 +30,9 @@ ENGINES_UNDER_TEST = ("reference", "vector")
 #: before that engine was folded into an alias of ``"reference"``; its
 #: manifest records ``"engine": "fast"`` (see ``extra`` for the run).
 FAST_ENGINE_CHECKPOINT = Path(__file__).parent / "data" / "noc_fast_engine_6x6.npz"
+
+#: ``TestCorruptedCheckpoints._rewrite`` edit result: store no manifest.
+_NO_MANIFEST = object()
 
 
 def _drive_window(sim, traffic, start, stop):
@@ -114,6 +118,36 @@ class TestCheckpointDeterminism:
         assert second.engine == resume_engine
         _drive_window(second, traffic(), k, 2 * k)
         second.drain(max_cycles=100_000)
+        assert _observable(second) == _observable(whole)
+
+    @pytest.mark.parametrize(
+        "engine_pair", [("reference", "vector"), ("vector", "reference")]
+    )
+    def test_unstepped_injections_resume_in_order(self, engine_pair, tmp_path):
+        """A burst injected but not yet stepped into the LOCAL FIFOs is
+        saved as the pending backlog and admitted first on resume."""
+        save_engine, resume_engine = engine_pair
+        cfg = SystemConfig(rows=4, cols=4)
+
+        def burst(sim):
+            # Rate 1.0 over 3 cycles: three packets per source at once,
+            # more than one LOCAL FIFO slot can take in a cycle.
+            for _, packet in generate_traffic(
+                cfg, TrafficPattern.UNIFORM, 1.0, 3, seed=5
+            ):
+                sim.inject(packet, NetworkId.XY)
+
+        whole = NocSimulator(cfg, engine=resume_engine)
+        burst(whole)
+        whole.drain(max_cycles=10_000)
+
+        first = NocSimulator(cfg, engine=save_engine)
+        burst(first)
+        path = tmp_path / "burst.npz"
+        first.save_state(path)
+        second = NocSimulator.load_state(path, engine=resume_engine)
+        assert not second.idle()
+        second.drain(max_cycles=10_000)
         assert _observable(second) == _observable(whole)
 
     def test_manifest_round_trips_extra(self, tmp_path):
@@ -202,6 +236,103 @@ class TestCorruptedCheckpoints:
                 zf.writestr(name, blob)
         with pytest.raises(CheckpointError):
             NocSimulator.load_state(tampered)
+
+    @staticmethod
+    def _rewrite(src, dst, edit, resign=False):
+        """Copy checkpoint ``src`` to ``dst`` through ``edit(manifest, arrays)``.
+
+        ``edit`` edits both in place; it may return a replacement for
+        the stored manifest blob, or ``_NO_MANIFEST`` to store none.
+        ``resign`` recomputes the content hash, so only the semantic
+        checks behind it can catch the edit.
+        """
+        with np.load(src, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        manifest = json.loads(str(arrays.pop("manifest")[()]))
+        blob = edit(manifest, arrays)
+        if blob is None:
+            if resign:
+                manifest["state_hash"] = _state_hash(manifest, arrays)
+            blob = np.array(json.dumps(manifest, sort_keys=True))
+        if blob is not _NO_MANIFEST:
+            arrays["manifest"] = blob
+        np.savez(dst, **arrays)
+        return dst
+
+    def test_archive_without_manifest_rejected(self, tmp_path):
+        path = self._rewrite(
+            self._checkpoint(tmp_path), tmp_path / "bare.npz",
+            lambda manifest, arrays: _NO_MANIFEST,
+        )
+        with pytest.raises(CheckpointError, match="has no manifest"):
+            NocSimulator.load_state(path)
+
+    def test_unparseable_manifest_rejected(self, tmp_path):
+        path = self._rewrite(
+            self._checkpoint(tmp_path), tmp_path / "garbled.npz",
+            lambda manifest, arrays: np.array('{"schema": '),
+        )
+        with pytest.raises(CheckpointError, match="manifest is corrupt"):
+            NocSimulator.load_state(path)
+
+    def test_foreign_schema_rejected(self, tmp_path):
+        def edit(manifest, arrays):
+            manifest["schema"] = "repro.noc-checkpoint/0"
+
+        path = self._rewrite(
+            self._checkpoint(tmp_path), tmp_path / "old.npz", edit, resign=True
+        )
+        with pytest.raises(CheckpointError, match="has schema"):
+            read_checkpoint_manifest(path)
+
+    def test_missing_router_arrays_rejected(self, tmp_path):
+        def edit(manifest, arrays):
+            del arrays["rr"]
+
+        path = self._rewrite(self._checkpoint(tmp_path), tmp_path / "norr.npz", edit)
+        with pytest.raises(CheckpointError, match=r"missing arrays \['rr'\]"):
+            NocSimulator.load_state(path)
+
+    @staticmethod
+    def _bad_config(manifest, arrays):
+        manifest["config"]["rows"] = 0
+
+    @staticmethod
+    def _bad_placement(manifest, arrays):
+        arrays["pk_where"] = np.full_like(arrays["pk_where"], 9)
+
+    @staticmethod
+    def _bad_packet_kind(manifest, arrays):
+        arrays["pk_kind"] = np.full_like(arrays["pk_kind"], 99)
+
+    @staticmethod
+    def _bad_in_flight(manifest, arrays):
+        manifest["counters"]["in_flight"] += 1
+
+    @staticmethod
+    def _bad_router_shape(manifest, arrays):
+        arrays["rr"] = arrays["rr"][:, :-1]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_bad_config, "config is invalid"),
+            (_bad_placement, "unknown packet placement code 9"),
+            (_bad_packet_kind, "packet table is invalid"),
+            (_bad_in_flight, "accounting mismatch"),
+            (_bad_router_shape, "router arrays have shapes"),
+        ],
+        ids=["config", "placement", "packet-kind", "in-flight", "router-shape"],
+    )
+    def test_resigned_inconsistent_state_rejected(self, tmp_path, edit, message):
+        """A correctly hashed checkpoint whose content cannot describe a
+        simulator is rejected, never half-restored."""
+        path = self._rewrite(
+            self._checkpoint(tmp_path), tmp_path / "resigned.npz",
+            edit.__func__, resign=True,
+        )
+        with pytest.raises(CheckpointError, match=message):
+            NocSimulator.load_state(path)
 
 
 class TestCliCheckpointResume:

@@ -20,9 +20,7 @@ from repro.noc.routing import (
     dor_port_code,
     next_hop,
     path_is_clear,
-    paths_are_disjoint,
     route,
-    same_row_or_column,
     xy_path,
     yx_path,
 )
@@ -59,13 +57,15 @@ class TestDorPaths:
                 assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
     @given(src=coords8, dst=coords8)
-    def test_disjointness_iff_off_row_column(self, src, dst):
-        if src == dst:
-            assert not paths_are_disjoint(src, dst)
+    def test_xy_yx_disjoint_iff_off_row_column(self, src, dst):
+        # Fig. 7: the two dimension orders give two physically disjoint
+        # paths exactly when the pair shares neither a row nor a column;
+        # otherwise both walk the one straight segment.
+        xy, yx = xy_path(src, dst), yx_path(src, dst)
+        if src[0] == dst[0] or src[1] == dst[1]:
+            assert xy == yx
         else:
-            assert paths_are_disjoint(src, dst) == (
-                not same_row_or_column(src, dst)
-            )
+            assert set(xy[1:-1]).isdisjoint(yx[1:-1])
 
     @given(src=coords8, dst=coords8)
     def test_next_hop_follows_path(self, src, dst):

@@ -10,7 +10,7 @@ from repro.noc.faults import FaultMap
 from repro.noc.packets import PACKET_BITS, Packet, PacketKind
 from repro.noc.router import InputFifo, Port, Router, port_toward
 from repro.noc.routing import RoutingPolicy
-from repro.noc.simulator import NocSimulator, SimulationReport
+from repro.noc.simulator import NocSimulator, SimulationReport, packet_next_coord
 from repro.workloads.traffic import TrafficPattern, generate_traffic
 
 coords8 = st.tuples(st.integers(0, 7), st.integers(0, 7))
@@ -80,6 +80,18 @@ class TestRouter:
         with pytest.raises(NetworkError):
             fifo.push(p)
 
+    def test_fifo_depth_must_be_positive(self):
+        with pytest.raises(NetworkError, match="FIFO depth"):
+            Router((1, 1), RoutingPolicy.XY, fifo_depth=0)
+
+    def test_only_mesh_ports_have_a_neighbour(self):
+        assert packet_next_coord((2, 2), Port.NORTH) == (1, 2)
+        assert packet_next_coord((2, 2), Port.SOUTH) == (3, 2)
+        assert packet_next_coord((2, 2), Port.WEST) == (2, 1)
+        assert packet_next_coord((2, 2), Port.EAST) == (2, 3)
+        with pytest.raises(NetworkError, match="LOCAL"):
+            packet_next_coord((2, 2), Port.LOCAL)
+
     def test_round_robin_rotates(self):
         router = Router((1, 1), RoutingPolicy.XY)
         # Two packets from different inputs contending for EAST.
@@ -117,6 +129,27 @@ class TestSimulator:
         assert report.responses_delivered == 1
         assert report.per_network_delivered[NetworkId.XY] == 1
         assert report.per_network_delivered[NetworkId.YX] == 1
+
+    def test_negative_cycle_count_rejected(self, small_cfg):
+        sim = NocSimulator(small_cfg)
+        with pytest.raises(NetworkError, match="non-negative"):
+            sim.run(-1)
+        sim.run(0)
+        assert sim.cycle == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_drain_gives_up_at_its_cycle_limit(self, small_cfg, engine):
+        """A drain that cannot finish raises instead of returning with
+        traffic still in flight."""
+        sim = NocSimulator(small_cfg, engine=engine)
+        sim.inject(
+            Packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(7, 7)), NetworkId.XY
+        )
+        with pytest.raises(NetworkError, match="failed to drain within 3 cycles"):
+            sim.drain(max_cycles=3)
+        assert not sim.idle()
+        sim.drain()
+        assert sim.report().delivered == 2
 
     def test_faulty_endpoint_dropped(self, small_cfg):
         fmap = FaultMap(small_cfg, frozenset({(3, 3)}))

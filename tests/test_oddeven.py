@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import RoutingError
 from repro.noc.connectivity import disconnected_fraction
 from repro.noc.faults import FaultMap, random_fault_map
 from repro.noc.oddeven import (
@@ -97,6 +98,22 @@ class TestPaths:
                 assert path_respects_turn_model(path)
                 assert all(not fmap.is_faulty(t) for t in path)
 
+    def test_oracle_rejects_forbidden_turn(self):
+        # East then north turns at column 4 (even): rule 1 forbids it;
+        # the same turn one column later (odd) is legal.
+        assert not path_respects_turn_model([(3, 3), (3, 4), (2, 4)])
+        assert path_respects_turn_model([(3, 4), (3, 5), (2, 5)])
+
+    def test_oracle_rejects_non_unit_steps(self):
+        with pytest.raises(RoutingError, match="non-unit step"):
+            path_respects_turn_model([(0, 0), (1, 1)])
+        with pytest.raises(RoutingError, match="non-unit step"):
+            path_respects_turn_model([(0, 0), (0, 2)])
+
+    def test_trivial_paths_are_legal(self):
+        assert path_respects_turn_model([])
+        assert path_respects_turn_model([(2, 2)])
+
     @given(
         src=st.tuples(st.integers(0, 5), st.integers(0, 5)),
         dst=st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -117,6 +134,13 @@ class TestConnectivity:
     def test_clean_map_fully_connected(self, tiny_cfg):
         result = odd_even_connectivity(FaultMap(tiny_cfg))
         assert result.disconnected == 0
+
+    def test_single_healthy_tile_has_no_pairs(self):
+        cfg = SystemConfig(rows=2, cols=2)
+        fmap = FaultMap(cfg, frozenset({(0, 1), (1, 0), (1, 1)}))
+        result = odd_even_connectivity(fmap)
+        assert (result.fault_count, result.healthy_pairs) == (3, 0)
+        assert result.disconnected_fraction == 0.0
 
     def test_adaptive_beats_dual_dor(self):
         cfg = SystemConfig(rows=16, cols=16)

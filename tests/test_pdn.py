@@ -1,5 +1,7 @@
 """Tests for repro.pdn (planes, solver, LDO, decap, delivery)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,12 @@ from repro.config import SystemConfig
 from repro.errors import ConvergenceError, PdnError
 from repro.pdn.decap import DecapModel, paper_decap_model, required_decap_f, transient_droop_v
 from repro.pdn.delivery import (
+    DeliveryOption,
     DeliveryScheme,
     chosen_scheme,
     compare_delivery_schemes,
 )
-from repro.pdn.ldo import LdoModel, ldo_efficiency_map
+from repro.pdn.ldo import LdoModel
 from repro.pdn.plane import PlaneStack, PowerPlane, extract_plane_stack
 from repro.pdn.solver import PdnSolver, solve_pdn
 
@@ -136,6 +139,23 @@ class TestSolverBehaviour:
         with pytest.raises(PdnError):
             PdnSolver(small_cfg).solve(tile_power_w=-1.0)
 
+    @pytest.mark.parametrize("load_model", ["ldo", "constant_power"])
+    def test_non_finite_power_rejected(self, tiny_cfg, load_model):
+        # A NaN tile used to solve to converged=True with min_voltage=nan
+        # (ldo) or raise a misleading ConvergenceError (constant_power).
+        solver = PdnSolver(tiny_cfg)
+        for bad in (np.nan, np.inf):
+            power = np.full((tiny_cfg.rows, tiny_cfg.cols), 0.35)
+            power[1, 2] = bad
+            with pytest.raises(PdnError, match="tile_power_w"):
+                solver.solve(tile_power_w=power, load_model=load_model)
+
+    def test_iteration_cap_raises_instead_of_returning(self, small_cfg):
+        solver = PdnSolver(small_cfg)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 "):
+            solver.solve(load_model="constant_power", max_iterations=1)
+        assert solver.solve(load_model="constant_power").converged
+
     def test_current_conservation(self, small_cfg):
         # Supply power = load power + plane loss, by construction; check
         # the identity holds numerically.
@@ -186,6 +206,12 @@ class TestLdo:
         assert ldo.regulation_ok(2.5)
         assert not ldo.regulation_ok(1.1)   # deep dropout: out of band
 
+    def test_input_above_tracking_range_is_out_of_band(self):
+        ldo = LdoModel()
+        # regulate() raises above the tracking range; the band check
+        # reports it as a failed band instead.
+        assert not ldo.regulation_ok(ldo.v_in_max + 0.1)
+
     def test_efficiency_is_vout_over_vin(self):
         ldo = LdoModel(quiescent_a=0.0)
         assert ldo.efficiency(2.2, 0.3) == pytest.approx(1.1 / 2.2)
@@ -199,12 +225,6 @@ class TestLdo:
         assert ldo.pass_device_dissipation_w(2.1, 0.2) == pytest.approx(
             (2.1 - 1.1) * 0.2
         )
-
-    def test_efficiency_map_shape(self, small_cfg):
-        solution = solve_pdn(small_cfg)
-        eff = ldo_efficiency_map(solution.voltages, load_a=0.29)
-        assert eff.shape == solution.voltages.shape
-        assert (eff > 0).all() and (eff < 1).all()
 
     def test_invalid_ldo_configs(self):
         with pytest.raises(PdnError):
@@ -272,6 +292,11 @@ class TestDeliveryComparison:
     def test_buck_has_area_overhead(self, options):
         assert options[DeliveryScheme.HV_EDGE_BUCK].area_overhead_fraction >= 0.25
 
+    def test_no_feasible_scheme_raises(self, options):
+        infeasible = {s: replace(o, feasible=False) for s, o in options.items()}
+        with pytest.raises(PdnError, match="no feasible"):
+            chosen_scheme(infeasible)
+
     def test_edge_ldo_keeps_array_regular(self, options):
         assert options[DeliveryScheme.EDGE_LDO].area_overhead_fraction == 0.0
 
@@ -290,3 +315,35 @@ class TestDeliveryComparison:
         assert options[DeliveryScheme.EDGE_LDO].min_delivered_voltage == pytest.approx(
             1.4, abs=0.1
         )
+
+
+#: (id, call, message): PDN model inputs with no physical meaning; each
+#: must raise PdnError naming the problem.
+_MALFORMED_PDN_INPUTS = [
+    ("droop-negative-step",
+     lambda: transient_droop_v(20e-9, -1.0, 1e-9), "non-negative"),
+    ("decap-negative-response",
+     lambda: required_decap_f(1.0, -1e-9, 0.05), "non-negative"),
+    ("decap-whole-tile", lambda: DecapModel(11.0, area_fraction=1.0),
+     "area fraction"),
+    ("decap-zero-density", lambda: DecapModel(11.0, density_f_per_mm2=0.0),
+     "decap density"),
+    ("delivery-efficiency-above-1",
+     lambda: DeliveryOption(
+         DeliveryScheme.EDGE_LDO, 1.5, 0.0, 1.0, True, "impossible"
+     ),
+     "efficiency"),
+    ("solver-zero-edge-connector",
+     lambda: PdnSolver(SystemConfig(rows=4, cols=4), edge_connector_ohm=0.0),
+     "edge connector"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [case[1:] for case in _MALFORMED_PDN_INPUTS],
+    ids=[case[0] for case in _MALFORMED_PDN_INPUTS],
+)
+def test_malformed_pdn_inputs_rejected(call, message):
+    with pytest.raises(PdnError, match=message):
+        call()

@@ -12,8 +12,8 @@ from repro.arch.programs import (
 from repro.arch.system import WaferscaleSystem
 from repro.cli import main
 from repro.config import SystemConfig
-from repro.errors import EmulatorError, ReproError
-from repro.flow.export import design_report_markdown, export_design_report
+from repro.errors import EmulatorError
+from repro.flow.export import design_report_markdown
 
 
 class _FlatPort:
@@ -138,19 +138,6 @@ class TestDesignReport:
         )
         assert "Prototype characterization" in text
         assert "lock-step" in text
-
-    def test_file_export(self, tmp_path):
-        path = str(tmp_path / "report.md")
-        export_design_report(
-            path, SystemConfig(rows=4, cols=4), connectivity_trials=2
-        )
-        with open(path, encoding="utf-8") as handle:
-            assert "design review" in handle.read()
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ReproError):
-            export_design_report("", SystemConfig(rows=4, cols=4))
-
 
 class TestNewCliCommands:
     def test_report_to_file(self, tmp_path, capsys):

@@ -5,26 +5,22 @@ from collections import Counter
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import DrcError, RoutingError, SubstrateError
+from repro.errors import RoutingError, SubstrateError
 from repro.geometry.reticle import ReticlePlan
 from repro.substrate.degraded import degraded_mode_report
-from repro.substrate.drc import assert_clean, run_drc
+from repro.substrate.drc import run_drc
 from repro.substrate.fanout import plan_edge_fanout
 from repro.substrate.netlist import (
     ChannelKind,
     InterChipletNet,
     NetClass,
     extract_netlist,
-    netlist_summary,
 )
 from repro.substrate.router import SubstrateRouter, _route_per_net
-from repro.substrate.stack import LayerRole, default_stack
+from repro.substrate.stack import LayerRole, LayerStack, MetalLayer, default_stack
 from repro.substrate.stitching import (
-    check_constant_pitch,
     intra_reticle_geometry,
-    overlay_tolerance_um,
     stitch_geometry,
-    wire_geometry_for_net,
 )
 
 
@@ -67,6 +63,21 @@ class TestStack:
         with pytest.raises(SubstrateError):
             default_stack(signal_layers=0)
 
+    def test_layer_rules_validated(self):
+        def layer(index=1, thickness=2.0, width=2.5, space=2.5):
+            return MetalLayer(index, f"M{index}", LayerRole.SIGNAL,
+                              thickness, width, space)
+
+        assert layer().pitch_um == 5.0
+        with pytest.raises(SubstrateError, match="starts at 1"):
+            layer(index=0)
+        with pytest.raises(SubstrateError, match="thickness"):
+            layer(thickness=0.0)
+        with pytest.raises(SubstrateError, match="width/space"):
+            layer(space=-1.0)
+        with pytest.raises(SubstrateError, match="unique and ordered"):
+            LayerStack((layer(index=2), layer(index=1)))
+
     def test_signal_layers_computed_once(self):
         stack = default_stack()
         assert stack.signal_layers is stack.signal_layers
@@ -82,30 +93,21 @@ class TestStack:
 
 class TestStitching:
     def test_constant_pitch_rule(self):
-        check_constant_pitch()
+        # Stitched wires trade space for width at one constant 5um pitch.
         w1, s1 = intra_reticle_geometry()
         w2, s2 = stitch_geometry()
         assert (w1, s1) == (2.0, 3.0)
         assert (w2, s2) == (3.0, 2.0)
-
-    def test_geometry_selection(self):
-        assert wire_geometry_for_net(True) == stitch_geometry()
-        assert wire_geometry_for_net(False) == intra_reticle_geometry()
-
-    def test_fatter_wire_more_overlay_tolerance(self):
-        assert overlay_tolerance_um(3.0) > overlay_tolerance_um(2.0)
-
-    def test_overlay_tolerance_floor(self):
-        assert overlay_tolerance_um(1.0, min_overlap_um=1.5) == 0.0
+        assert w1 + s1 == w2 + s2
 
 
 class TestNetlist:
-    def test_summary_classes(self, cfg6):
-        summary = netlist_summary(extract_netlist(cfg6))
-        assert summary["mesh_link"] == 2 * 6 * 5 * 400
-        assert summary["bank_essential"] > 0
-        assert summary["bank_extended"] > summary["bank_essential"]
-        assert summary["total"] == sum(v for k, v in summary.items() if k != "total")
+    def test_class_counts(self, cfg6):
+        counts = Counter(net.net_class for net in extract_netlist(cfg6))
+        # 2 x 6 x 5 inter-tile links of 400 wires each.
+        assert counts[NetClass.MESH_LINK] == 2 * 6 * 5 * 400
+        assert counts[NetClass.BANK_ESSENTIAL] > 0
+        assert counts[NetClass.BANK_EXTENDED] > counts[NetClass.BANK_ESSENTIAL]
 
     def test_essential_classification(self, cfg6):
         nets = extract_netlist(cfg6)
@@ -121,11 +123,6 @@ class TestNetlist:
                 assert net.tile_a == net.tile_b
             else:
                 assert net.tile_a != net.tile_b
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(SubstrateError):
-            netlist_summary([])
-
 
 class TestRouter:
     def test_all_nets_route_with_two_layers(self, routed6):
@@ -261,22 +258,18 @@ class TestDrc:
         report = run_drc(result)
         assert report.clean
         assert report.wires_checked == result.routed_count
-        assert_clean(report)
 
     def test_tampered_wire_caught(self, routed6):
         import dataclasses
 
         result, _ = routed6
         bad_wire = dataclasses.replace(result.wires[0], width_um=0.5, space_um=4.5)
-        tampered = dataclasses.replace(result) if False else result
         saved = result.wires[0]
         result.wires[0] = bad_wire
         try:
             report = run_drc(result)
             assert not report.clean
             assert "min-width" in report.by_rule()
-            with pytest.raises(DrcError):
-                assert_clean(report)
         finally:
             result.wires[0] = saved
 

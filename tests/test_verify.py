@@ -6,6 +6,8 @@ MUST trip the checker.  A checker whose mutation test cannot fail is a
 checker that cannot catch bugs.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,7 +242,8 @@ class TestPdnCheckersMutation:
         solver = PdnSolver(SystemConfig(rows=6, cols=6), checkers=[kcl, droop])
         solver.solve()
         solver.solve(load_model="constant_power")
-        solver.solve_many([0.5, 1.0])
+        solver.solve(0.5)
+        solver.solve(1.0)
         assert kcl.checks == 4 and droop.checks == 4
         assert kcl.violations == 0 and droop.violations == 0
 
@@ -496,7 +499,7 @@ class TestGoldenNocDifferential:
 
 
 class TestVerifyCampaign:
-    @pytest.mark.parametrize("suite", ["noc", "pdn", "emu", "dft"])
+    @pytest.mark.parametrize("suite", ["noc", "pdn", "emu", "dft", "emu-vector"])
     def test_reduced_trial_suites_pass(self, suite):
         verdict = run_verify(suite=suite, trials=2, seed=0)
         assert verdict["passed"], verdict
@@ -541,6 +544,16 @@ class TestEngineVerifyMode:
             verify=lambda index, value: calls.append((index, value)),
         )
         assert calls == [(i, {"checks": i + 1}) for i in range(4)]
+
+    def test_violation_record_is_json_encodable(self):
+        violation = InvariantViolation("pdn", "kcl", "residual", {"node": (2, 3)})
+        record = json.loads(json.dumps(violation.to_dict()))
+        assert record == {
+            "subsystem": "pdn",
+            "invariant": "kcl",
+            "message": "residual",
+            "context": {"node": "(2, 3)"},
+        }
 
     def test_failing_hook_aborts_before_cache_write(self, tmp_path):
         def explode(index, value):

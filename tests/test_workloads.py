@@ -123,6 +123,7 @@ class TestSssp:
         result = DistributedSssp(system44, graph).run(source=0)
         reference = reference_sssp(graph, 0)
         assert set(result.distance) == set(reference)
+        assert result.reached() == len(reference)
         for node, dist in reference.items():
             assert result.distance[node] == pytest.approx(dist)
 

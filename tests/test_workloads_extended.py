@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.dse import sweep_array_size, sweep_io_pitch, sweep_link_width
-from repro.analysis.render import render_field, render_fault_overlay
+from repro.analysis.dse import sweep_array_size
+from repro.analysis.render import render_field
 from repro.arch.system import WaferscaleSystem
 from repro.config import SystemConfig
 from repro.errors import ReproError, WorkloadError
@@ -118,23 +118,13 @@ class TestDse:
         point = sweep_array_size([32])[0]
         assert point.min_delivered_v == pytest.approx(1.4, abs=0.05)
 
-    def test_io_pitch_sweep(self):
-        rows = sweep_io_pitch([20.0, 10.0, 5.0])
-        ios = [r["max_perimeter_ios"] for r in rows]
-        assert ios == sorted(ios)
-        # Finer pitch => more I/Os => single-pillar yield collapses.
-        yields_1p = [r["bond_yield_1_pillar"] for r in rows]
-        assert yields_1p == sorted(yields_1p, reverse=True)
-        for row in rows:
-            assert row["bond_yield_2_pillars"] > row["bond_yield_1_pillar"]
-
-    def test_link_width_sweep(self):
-        rows = sweep_link_width([100, 400])
-        assert rows[1]["link_bw_gbps"] == pytest.approx(4 * rows[0]["link_bw_gbps"])
-        assert all(r["fits_perimeter"] for r in rows)
-
-
 class TestRender:
+    def test_bad_inputs(self):
+        with pytest.raises(ReproError):
+            render_field(np.zeros(3))
+        with pytest.raises(ReproError):
+            render_field(np.zeros((2, 2)), ramp="")
+
     def test_render_shape(self):
         art = render_field(np.arange(12).reshape(3, 4), legend=False)
         lines = art.splitlines()
@@ -152,18 +142,3 @@ class TestRender:
     def test_legend(self):
         art = render_field(np.array([[1.0, 2.0]]))
         assert "1" in art.splitlines()[-1]
-
-    def test_fault_overlay(self):
-        cfg = SystemConfig(rows=3, cols=3)
-        fmap = FaultMap(cfg, frozenset({(1, 1)}))
-        art = render_fault_overlay(np.zeros((3, 3)), fmap)
-        assert art.splitlines()[1][1] == "X"
-
-    def test_bad_inputs(self):
-        with pytest.raises(ReproError):
-            render_field(np.zeros(3))
-        with pytest.raises(ReproError):
-            render_field(np.zeros((2, 2)), ramp="")
-        cfg = SystemConfig(rows=3, cols=3)
-        with pytest.raises(ReproError):
-            render_fault_overlay(np.zeros((2, 2)), FaultMap(cfg))

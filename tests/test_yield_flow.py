@@ -9,7 +9,6 @@ from repro.flow.designer import run_design_flow
 from repro.flow.report import table1_report
 from repro.yieldmodel.chiplet_yield import (
     DefectModel,
-    assembled_system_yield,
     die_yield,
     known_good_die_rate,
 )
@@ -64,12 +63,6 @@ class TestDieYield:
 
 
 class TestSystemYield:
-    def test_fault_tolerance_essential(self):
-        zero = assembled_system_yield(2048, 0.999, 0.99998, tolerated_faulty=0)
-        some = assembled_system_yield(2048, 0.999, 0.99998, tolerated_faulty=16)
-        assert zero < 0.25
-        assert some > 0.95
-
     def test_comparison_favors_chiplets(self):
         result = compare_monolithic_vs_chiplet(SystemConfig())
         assert result.chiplet_assembly > result.monolithic_with_redundancy
