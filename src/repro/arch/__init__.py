@@ -1,38 +1,28 @@
-"""System architecture and functional emulator (paper Section II).
+"""System architecture and message-passing emulator (paper Section II).
 
 The paper validated its architecture by emulating a reduced-size
 multi-tile system on FPGA and running graph workloads (BFS, SSSP).  This
-package is the software analogue: a functional model of cores, the
-intra-tile crossbar, memory banks, the unified global address space and a
-multi-tile emulator with network-latency accounting.
+package is the software analogue at the granularity those workloads
+exercise: a wafer of healthy tiles behind the kernel's fault-aware
+network assignment (:class:`WaferscaleSystem`), a task-level emulator
+that runs per-tile compute supersteps and prices every inter-tile
+message on the mesh (:class:`Emulator`, with a bit-identical vector
+engine), the energy model over its statistics, the SRAM banks the DfT
+self-test marches, and the unified address map's region windows.
 """
 
-from .core import Core, CoreState
-from .crossbar import Crossbar
 from .emulator import EmulationStats, Emulator
 from .energy import EnergyBreakdown, EnergyModel
-from .isa import Instruction, Opcode, Program, assemble
 from .membank import MemoryBank
-from .memorymap import AddressRegion, DecodedAddress, MemoryMap
+from .memorymap import MemoryMap
 from .system import WaferscaleSystem
-from .tile import Tile
 
 __all__ = [
-    "Core",
-    "CoreState",
-    "Crossbar",
     "EmulationStats",
     "EnergyBreakdown",
     "EnergyModel",
     "Emulator",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "assemble",
     "MemoryBank",
-    "AddressRegion",
-    "DecodedAddress",
     "MemoryMap",
     "WaferscaleSystem",
-    "Tile",
 ]

@@ -16,146 +16,34 @@ region                 layout
 ``CORE_PRIVATE``       ``0x4000_0000 +`` core-local 64KB SRAM
                        (same window on every core)
 =====================  ==========================================
+
+:func:`repro.flow.validate.validate_design` builds the map to check that
+a configuration's banks fit these windows.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-from ..config import Coord, SystemConfig
+from ..config import SystemConfig
 from ..errors import MemoryMapError
 
 SHARED_BASE = 0x0000_0000
 TILE_PRIVATE_BASE = 0x2000_0000
 CORE_PRIVATE_BASE = 0x4000_0000
-CORE_PRIVATE_SIZE = 64 * 1024
-WORD_BYTES = 4
-
-
-class AddressRegion(enum.Enum):
-    """Top-level regions of the unified address space."""
-
-    SHARED = "shared"
-    TILE_PRIVATE = "tile_private"
-    CORE_PRIVATE = "core_private"
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A fully decoded global address."""
-
-    region: AddressRegion
-    tile: Coord | None          # None for core-private
-    bank: int | None            # None for core-private
-    offset: int                 # byte offset within the bank / SRAM
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise MemoryMapError("negative offset")
 
 
 class MemoryMap:
-    """Encoder/decoder for the unified address space of one configuration."""
+    """Region sizes of the unified address space for one configuration.
+
+    Raises :class:`~repro.errors.MemoryMapError` when the shared or the
+    tile-private region overflows its address window.
+    """
 
     def __init__(self, config: SystemConfig):
-        self.config = config
-        self.shared_tile_bytes = config.shared_banks_per_tile * config.bank_bytes
-        self.shared_size = config.tiles * self.shared_tile_bytes
+        self.shared_size = (
+            config.tiles * config.shared_banks_per_tile * config.bank_bytes
+        )
         self.tile_private_size = config.tiles * config.bank_bytes
         if SHARED_BASE + self.shared_size > TILE_PRIVATE_BASE:
             raise MemoryMapError("shared region overflows its window")
         if TILE_PRIVATE_BASE + self.tile_private_size > CORE_PRIVATE_BASE:
             raise MemoryMapError("tile-private region overflows its window")
-
-    # -- encode ---------------------------------------------------------
-
-    def tile_id(self, tile: Coord) -> int:
-        """Linear tile id (row-major)."""
-        self.config.validate_coord(tile)
-        return tile[0] * self.config.cols + tile[1]
-
-    def tile_of_id(self, tile_id: int) -> Coord:
-        """Inverse of :meth:`tile_id`."""
-        if not 0 <= tile_id < self.config.tiles:
-            raise MemoryMapError(f"tile id {tile_id} out of range")
-        return (tile_id // self.config.cols, tile_id % self.config.cols)
-
-    def shared_address(self, tile: Coord, bank: int, offset: int) -> int:
-        """Global address of a byte in a shared bank."""
-        if not 0 <= bank < self.config.shared_banks_per_tile:
-            raise MemoryMapError(
-                f"bank {bank} not in 0..{self.config.shared_banks_per_tile - 1}"
-            )
-        if not 0 <= offset < self.config.bank_bytes:
-            raise MemoryMapError(f"offset {offset} outside bank")
-        return (
-            SHARED_BASE
-            + self.tile_id(tile) * self.shared_tile_bytes
-            + bank * self.config.bank_bytes
-            + offset
-        )
-
-    def tile_private_address(self, tile: Coord, offset: int) -> int:
-        """Global address of a byte in a tile's private bank."""
-        if not 0 <= offset < self.config.bank_bytes:
-            raise MemoryMapError(f"offset {offset} outside bank")
-        return TILE_PRIVATE_BASE + self.tile_id(tile) * self.config.bank_bytes + offset
-
-    def core_private_address(self, offset: int) -> int:
-        """Core-local SRAM address (same window on every core)."""
-        if not 0 <= offset < CORE_PRIVATE_SIZE:
-            raise MemoryMapError(f"offset {offset} outside core SRAM")
-        return CORE_PRIVATE_BASE + offset
-
-    # -- decode ---------------------------------------------------------
-
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode any global address; raises on unmapped ranges."""
-        if address < 0:
-            raise MemoryMapError("negative address")
-        if SHARED_BASE <= address < SHARED_BASE + self.shared_size:
-            rel = address - SHARED_BASE
-            tile_id, rel = divmod(rel, self.shared_tile_bytes)
-            bank, offset = divmod(rel, self.config.bank_bytes)
-            return DecodedAddress(
-                region=AddressRegion.SHARED,
-                tile=self.tile_of_id(tile_id),
-                bank=bank,
-                offset=offset,
-            )
-        if (
-            TILE_PRIVATE_BASE
-            <= address
-            < TILE_PRIVATE_BASE + self.tile_private_size
-        ):
-            rel = address - TILE_PRIVATE_BASE
-            tile_id, offset = divmod(rel, self.config.bank_bytes)
-            return DecodedAddress(
-                region=AddressRegion.TILE_PRIVATE,
-                tile=self.tile_of_id(tile_id),
-                bank=self.config.shared_banks_per_tile,  # the fifth bank
-                offset=offset,
-            )
-        if CORE_PRIVATE_BASE <= address < CORE_PRIVATE_BASE + CORE_PRIVATE_SIZE:
-            return DecodedAddress(
-                region=AddressRegion.CORE_PRIVATE,
-                tile=None,
-                bank=None,
-                offset=address - CORE_PRIVATE_BASE,
-            )
-        raise MemoryMapError(f"address {address:#010x} unmapped")
-
-    def is_remote(self, address: int, from_tile: Coord) -> bool:
-        """Does an access from ``from_tile`` traverse the mesh?"""
-        decoded = self.decode(address)
-        if decoded.region is AddressRegion.CORE_PRIVATE:
-            return False
-        if decoded.region is AddressRegion.TILE_PRIVATE:
-            if decoded.tile != from_tile:
-                raise MemoryMapError(
-                    f"tile-private bank of {decoded.tile} is not accessible "
-                    f"from {from_tile}"
-                )
-            return False
-        return decoded.tile != from_tile

@@ -10,6 +10,7 @@ used for cycle-level simulation and for reproducing Fig. 4.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
@@ -88,38 +89,56 @@ class SystemConfig:
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             try:
-                finite = math.isfinite(value)
-            except TypeError:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
                 finite = False
             if not finite:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        # Counts and sizes: a float, bool or string here used to pass and
+        # crash a later stage (``buses_per_edge=0`` divided by zero in
+        # ``validate_design``).  Every int field is at least 1.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.rows < 1 or self.cols < 1:
+            raise ConfigError(f"tile array must be at least 1x1, got {self.rows}x{self.cols}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value!r}")
         if self.tile_peak_power_w < 0:
             raise ConfigError(
                 f"tile_peak_power_w must be non-negative, got {self.tile_peak_power_w!r}"
             )
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"tile array must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.cores_per_tile < 1:
-            raise ConfigError("each tile needs at least one core")
         if not 0.0 < self.pillar_bond_yield <= 1.0:
             raise ConfigError("pillar_bond_yield must be in (0, 1]")
-        if self.pillars_per_pad < 1:
-            raise ConfigError("pillars_per_pad must be >= 1")
         # SRAMs are word-addressed (32-bit words): sizes are whole words.
         for name in ("bank_bytes", "private_sram_per_core_bytes"):
             size = getattr(self, name)
-            if size <= 0 or size % 4:
+            if size % 4:
                 raise ConfigError(
                     f"{name} must be a positive multiple of 4 bytes, got {size!r}"
                 )
         if self.shared_banks_per_tile > self.memory_banks_per_tile:
-            raise ConfigError("shared banks cannot exceed total banks per tile")
+            raise ConfigError(
+                f"shared_banks_per_tile ({self.shared_banks_per_tile}) cannot "
+                f"exceed memory_banks_per_tile ({self.memory_banks_per_tile})"
+            )
         if self.edge_supply_voltage <= self.nominal_vdd:
-            raise ConfigError("edge supply must exceed nominal VDD for LDO regulation")
+            raise ConfigError(
+                f"edge_supply_voltage ({self.edge_supply_voltage}) must exceed "
+                f"nominal_vdd ({self.nominal_vdd}) for LDO regulation"
+            )
         if self.signal_layers not in (1, 2):
-            raise ConfigError("substrate model supports 1 or 2 signal layers")
+            raise ConfigError(
+                f"signal_layers must be 1 or 2 (substrate model), got {self.signal_layers!r}"
+            )
         if self.packet_width_bits > self.link_width_bits:
-            raise ConfigError("a packet must fit within the link width")
+            raise ConfigError(
+                f"packet_width_bits ({self.packet_width_bits}) must fit within "
+                f"link_width_bits ({self.link_width_bits})"
+            )
 
     # -- derived quantities -------------------------------------------------
 
@@ -282,6 +301,7 @@ class SystemConfig:
 
 # Field types are strings here (``from __future__ import annotations``).
 _FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "float")
+_INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 
 def paper_config() -> SystemConfig:

@@ -57,7 +57,7 @@ class SubstrateError(ReproError):
 
 
 class EmulatorError(ReproError):
-    """Functional emulator error (bad address, halted core access...)."""
+    """Emulator error (faulty endpoint, bad message, no convergence...)."""
 
 
 class ObsError(ReproError):
@@ -65,7 +65,7 @@ class ObsError(ReproError):
 
 
 class MemoryMapError(EmulatorError):
-    """An address does not decode to any mapped resource."""
+    """A memory region overflows its address-map window."""
 
 
 class WorkloadError(ReproError):

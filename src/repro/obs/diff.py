@@ -46,18 +46,38 @@ DEFAULT_IGNORE = re.compile(
 )
 
 
+def _labels(items: list) -> list[str] | None:
+    """The items' ``label`` strings when every item is a dict with a
+    unique one (a bench document's measured points); else None."""
+    labels = [
+        item.get("label") if isinstance(item, dict) else None for item in items
+    ]
+    if not labels or not all(isinstance(label, str) for label in labels):
+        return None
+    return labels if len(set(labels)) == len(labels) else None
+
+
 def flatten_numeric(doc: object, prefix: str = "") -> dict[str, float]:
     """Flatten nested dicts to ``dotted.path -> number`` leaves.
 
-    Lists are skipped (histogram bucket arrays and manifests are noise
-    for a regression diff; their scalar summaries are already leaves).
-    Booleans are skipped too — they are flags, not measurements.
+    A list of dicts that each carry a unique string ``label`` (the
+    ``points`` of every ``BENCH_*.json``) is keyed by label, as
+    ``points[<label>].<field>``, so a changed count in one point shows.
+    Every other list is skipped (histogram bucket arrays and manifests
+    are noise for a regression diff; their scalar summaries are already
+    leaves).  Booleans are skipped too — they are flags, not
+    measurements.
     """
     out: dict[str, float] = {}
     if isinstance(doc, dict):
         for key, value in doc.items():
             path = f"{prefix}.{key}" if prefix else str(key)
             out.update(flatten_numeric(value, path))
+    elif isinstance(doc, list):
+        labels = _labels(doc)
+        if labels is not None:
+            for label, item in zip(labels, doc):
+                out.update(flatten_numeric(item, f"{prefix}[{label}]"))
     elif isinstance(doc, bool):
         pass
     elif isinstance(doc, (int, float)):

@@ -1,13 +1,17 @@
 """Tests for repro.config."""
 
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import params
 from repro.config import SystemConfig, paper_config, reduced_config
 from repro.errors import ConfigError
+from repro.verify.strategies import system_configs
+
+FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
 
 
 class TestDefaults:
@@ -112,6 +116,46 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             SystemConfig.from_dict({"rows": 2, "cols": 2, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Each used to pass: validate_design then divided by zero
+            # (buses_per_edge=0) or raised a TypeError (rows=2.5).
+            ("rows", 2.5),
+            ("rows", True),
+            ("rows", "3"),
+            ("cols", None),
+            ("cores_per_tile", 1.5),
+            ("shared_banks_per_tile", -1),
+            ("memory_banks_per_tile", 0),
+            ("buses_per_edge", 0),
+            ("pillars_per_pad", None),
+            ("power_layers", 0),
+            ("toggle_count", -3),
+            ("link_width_bits", 400.0),
+            ("packet_width_bits", False),
+            ("ios_per_compute_chiplet", 0),
+            ("ios_per_memory_chiplet", "1250"),
+            ("jtag_chains", 0),
+            ("signal_layers", 2.0),
+            ("reticle_tile_cols", 0),
+            ("reticle_tile_rows", -6),
+            ("bank_bytes", 4.0),
+        ],
+    )
+    def test_rejects_bad_int_naming_field(self, field, value):
+        kwargs = {"rows": 2, "cols": 2, field: value}
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(**kwargs)
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig.from_dict(kwargs)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+
+        cfg = SystemConfig(rows=np.int64(3), cols=np.int32(2))
+        assert (cfg.rows, cfg.cols) == (3, 2)
+
     def test_accepts_zero_tile_power(self):
         assert SystemConfig(rows=2, cols=2, tile_peak_power_w=0.0).tile_peak_power_w == 0.0
 
@@ -213,3 +257,42 @@ class TestSerialisation:
         assert SystemConfig().scaled(4, 4) == SystemConfig.from_dict(
             {"rows": 4, "cols": 4}
         )
+
+
+#: Odd values for any field: zero, negative, non-finite, bool, str, None.
+_ODD_VALUES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+class TestFromDictFuzz:
+    """``from_dict`` builds a config that round-trips, or names the field."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @given(base=system_configs(min_side=1, max_side=128), value=_ODD_VALUES)
+    @example(base=SystemConfig(rows=1, cols=1), value=0)
+    @example(base=SystemConfig(rows=128, cols=128), value=-1)
+    @example(base=SystemConfig(rows=1, cols=128), value=math.nan)
+    @example(base=SystemConfig(rows=128, cols=1), value=math.inf)
+    @example(base=SystemConfig(rows=2, cols=2), value=-math.inf)
+    @example(base=SystemConfig(rows=2, cols=2), value=True)
+    @example(base=SystemConfig(rows=2, cols=2), value="3")
+    @example(base=SystemConfig(rows=2, cols=2), value=None)
+    @settings(max_examples=10, deadline=None)
+    def test_builds_or_names_field(self, field, base, value):
+        data = {**base.to_dict(), field: value}
+        try:
+            cfg = SystemConfig.from_dict(data)
+        except ConfigError as exc:
+            # The tile-array check reports both dimensions ("got 0x32").
+            named = field in str(exc) or (
+                field in ("rows", "cols") and "tile array" in str(exc)
+            )
+            assert named, (field, value, str(exc))
+        else:
+            assert cfg.to_dict() == data
+            assert SystemConfig.from_dict(cfg.to_dict()) == cfg

@@ -29,6 +29,7 @@ from repro.obs import (
     capture_snapshot,
     current_telemetry,
     diff_documents,
+    flatten_numeric,
     merge_snapshot,
     read_trace,
     read_trace_with_warnings,
@@ -289,6 +290,33 @@ class TestDiff:
     def test_zero_base_flags_growth(self):
         report = diff_documents({"misses": 0.0}, {"misses": 5.0})
         assert [e.kind for e in report.entries] == ["regression"]
+
+    def test_bench_point_count_change_flagged(self):
+        # BENCH_*.json keep their measured points in a labelled list.
+        def bench(messages):
+            return {"points": [
+                {"label": "wave", "messages": messages, "vector_s": 0.1},
+                {"label": "bfs", "messages": 7.0, "vector_s": 0.1},
+            ]}
+
+        report = diff_documents(bench(100.0), bench(130.0), threshold=0.1)
+        assert report.compared == 4
+        assert [(e.key, e.kind) for e in report.entries] == [
+            ("points[wave].messages", "changed"),
+        ]
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [1.0, 2.0, 3.0],                                # histogram buckets
+            [{"label": "a", "n": 1.0}, {"label": "a", "n": 2.0}],   # not unique
+            [{"label": "a", "n": 1.0}, {"n": 2.0}],         # unlabelled item
+            [{"label": 3, "n": 1.0}],                       # non-string label
+            [],
+        ],
+    )
+    def test_other_lists_skipped(self, items):
+        assert flatten_numeric({"x": 1.0, "items": items}) == {"x": 1.0}
 
     def test_cli_diff_exit_semantics(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

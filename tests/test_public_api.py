@@ -23,10 +23,6 @@ _STRATEGY = "shared Hypothesis strategy library (verify/strategies.py)"
 
 #: ``"module/path.py:name"`` -> why the name stays with no non-test caller.
 ALLOWED = {
-    "arch/programs.py:memory_walk": "ISA test routine for the core model",
-    "arch/programs.py:checksum": "ISA test routine for the core model",
-    "arch/programs.py:vector_add": "ISA test routine for the core model",
-    "arch/programs.py:spin_counter": "ISA test routine for the core model",
     "clock/placement.py:greedy_generator_set": (
         "EXPERIMENTS.md clock-generator placement row (47 -> 31 hops)"
     ),

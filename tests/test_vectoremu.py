@@ -16,7 +16,6 @@ import pytest
 
 from repro.arch.emulator import ENGINES, Emulator, clear_route_cache
 from repro.arch.system import WaferscaleSystem
-from repro.arch.tile import Tile
 from repro.arch.vectoremu import VectorEmulator
 from repro.config import SystemConfig
 from repro.errors import EmulatorError, NetworkError, ReproError
@@ -438,55 +437,6 @@ def _schedule_log(monkeypatch, run, every_tile):
     for step, tile, mail in log:
         steps.setdefault(step, []).append((tile, mail))
     return steps
-
-
-class TestMessagePassingBuildsNoTiles:
-    """The emulator reads coordinates, the kernel and the fault map only."""
-
-    @staticmethod
-    def _forbid_tiles(monkeypatch):
-        def forbidden(self, *args, **kwargs):
-            raise AssertionError("message passing built a Tile")
-
-        monkeypatch.setattr(Tile, "__init__", forbidden)
-
-    @staticmethod
-    def _faulty_system():
-        cfg = SystemConfig(rows=8, cols=8)
-        return WaferscaleSystem(cfg, FaultMap(cfg, frozenset({(0, 4), (4, 0), (5, 5)})))
-
-    @pytest.mark.parametrize("engine", ["reference", "vector"])
-    def test_collective_and_bfs_build_no_tile(self, monkeypatch, engine):
-        self._forbid_tiles(monkeypatch)
-        system = self._faulty_system()
-        spec = CollectiveSpec("ring-all-reduce", seed=3, ranks=8, segments=2)
-        driver = CollectiveDriver(system, spec)
-        stats = driver.run(engine=engine)
-        assert stats.messages_sent > 0
-        assert driver.verify() > 0
-        graph = random_graph(nodes=40, seed=2)
-        result = DistributedBfs(system, graph).run(0, engine=engine)
-        assert result.distance == reference_bfs(graph, 0)
-        assert system._tiles is None
-        assert system.total_remote_accesses == 0
-
-    def test_faulty_tile_lookup_builds_nothing(self, monkeypatch):
-        self._forbid_tiles(monkeypatch)
-        system = self._faulty_system()
-        for coord in [(0, 4), (8, 0), (0, -1)]:
-            with pytest.raises(EmulatorError, match="faulty or absent"):
-                system.tile(coord)
-        assert system.healthy_coords() == system.fault_map.healthy_tiles()
-        assert system._tiles is None
-
-    def test_isa_entry_point_builds_every_healthy_tile(self):
-        system = self._faulty_system()
-        assert system._tiles is None
-        system.write_shared((1, 1), 0, 8, 42)
-        assert list(system.tiles) == system.healthy_coords()
-        assert system.tile((1, 1)) is system.tiles[(1, 1)]
-        assert system.read_shared((1, 1), 0, 8) == 42
-        assert system.total_remote_accesses == 0
 
 
 class TestEdgeCases:
