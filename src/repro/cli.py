@@ -502,7 +502,12 @@ def run_noc(
             sim.save_state(checkpoint, extra=extra)
             checkpoints_written += 1
 
-    drive_schedule(sim, schedule, horizon, step=step_once)
+    # The per-cycle hook only when it has snapshots to write, so that
+    # drive_schedule can run injection-free stretches in one call.
+    drive_schedule(
+        sim, schedule, horizon,
+        step=step_once if checkpoint and checkpoint_every else None,
+    )
 
     halted = halt_at is not None and sim.cycle < cycles
     if not halted:

@@ -81,16 +81,21 @@ def _check_pads_fit_perimeter(cfg: SystemConfig) -> CheckResult:
     )
 
 
-def _check_memory_map_matches_banks(cfg: SystemConfig) -> CheckResult:
-    """The unified map's shared size must equal the banks it decodes to."""
-    from ..arch.memorymap import MemoryMap
+def _check_shared_region_fits_window(cfg: SystemConfig) -> CheckResult:
+    """Every tile's shared banks must fit the map's shared address window.
 
-    mm = MemoryMap(cfg)
-    expected = cfg.tiles * cfg.shared_banks_per_tile * cfg.bank_bytes
+    Building the :class:`~repro.arch.memorymap.MemoryMap` already
+    raises when a region overflows its window; ``validate_design``
+    reports that as this check failing, with the map's message.
+    """
+    from ..arch.memorymap import SHARED_BASE, TILE_PRIVATE_BASE, MemoryMap
+
+    shared = MemoryMap(cfg).shared_size
+    window = TILE_PRIVATE_BASE - SHARED_BASE
     return CheckResult(
-        name="memory-map-matches-banks",
-        ok=mm.shared_size == expected,
-        detail=f"map {mm.shared_size} vs banks {expected}",
+        name="shared-region-fits-window",
+        ok=shared <= window,
+        detail=f"shared region {shared} B in a {window} B window",
     )
 
 
@@ -181,7 +186,7 @@ CHECKS: list[Callable[[SystemConfig], CheckResult]] = [
     _check_network_ios_match_link_width,
     _check_channels_fit_links,
     _check_pads_fit_perimeter,
-    _check_memory_map_matches_banks,
+    _check_shared_region_fits_window,
     _check_packet_fits_bus,
     _check_packet_fields_fit,
     _check_ldo_covers_droop,

@@ -527,32 +527,107 @@ class NocSimulator:
         )
 
     def run(self, cycles: int) -> None:
-        """Advance by ``cycles`` cycles."""
+        """Advance by ``cycles`` cycles.
+
+        Without telemetry or checkers the run skips ahead: cycles where
+        nothing is buffered or queued cost nothing (see
+        :meth:`_skip_ahead`), and the engine may advance busy stretches
+        several cycles at a time (:meth:`_advance`).  With either
+        attached, every cycle is one :meth:`step`, so per-cycle hooks
+        and spans see each cycle.  The final state is the same.
+        """
         if cycles < 0:
             raise NetworkError("cycles must be non-negative")
         start = self.cycle
-        for _ in range(cycles):
-            self.step()
+        if self._per_cycle():
+            for _ in range(cycles):
+                self.step()
+        else:
+            self._skip_ahead(start + cycles)
+            self.cycle = start + cycles
         if self._obs is not None and cycles:
             self.telemetry.tracer.complete(
                 "noc.run", ts=start, dur=self.cycle - start, cat="noc.sim"
             )
 
     def drain(self, max_cycles: int = 100_000) -> None:
-        """Run until all in-flight traffic is delivered (or the limit hits)."""
+        """Run until all in-flight traffic is delivered (or the limit hits).
+
+        The limit counts simulated cycles, skipped ones included, and
+        is spent in the same way on both paths of :meth:`run`: a drain
+        that needs all ``max_cycles`` cycles raises, leaving ``cycle``
+        at ``start + max_cycles``.
+        """
         start = self.cycle
-        for _ in range(max_cycles):
-            if self.idle():
-                if self._obs is not None and self.cycle > start:
-                    self.telemetry.tracer.complete(
-                        "noc.drain",
-                        ts=start,
-                        dur=self.cycle - start,
-                        cat="noc.sim",
-                    )
-                return
-            self.step()
+        stop = start + max_cycles
+        if self._per_cycle():
+            for _ in range(max_cycles):
+                if self.idle():
+                    if self._obs is not None and self.cycle > start:
+                        self.telemetry.tracer.complete(
+                            "noc.drain",
+                            ts=start,
+                            dur=self.cycle - start,
+                            cat="noc.sim",
+                        )
+                    return
+                self.step()
+        elif not self._skip_ahead(stop):
+            return
         raise NetworkError(f"network failed to drain within {max_cycles} cycles")
+
+    def _per_cycle(self) -> bool:
+        """True when telemetry or a checker must see every cycle."""
+        return self._obs is not None or bool(self.checkers)
+
+    def _skip_ahead(self, stop: int) -> bool:
+        """Advance toward cycle ``stop`` while anything is in flight.
+
+        Returns False as soon as the network is idle (``cycle`` is
+        left there) and True once ``cycle`` reaches ``stop`` with
+        traffic left.  A cycle with nothing buffered or queued changes
+        nothing but ``cycle`` (round-robin pointers move only on a
+        grant), so the loop jumps straight to the next cycle where a
+        response is due.
+        """
+        while self.cycle < stop:
+            due = self._next_event_cycle()
+            if due is None:
+                return False
+            if due >= stop:
+                self.cycle = stop
+                break
+            self.cycle = due
+            self._advance(stop)
+        return True
+
+    def _next_event_cycle(self) -> int | None:
+        """First cycle from now whose step can change more than ``cycle``.
+
+        ``self.cycle`` while packets are buffered or wait for admission,
+        the due cycle of the earliest pending response otherwise, and
+        None on an idle network.
+        """
+        if self._in_flight or self._admission_pending():
+            return self.cycle
+        due = self._next_response_due()
+        return None if due is None else max(self.cycle, due)
+
+    def _admission_pending(self) -> bool:
+        """Packets queued for injection but not yet in a LOCAL FIFO."""
+        return bool(self._pending_injections)
+
+    def _next_response_due(self) -> int | None:
+        """Due cycle of the earliest scheduled response (None if none)."""
+        return min((due for due, _, _ in self._pending_responses), default=None)
+
+    def _advance(self, stop: int) -> None:
+        """Advance a busy network by at least one cycle, at most to ``stop``.
+
+        The object model steps once; the vector engine may fast-forward
+        a contention-free window.
+        """
+        self.step()
 
     def idle(self) -> bool:
         """True when no packet is queued, buffered or pending anywhere.

@@ -68,7 +68,15 @@ from ..obs.telemetry import Telemetry
 from .dualnetwork import NetworkId
 from .faults import FaultMap
 from .packets import Packet, PacketKind, materialise_packets, reserve_packet_ids
-from .routing import build_port_lut, dor_port_codes
+from .routing import (
+    PORT_EAST,
+    PORT_LOCAL,
+    PORT_NORTH,
+    PORT_SOUTH,
+    PORT_WEST,
+    build_port_lut,
+    dor_port_codes,
+)
 from .simulator import NocSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -439,6 +447,128 @@ class _MeshState:
             drop_v, drop_pid,
             int(np.count_nonzero(stall)),
         )
+
+    def fast_forward(self, limit: int) -> tuple | None:
+        """Advance up to ``limit`` cycles at once while nothing contends.
+
+        DoR fixes a packet's path by its position, destination and
+        network, so with one packet per occupied lane (and FIFOs at
+        least 2 deep, so a hop never waits for a credit) every packet's
+        next hops are known: hop ``j`` (``0 <= j <= D``, ``D`` hops
+        left, hop ``D`` the LOCAL delivery) requests output
+        ``v_j * 5 + out_j`` at cycle offset ``j``.  While those keys are
+        unique per offset, every request is the sole requester of its
+        output and wins, so all packets advance one hop per cycle.  The
+        window ``H`` ends at the first duplicate key, the first hop into
+        a dead link, the first REQUEST delivery (its response is booked
+        by a normal step), one past the last delivery, or ``limit``.
+
+        Applies ``H`` cycles of grants in one go: round-robin pointers
+        get each output's last grant, forwarded counts every grant,
+        FIFO heads advance by their pops and each survivor sits at the
+        head of its new lane.  Returns ``(H, deliver_v, deliver_pid,
+        deliver_at)`` with deliveries in per-cycle order (cycle offset
+        ``deliver_at``, then virtual tile), or None when fewer than two
+        cycles qualify: the caller then steps.
+        """
+        depth = self.depth
+        if limit < 2 or depth < 2:
+            return None
+        qlen_f = self.qlen_f
+        lanes = np.flatnonzero(qlen_f > 0)
+        if not lanes.size or qlen_f[lanes].max() > 1:
+            return None
+        head_f = self.head_f
+        pid = self.buf_f[lanes * depth + head_f[lanes]]
+        v = lanes // 5
+        table = self.table
+        n, cols = self.n, self.cols
+        dst = table.dst[pid]
+        d_r = dst // cols - self.tile_r[v]
+        d_c = dst % cols - self.tile_c[v]
+        hops = np.abs(d_r) + np.abs(d_c)
+        span = min(limit, int(hops.max()) + 1)
+        requests = table.kind[pid] == _REQUEST_KIND
+        if requests.any():
+            span = min(span, int(hops[requests].min()))
+        if span < 2:
+            return None
+
+        # The two DoR legs: X-Y corrects the column first, Y-X the row.
+        # A row hop moves the flat index by +-cols through port S or N,
+        # a column hop by +-1 through port E or W.
+        yx = v >= n
+        step_r = np.where(d_r > 0, cols, -cols)
+        step_c = np.where(d_c > 0, 1, -1)
+        port_r = np.where(d_r > 0, PORT_SOUTH, PORT_NORTH)
+        port_c = np.where(d_c > 0, PORT_EAST, PORT_WEST)
+        len1 = np.where(yx, np.abs(d_r), np.abs(d_c))[:, None]
+        step1 = np.where(yx, step_r, step_c)[:, None]
+        step2 = np.where(yx, step_c, step_r)[:, None]
+        port1 = np.where(yx, port_r, port_c)[:, None]
+        port2 = np.where(yx, port_c, port_r)[:, None]
+        hops_c = hops[:, None]
+        v_c = v[:, None]
+        j = np.arange(span)[None, :]
+
+        def position(offset):
+            """Virtual tile each packet occupies at cycle ``offset``."""
+            first = np.minimum(offset, len1)
+            return v_c + step1 * first + step2 * (np.minimum(offset, hops_c) - first)
+
+        at = position(j)                                  # (packets, span)
+        out = np.where(j < len1, port1, np.where(j < hops_c, port2, PORT_LOCAL))
+        tgt = at * 5 + out
+        live = j <= hops_c
+        tgt_l = tgt[live]
+        j_l = np.broadcast_to(j, tgt.shape)[live]
+
+        horizon = span
+        dead = self.nbrs_f[tgt_l] == _HOP_DEAD
+        if dead.any():
+            horizon = int(j_l[dead].min())
+        lanes_total = 10 * n
+        key = j_l * lanes_total + tgt_l
+        key.sort()
+        clash = key[1:] == key[:-1]
+        if clash.any():
+            horizon = min(horizon, int(key[1:][clash][0]) // lanes_total)
+        if horizon < 2:
+            return None
+
+        # Apply the window's grants: hop j of every packet for j < H.
+        granted = live & (j < horizon)
+        g_tgt = tgt[granted]
+        g_v = at[granted]
+        entry = np.empty_like(out)
+        entry[:, 0] = lanes % 5
+        entry[:, 1:] = out[:, :-1] ^ 1
+        g_in = entry[granted]
+        # Round-robin: each output keeps its last (largest-offset) grant.
+        g_j = np.broadcast_to(j, tgt.shape)[granted]
+        order = np.argsort(g_tgt * span + g_j)
+        tgt_o = g_tgt[order]
+        last = np.empty(tgt_o.size, dtype=bool)
+        last[-1] = True
+        np.not_equal(tgt_o[1:], tgt_o[:-1], out=last[:-1])
+        self.rr_f[tgt_o[last]] = _NEXT_RR[g_in[order][last]]
+        self.fwd += np.bincount(g_v, minlength=self.fwd.size)
+        pops = np.bincount(g_v * 5 + g_in, minlength=head_f.size)
+        popped = np.flatnonzero(pops > 0)
+        head_f[popped] = (head_f[popped] + pops[popped]) % depth
+        qlen_f[lanes] = 0
+
+        gone = hops < horizon
+        stay = ~gone
+        if stay.any():
+            s_lane = (position(horizon)[stay, 0] * 5
+                      + (out[stay, horizon - 1] ^ 1))
+            qlen_f[s_lane] = 1
+            self.buf_f[s_lane * depth + head_f[s_lane]] = pid[stay]
+        deliver_at = hops[gone]
+        deliver_v = (v[gone] // n) * n + dst[gone]
+        order = np.argsort(deliver_at * (2 * n) + deliver_v)
+        return horizon, deliver_v[order], pid[gone][order], deliver_at[order]
 
     def _arithmetic_ports(self, lanes: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """DoR output ports without a LUT (meshes past LUT_MAX_TILES)."""
@@ -837,15 +967,40 @@ class VectorNocSimulator(NocSimulator):
 
     def idle(self) -> bool:
         """True when no packet is queued, buffered or pending anywhere."""
-        if (
+        return not (self._in_flight or self._admission_pending() or self._responses)
+
+    def _admission_pending(self) -> bool:
+        return bool(
             self._backlog
             or self._arrivals
             or self._inbox_payload
-            or self._responses
             or self._pending_injections
-        ):
-            return False
-        return self._in_flight == 0
+        )
+
+    def _next_response_due(self) -> int | None:
+        # Responses are queued in due order (see _release_due_responses).
+        return self._responses[0][0] if self._responses else None
+
+    def _advance(self, stop: int) -> None:
+        """Fast-forward a contention-free window, or step one cycle.
+
+        A window needs an empty admission path and ends before the next
+        response release, whose admission is a normal step.
+        """
+        if not self._admission_pending():
+            due = self._next_response_due()
+            if due is not None:
+                stop = min(stop, due)
+            window = self._mesh.fast_forward(stop - self.cycle)
+            if window is not None:
+                cycles, deliver_v, deliver_rows, deliver_at = window
+                if deliver_rows.size:
+                    self._deliver_rows(
+                        deliver_v, deliver_rows, self.cycle + deliver_at
+                    )
+                self.cycle += cycles
+                return
+        self.step()
 
     # ------------------------------------------------------------------
     # Per-cycle path
@@ -853,12 +1008,7 @@ class VectorNocSimulator(NocSimulator):
     def step(self) -> None:
         """Advance the simulation by one cycle (vectorized kernel)."""
         self._release_due_responses()
-        if (
-            self._pending_injections
-            or self._inbox_payload
-            or self._arrivals
-            or self._backlog
-        ):
+        if self._admission_pending():
             self._try_local_injections()
 
         mesh = self._mesh
@@ -883,7 +1033,7 @@ class VectorNocSimulator(NocSimulator):
             if drop_pid.size:
                 self._drop(drop_v, drop_pid)
             if deliver_pid.size:
-                self._deliver_rows(deliver_v, deliver_pid)
+                self._deliver_rows(deliver_v, deliver_pid, self.cycle)
                 if self._obs is not None or self._chk_deliver is not None:
                     # Per-delivery hooks in delivery order, after the
                     # cycle's counters and responses are booked.
@@ -919,19 +1069,27 @@ class VectorNocSimulator(NocSimulator):
                 for fn in self._chk_drop:
                     fn(self, packet, NET_ORDER[v // self._n])
 
-    def _deliver_rows(self, deliver_v: np.ndarray, deliver_rows: np.ndarray) -> None:
-        """Deliver a cycle's packets as array operations.
+    def _deliver_rows(
+        self,
+        deliver_v: np.ndarray,
+        deliver_rows: np.ndarray,
+        delivered_at: int | np.ndarray,
+    ) -> None:
+        """Deliver packets as array operations, in delivery order.
 
         Field-for-field what looping the base ``_deliver`` does: each
-        row is stamped and logged, and every delivered REQUEST appends
-        its RESPONSE (endpoints swapped, fresh ids in delivery order)
-        for the complementary network.
+        row is stamped with ``delivered_at`` (the current cycle, or one
+        cycle per row for a fast-forwarded window) and logged, and every
+        delivered REQUEST appends its RESPONSE (endpoints swapped, fresh
+        ids in delivery order) for the complementary network.  REQUESTs
+        are only ever delivered at the current cycle: a window ends
+        before the first one.
         """
         table = self._table
         n = self._n
         cycle = self.cycle
         count = deliver_rows.size
-        table.delivered[deliver_rows] = cycle
+        table.delivered[deliver_rows] = delivered_at
         self._delivered_rows.extend(deliver_rows.tolist())
         kind = table.kind[deliver_rows]
         requests = count - int(np.count_nonzero(kind))     # REQUEST is 0
@@ -955,9 +1113,8 @@ class VectorNocSimulator(NocSimulator):
                 (v + n) % (2 * n),          # same tile, other network
                 np.arange(new.start, new.stop, dtype=np.int64),
             ))
-        # deliver_v ascends: XY deliveries first, then YX.
-        c_xy = int(deliver_v.searchsorted(n))
-        c_yx = count - c_xy
+        c_yx = int(np.count_nonzero(deliver_v >= n))
+        c_xy = count - c_yx
         self._in_flight -= count
         net_xy, net_yx = NET_ORDER
         if c_xy:

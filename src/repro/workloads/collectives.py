@@ -41,6 +41,7 @@ programs bit-identical across engines.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
@@ -798,15 +799,15 @@ def run_noc_collective(
         engine=engine,
         checkers=checkers,
     )
-    schedule = collective.packet_schedule()
-    position = 0
-    total = len(schedule)
-    for cycle in range(collective.last_cycle + 1):
-        while position < total and schedule[position][0] == cycle:
-            _, packet, network = schedule[position]
+    # Each injection cycle's packets are offered at that cycle, as a
+    # per-cycle loop would; ``run`` skips or fast-forwards in between.
+    for cycle, group in itertools.groupby(
+        collective.packet_schedule(), key=lambda entry: entry[0]
+    ):
+        sim.run(cycle - sim.cycle)
+        for _, packet, network in group:
             sim.inject(packet, network)
-            position += 1
-        sim.step()
+    sim.run(collective.last_cycle + 1 - sim.cycle)
     sim.drain(max_cycles=max_cycles)
     checks = check_delivery(collective, sim.delivered_packets, engine=engine)
     return sim.report(), checks

@@ -201,16 +201,30 @@ def drive_schedule(
 ) -> None:
     """Run ``sim`` up to cycle ``until``, offering the schedule as it goes.
 
-    Each cycle from ``sim.cycle`` on, the schedule's slice for that cycle
-    is injected on the XY network (requests travel XY, their responses
-    YX) with one :meth:`~repro.noc.simulator.NocSimulator.inject_many`
-    call, then the simulator steps (through ``step`` when given, e.g. a
-    checkpointing wrapper).  Entries before ``sim.cycle`` are skipped: a
-    resumed run picks up where its checkpoint stopped.
+    Each cycle's schedule slice is injected on the XY network (requests
+    travel XY, their responses YX) with one
+    :meth:`~repro.noc.simulator.NocSimulator.inject_many` call when
+    ``sim`` reaches that cycle, before it steps.  In between, ``sim``
+    advances through ``step`` on every cycle when given (e.g. a
+    checkpointing wrapper; it must step ``sim`` one cycle), else with
+    one :meth:`~repro.noc.simulator.NocSimulator.run` over each stretch
+    with nothing to inject.  Entries before ``sim.cycle`` are skipped:
+    a resumed run picks up where its checkpoint stopped.
     """
-    step = step or sim.step
-    bounds = np.searchsorted(schedule.cycle, np.arange(sim.cycle, until + 1))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if hi > lo:
-            sim.inject_many(schedule.src[lo:hi], schedule.dst[lo:hi], NetworkId.XY)
-        step()
+
+    def advance(to: int) -> None:
+        if step is None:
+            if to > sim.cycle:
+                sim.run(to - sim.cycle)
+        else:
+            while sim.cycle < to:
+                step()
+
+    lo, hi = np.searchsorted(schedule.cycle, [sim.cycle, until]).tolist()
+    cycles, starts = np.unique(schedule.cycle[lo:hi], return_index=True)
+    bounds = (starts + lo).tolist() + [hi]
+    for k, cycle in enumerate(cycles.tolist()):
+        advance(cycle)
+        a, b = bounds[k], bounds[k + 1]
+        sim.inject_many(schedule.src[a:b], schedule.dst[a:b], NetworkId.XY)
+    advance(until)

@@ -34,9 +34,18 @@ class TestMemoryMap:
             MemoryMap(cfg)
         [failure] = [
             r for r in validate_design(cfg).failures()
-            if r.name == "memory-map-matches-banks"
+            if r.name == "shared-region-fits-window"
         ]
         assert failure.detail == "shared region overflows its window"
+
+    def test_paper_array_fits_shared_window(self, paper_cfg):
+        # 32x32 tiles x 4 banks x 128KB is exactly the 512MB window.
+        [result] = [
+            r for r in validate_design(paper_cfg).results
+            if r.name == "shared-region-fits-window"
+        ]
+        assert result.ok
+        assert result.detail == "shared region 536870912 B in a 536870912 B window"
 
 
 class TestMemoryBank:

@@ -306,3 +306,102 @@ class TestPercentileCache:
         # Nothing new delivered: the sorted order carries over.
         assert second._sorted_latencies is first._sorted_latencies
         assert second == first
+
+
+def _observed(sim):
+    """Report, deliveries, router state, stalls and cycle of one run."""
+    state = sim._snapshot_engine_state()
+    return (
+        sim.report(),
+        [(p.kind, p.src, p.dst, p.injected_cycle, p.delivered_cycle)
+         for p in sim.delivered_packets],
+        [[[len(q) for q in tile] for tile in net] for net in state["fifos"]],
+        state["rr"],
+        state["fwd"],
+        sim.link_stalls,
+        sim.cycle,
+    )
+
+
+class TestRunSkipsIdleCycles:
+    """The object model's ``run``/``drain`` jump over cycles with nothing
+    buffered or queued; the result must equal stepping every cycle."""
+
+    @staticmethod
+    def _drive(cfg, fault_map, traffic, per_cycle, horizon, max_cycles=100_000):
+        """Offer ``traffic``, advance to ``horizon``, drain; returns the
+        simulator and the drain's error message (None when it drained)."""
+        sim = NocSimulator(cfg, fault_map=fault_map)
+        for cycle, packet in traffic:
+            if per_cycle:
+                while sim.cycle < cycle:
+                    sim.step()
+            else:
+                sim.run(cycle - sim.cycle)
+            sim.inject(packet, NetworkId.XY)
+        if per_cycle:
+            while sim.cycle < horizon:
+                sim.step()
+            for _ in range(max_cycles):
+                if sim.idle():
+                    return sim, None
+                sim.step()
+            return sim, f"network failed to drain within {max_cycles} cycles"
+        sim.run(horizon - sim.cycle)
+        try:
+            sim.drain(max_cycles=max_cycles)
+        except NetworkError as exc:
+            return sim, str(exc)
+        return sim, None
+
+    @pytest.mark.parametrize(
+        "pattern,rate,cycles,max_cycles",
+        [
+            (TrafficPattern.UNIFORM, 0.005, 300, 100_000),
+            (TrafficPattern.UNIFORM, 0.02, 300, 100_000),
+            # Saturated: the drain runs out of cycles on both paths.
+            (TrafficPattern.HOTSPOT, 0.4, 40, 15),
+        ],
+    )
+    def test_requests_match_per_cycle(
+        self, small_cfg, pattern, rate, cycles, max_cycles
+    ):
+        from repro.noc.faults import random_fault_map
+
+        fmap = random_fault_map(small_cfg, 4, rng=2)
+        runs = [
+            self._drive(
+                small_cfg, fmap,
+                generate_traffic(small_cfg, pattern, rate, cycles, seed=5),
+                per_cycle, cycles + 20, max_cycles,
+            )
+            for per_cycle in (True, False)
+        ]
+        (stepped, error), (skipped, skip_error) = runs
+        assert _observed(skipped) == _observed(stepped)
+        assert skip_error == error
+        assert (error is None) == (max_cycles > 15)
+        assert stepped.report().responses_delivered > 0
+
+    def test_collective_matches_per_cycle(self, small_cfg):
+        from repro.noc.faults import random_fault_map
+        from repro.workloads.collectives import (
+            CollectiveSpec,
+            compile_noc,
+            run_noc_collective,
+        )
+
+        coll = compile_noc(
+            small_cfg, random_fault_map(small_cfg, 3, rng=1),
+            CollectiveSpec("ring-all-reduce", seed=1, ranks=16, segments=2),
+        )
+        sim = NocSimulator(small_cfg, coll.fault_map)
+        for cycle, packet, network in coll.packet_schedule():
+            while sim.cycle < cycle:
+                sim.step()
+            sim.inject(packet, network)
+        while not sim.idle() or sim.cycle <= coll.last_cycle:
+            sim.step()
+        report, checks = run_noc_collective(coll, engine="reference")
+        assert report == sim.report()
+        assert checks > 0
