@@ -23,8 +23,9 @@ A second case prices the *worker capture/merge* path: the experiment
 engine runs a pure-compute trial function across a process pool twice —
 telemetry disabled, then enabled (each worker captures a fresh
 :class:`~repro.obs.snapshot.TelemetrySnapshot`, the parent merges) —
-and asserts the merged run stays within 10% of the disabled run.  That
-budget is the committed floor in ``BENCH_obs.json``.
+and asserts the merged run stays within 10% of the disabled run, timed
+in pairs and judged on the median per-pair ratio like the first case.
+That budget is the committed floor in ``BENCH_obs.json``.
 
 Runnable three ways::
 
@@ -53,15 +54,13 @@ ROWS = COLS = 8
 CYCLES = 150
 RATE = 0.08
 SEED = 2
-PAIRS = 9                       # baseline/disabled pairs; the median ratio counts
+PAIRS = 9                       # interleaved pairs per case; the median ratio counts
 MAX_OVERHEAD = 0.05             # disabled path within 5% of baseline
 JITTER_FLOOR_S = 0.010          # absolute slack for sub-ms timing noise
 
 MERGE_TRIALS = 64               # engine trials per capture/merge run
 MERGE_WORKERS = 2               # pool size (modest: CI runners are small)
-MERGE_REPEATS = 3               # best-of-N engine runs per mode
 MERGE_MAX_OVERHEAD = 0.10       # merged run within 10% of disabled run
-MERGE_JITTER_FLOOR_S = 0.050    # absolute slack for pool start-up jitter
 
 
 def _drive(telemetry: Telemetry | None) -> float:
@@ -80,36 +79,50 @@ def _drive(telemetry: Telemetry | None) -> float:
     return time.perf_counter() - start
 
 
-def measure() -> dict:
-    """Paired baseline/disabled timings plus the enabled path.
+def _paired(run, modes: dict, pairs: int, budget: float, floor_s: float):
+    """Time ``run(factory())`` for each mode, ``pairs`` times over.
 
-    Each pair times baseline and disabled back to back (their order
-    alternating between pairs), then one enabled run.  The overhead is
-    the median over pairs of ``disabled / baseline - 1``; the budget
-    holds when that median ratio is at most ``1 + MAX_OVERHEAD`` plus
-    the jitter floor relative to the median baseline time.  Reported
-    times are each mode's best.
+    Each pair times the first two modes back to back (their order
+    alternating between pairs), so a host that changes speed between
+    pairs moves both runs of a pair alike; any further mode runs after
+    the pair, for information.  The overhead is the median over pairs
+    of ``second / first - 1``; the budget holds when that median ratio
+    is at most ``1 + budget`` plus ``floor_s`` relative to the median
+    first-mode time.  Returns each mode's best seconds, the overhead
+    and the verdict.
     """
-    factories = {"baseline": lambda: None, "disabled": Telemetry.disabled}
-    best = {name: float("inf") for name in (*factories, "enabled")}
+    names = list(modes)
+    best = dict.fromkeys(names, float("inf"))
     ratios = []
-    baselines = []
-    for pair in range(PAIRS):
-        order = list(factories) if pair % 2 == 0 else list(factories)[::-1]
-        times = {name: _drive(factories[name]()) for name in order}
-        times["enabled"] = _drive(Telemetry())
+    firsts = []
+    for pair in range(pairs):
+        order = names[:2] if pair % 2 == 0 else names[1::-1]
+        times = {name: run(modes[name]()) for name in order + names[2:]}
         for name, seconds in times.items():
             best[name] = min(best[name], seconds)
-        ratios.append(times["disabled"] / times["baseline"])
-        baselines.append(times["baseline"])
+        ratios.append(times[names[1]] / times[names[0]])
+        firsts.append(times[names[0]])
     ratio = statistics.median(ratios)
-    allowed = 1 + MAX_OVERHEAD + JITTER_FLOOR_S / statistics.median(baselines)
+    allowed = 1 + budget + floor_s / statistics.median(firsts)
+    return best, ratio - 1, ratio <= allowed
+
+
+def measure() -> dict:
+    """Paired baseline/disabled timings plus the enabled path."""
+    modes = {
+        "baseline": lambda: None,
+        "disabled": Telemetry.disabled,
+        "enabled": Telemetry,
+    }
+    best, overhead, ok = _paired(
+        _drive, modes, PAIRS, MAX_OVERHEAD, JITTER_FLOOR_S
+    )
     return {
         "baseline_s": best["baseline"],
         "disabled_s": best["disabled"],
         "enabled_s": best["enabled"],
-        "disabled_overhead": ratio - 1,
-        "within_budget": ratio <= allowed,
+        "disabled_overhead": overhead,
+        "within_budget": ok,
     }
 
 
@@ -147,23 +160,16 @@ def _engine_run_seconds(telemetry: Telemetry) -> float:
 
 
 def measure_merge() -> dict:
-    """Best-of-N pooled run time: telemetry disabled vs captured+merged.
-
-    Modes are interleaved per repeat (same rationale as :func:`measure`).
-    """
-    disabled_s = merged_s = float("inf")
-    for _ in range(MERGE_REPEATS):
-        disabled_s = min(disabled_s, _engine_run_seconds(Telemetry.disabled()))
-        merged_s = min(merged_s, _engine_run_seconds(Telemetry()))
-    overhead = (merged_s - disabled_s) / disabled_s if disabled_s > 0 else 0.0
+    """Paired pooled-run timings: telemetry disabled vs captured+merged."""
+    modes = {"disabled": Telemetry.disabled, "merged": Telemetry}
+    best, overhead, ok = _paired(
+        _engine_run_seconds, modes, PAIRS, MERGE_MAX_OVERHEAD, JITTER_FLOOR_S
+    )
     return {
-        "merge_disabled_s": disabled_s,
-        "merge_merged_s": merged_s,
+        "merge_disabled_s": best["disabled"],
+        "merge_merged_s": best["merged"],
         "merge_overhead": overhead,
-        "merge_within_budget": (
-            merged_s <= disabled_s * (1 + MERGE_MAX_OVERHEAD)
-            + MERGE_JITTER_FLOOR_S
-        ),
+        "merge_within_budget": ok,
     }
 
 
@@ -198,7 +204,7 @@ def test_worker_merge_overhead(benchmark):
         [
             ("telemetry disabled", f"{result['merge_disabled_s'] * 1e3:.1f}ms"),
             ("captured + merged", f"{result['merge_merged_s'] * 1e3:.1f}ms"),
-            ("merge overhead", f"{result['merge_overhead']:+.1%}"),
+            ("merge overhead (paired median)", f"{result['merge_overhead']:+.1%}"),
         ],
     )
     benchmark.extra_info["measured"] = {
@@ -261,10 +267,10 @@ def main(argv: list[str] | None = None) -> int:
 
     merge = measure_merge()
     print(f"engine, {MERGE_WORKERS} workers, {MERGE_TRIALS} trials, "
-          f"best of {MERGE_REPEATS}")
+          f"{PAIRS} interleaved pairs")
     print(f"  telemetry disabled:        {merge['merge_disabled_s'] * 1e3:.1f}ms")
     print(f"  captured + merged:         {merge['merge_merged_s'] * 1e3:.1f}ms "
-          f"({merge['merge_overhead']:+.1%})")
+          f"(median paired overhead {merge['merge_overhead']:+.1%})")
     print(f"  capture/merge budget:      {MERGE_MAX_OVERHEAD:.0%} -> "
           f"{'OK' if merge['merge_within_budget'] else 'EXCEEDED'}")
 

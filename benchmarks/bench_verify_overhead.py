@@ -12,14 +12,17 @@ This bench drives the vector NoC engine three ways over identical traffic
 (none / default / full checkers) and asserts the default-set budget.
 The measured numbers are committed to ``BENCH_verify.json``.
 
-Runnable two ways::
+Runnable three ways::
 
-    python benchmarks/bench_verify_overhead.py   # standalone + JSON refresh
+    python benchmarks/bench_verify_overhead.py                 # summary
+    python benchmarks/bench_verify_overhead.py --out B.json    # + document
     pytest benchmarks/bench_verify_overhead.py -s
+
+To refresh the committed numbers, pass ``--out benchmarks/BENCH_verify.json``.
 """
 
+import argparse
 import json
-import pathlib
 import time
 
 from repro.config import SystemConfig
@@ -38,8 +41,6 @@ ENGINE = "vector"
 REPEATS = 5                     # best-of-N to shed scheduler noise
 MAX_OVERHEAD = 0.10             # default checker set within 10% of unchecked
 JITTER_FLOOR_S = 0.010          # absolute slack for sub-ms timing noise
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_verify.json"
 
 
 def _drive(checker_factory) -> float:
@@ -87,28 +88,25 @@ def measure() -> dict:
     }
 
 
-def write_bench_json(result: dict) -> None:
-    """Record the measured overheads next to the other BENCH_* documents."""
-    BENCH_JSON.write_text(
-        json.dumps(
-            {
-                "bench": "verify_overhead",
-                "config": {
-                    "rows": ROWS,
-                    "cols": COLS,
-                    "cycles": CYCLES,
-                    "injection_rate": RATE,
-                    "seed": SEED,
-                    "engine": ENGINE,
-                    "repeats": REPEATS,
-                },
-                "thresholds": {"default_set_max_overhead": MAX_OVERHEAD},
-                "measured": result,
-            },
-            indent=1,
-        )
-        + "\n"
-    )
+def write_bench_json(result: dict, path: str) -> None:
+    """Write the measured overheads as a ``BENCH_verify.json`` document."""
+    document = {
+        "bench": "verify_overhead",
+        "config": {
+            "rows": ROWS,
+            "cols": COLS,
+            "cycles": CYCLES,
+            "injection_rate": RATE,
+            "seed": SEED,
+            "engine": ENGINE,
+            "repeats": REPEATS,
+        },
+        "thresholds": {"default_set_max_overhead": MAX_OVERHEAD},
+        "measured": result,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
 
 
 def test_default_checker_overhead(benchmark):
@@ -141,7 +139,16 @@ def test_default_checker_overhead(benchmark):
     )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out",
+        metavar="PATH",
+        default=None,
+        help="also write the results as a BENCH_verify.json document",
+    )
+    args = parser.parse_args(argv)
+
     result = measure()
     print(f"NoC sim {ROWS}x{COLS}, {CYCLES} cycles + drain, best of {REPEATS}")
     print(f"  unchecked:                 {result['baseline_s'] * 1e3:.1f}ms")
@@ -151,8 +158,9 @@ def main() -> int:
           f"({result['full_overhead']:+.1%})")
     print(f"  default-set budget:        {MAX_OVERHEAD:.0%} -> "
           f"{'OK' if result['within_budget'] else 'EXCEEDED'}")
-    write_bench_json(result)
-    print(f"  wrote {BENCH_JSON.name}")
+    if args.out:
+        write_bench_json(result, args.out)
+        print(f"  wrote {args.out}")
     return 0 if result["within_budget"] else 1
 
 

@@ -1,44 +1,25 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Gives a downstream user the paper's headline analyses without writing
-code:
+code.  Each command is one row of :data:`COMMANDS`: its name, the help
+line ``repro --help`` lists, a structured-result core ``run_<command>``
+returning a plain dict, a text renderer ``render_<command>`` and the
+command's own flags.  Scripts can import the ``run_*`` cores and reuse
+the computation without scraping stdout; ``repro <command> --help``
+lists a command's flags, whose defaults are those of its ``run_*``.
 
-==============  =====================================================
-command         output
-==============  =====================================================
-``table1``      Table I re-derived for a configuration
-``flow``        the seven-stage design flow report
-``droop``       Fig. 2 droop numbers + ASCII voltage map
-``fig6``        the Fig. 6 disconnection Monte Carlo
-``clock``       clock setup simulation (optionally with faults)
-``resiliency``  clock-coverage Monte Carlo vs fault count
-``loadtime``    Section VII JTAG load-time table
-``yield``       Section V bonding-yield table
-``shmoo``       prototype characterization (frequency binning)
-``validate``    cross-subsystem consistency checks
-``report``      full Markdown design review (``--output`` to a file)
-``bringup``     bring-up sequence on a randomly-faulted wafer
-``remap``       logical fault-free grid extraction
-``lot``         production-lot binning at 1 vs 2 pillars/pad
-``noc``         cycle-level NoC simulation under synthetic traffic
-``obs``         summarize/validate telemetry sink files
-``verify``      randomized invariant/golden-model verification campaign
-==============  =====================================================
+Every command but ``obs`` accepts ``--rows/--cols`` to scale the array,
+and every command accepts ``--json`` to emit the result as a
+machine-readable JSON document instead of text.  JSON output is wrapped
+in the versioned ``repro/v1`` envelope (``{"schema": "repro/v1",
+"command": ..., "ok": ..., "manifest": ..., "result": {...}}``),
+validated by ``repro obs validate``.
 
-All commands accept ``--rows/--cols`` to scale the array and ``--json``
-to emit the result as a machine-readable JSON document instead of text.
-JSON output is wrapped in the versioned ``repro/v1`` envelope
-(``{"schema": "repro/v1", "command": ..., "ok": ..., "manifest": ...,
-"result": {...}}``), validated by ``repro obs validate``.
-Every command is split into a structured-result core (``run_<command>``
-returning a plain dict) and a text renderer (``render_<command>``), so
-scripts can import and reuse the computation without scraping stdout.
-
-Monte-Carlo commands (``fig6``, ``resiliency``, ``shmoo``, ``lot``) run
-on the parallel experiment engine: ``--workers N`` fans trials across a
-process pool (statistics are identical at any worker count for the same
-seed) and results are cached on disk under ``.repro_cache`` (override
-with ``REPRO_CACHE_DIR``; disable with ``--no-cache``).
+Commands that run their trials on the parallel experiment engine take
+``--workers N``, which fans trials across a process pool (statistics
+are identical at any worker count for the same seed).  Those whose
+results are cached on disk under ``.repro_cache`` (override with
+``REPRO_CACHE_DIR``) also take ``--no-cache``.
 
 Telemetry: ``--trace PATH`` writes a Chrome ``trace_event`` JSON (load
 it in Perfetto / ``chrome://tracing``; ``.jsonl`` suffix switches to
@@ -49,19 +30,24 @@ simulators and the engine pick up; with neither flag the command output
 is byte-identical to an un-instrumented run.  Inspect sink files with
 ``repro obs summarize`` / ``repro obs validate`` (see
 ``docs/observability.md``).
+
+A flag combination a command cannot honour raises
+:class:`~repro.errors.UsageError`; like any other
+:class:`~repro.errors.ReproError`, :func:`main` prints it as one
+``repro: error: ...`` line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .config import SystemConfig
-
-# Commands whose trials run on the experiment engine.
-ENGINE_COMMANDS = ("fig6", "resiliency", "shmoo", "lot", "collective")
+from .errors import UsageError
 
 
 def _jsonify(obj: Any) -> Any:
@@ -312,6 +298,9 @@ def run_report(config: SystemConfig, trials: int = 10, output: str = "") -> dict
     from .flow.export import design_report_markdown
 
     markdown = design_report_markdown(config, connectivity_trials=trials)
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(markdown)
     return {
         "command": "report",
         "ok": True,
@@ -443,9 +432,9 @@ def run_noc(
     from .workloads.traffic import TrafficPattern, drive_schedule, traffic_schedule
 
     if checkpoint_every and not checkpoint:
-        raise SystemExit("--checkpoint-every requires --checkpoint PATH")
+        raise UsageError("--checkpoint-every requires --checkpoint PATH")
     if halt_at is not None and not checkpoint:
-        raise SystemExit("--halt-at requires --checkpoint PATH")
+        raise UsageError("--halt-at requires --checkpoint PATH")
 
     checkers = None
     if check:
@@ -472,7 +461,7 @@ def run_noc(
             if key in saved and saved[key] != value
         }
         if mismatched:
-            raise SystemExit(
+            raise UsageError(
                 "cannot resume: checkpoint traffic parameters disagree "
                 f"with the command line: {mismatched}"
             )
@@ -603,7 +592,7 @@ def run_emu(
         from .workloads.stencil import DistributedStencil
 
         if faults:
-            raise SystemExit(
+            raise UsageError(
                 "stencil blocks pin to physical tiles: drop --faults"
             )
         field = np.random.default_rng(seed).random(
@@ -612,8 +601,6 @@ def run_emu(
         result = DistributedStencil(system, field).run(10, engine=kind)
         stats = result.stats
         detail["iterations"] = result.iterations
-    else:
-        raise SystemExit(f"unknown emu workload {workload!r}")
     return {
         "command": "emu",
         "ok": True,
@@ -712,7 +699,7 @@ def run_collective(
         else:
             counts = list(sweep_faults)
         if pattern == "dataflow":
-            raise SystemExit("--sweep-faults supports the spec patterns only")
+            raise UsageError("--sweep-faults supports the spec patterns only")
         sweep = collective_fault_sweep(
             config,
             spec,
@@ -771,10 +758,9 @@ def run_collective(
             "total_cycles": stats.total_cycles,
             "oracle_checks": driver.verify(),
         }
-    raise SystemExit(f"unknown collective backend {backend!r}")
 
 
-def run_verify_cmd(
+def run_verify(
     suite: str = "all",
     trials: int = 25,
     seed: int = 0,
@@ -789,9 +775,9 @@ def run_verify_cmd(
     — and returns the JSON verdict.  Exit code is nonzero when any suite
     fails.
     """
-    from .verify import run_verify
+    from .verify import run_verify as _run_verify
 
-    verdict = run_verify(
+    verdict = _run_verify(
         suite=suite, trials=trials, seed=seed, rows=rows, cols=cols, workers=workers
     )
     return {"command": "verify", "ok": verdict["passed"], **verdict}
@@ -803,16 +789,19 @@ def run_obs(
     threshold: float = 0.1,
     ignore: str | None = None,
 ) -> dict:
-    """Validate, summarize or diff telemetry sink files."""
+    """Validate, summarize or diff telemetry sink files.
+
+    An empty ``ignore`` pattern skips nothing, like ``None``.
+    """
     from .errors import ObsError
     from .obs import diff_files, summarize_file, validate_file
 
     if action == "diff":
         if len(paths) != 2:
-            raise SystemExit("obs diff takes exactly two paths: A.json B.json")
+            raise UsageError("obs diff takes exactly two paths: A.json B.json")
         try:
             report = diff_files(
-                paths[0], paths[1], threshold=threshold, ignore=ignore
+                paths[0], paths[1], threshold=threshold, ignore=ignore or None
             )
         except ObsError as exc:
             return {
@@ -1129,100 +1118,205 @@ def render_obs(result: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument plumbing.
+# The command table: one row per command.
 # ---------------------------------------------------------------------------
 
 
-def _add_size_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rows", type=int, default=32, help="tile rows")
-    parser.add_argument("--cols", type=int, default=32, help="tile columns")
+class Command(NamedTuple):
+    """One ``repro`` subcommand.
+
+    ``flags`` are ``(name, add_argument keywords)`` pairs without
+    defaults: a flag left off the command line is not passed, so ``run``
+    applies its own.  ``shared`` names the groups of :data:`_SHARED`
+    the command takes as well.
+    """
+
+    name: str
+    help: str
+    run: Callable[..., dict]
+    render: Callable[[dict], str]
+    flags: tuple[tuple[str, dict], ...] = ()
+    shared: tuple[str, ...] = ("size",)
 
 
-def _config(args: argparse.Namespace) -> SystemConfig:
-    return SystemConfig.from_dict({"rows": args.rows, "cols": args.cols})
+def _flag(name: str, **kwargs: Any) -> tuple[str, dict]:
+    """A flag taking an int unless another type or an action is given."""
+    if "action" not in kwargs:
+        kwargs.setdefault("type", int)
+    return name, kwargs
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Engine options for commands that run on the experiment engine."""
-    return {
-        "workers": getattr(args, "workers", 1),
-        "cache": None if getattr(args, "no_cache", False) else True,
-    }
+def _choices(module: str, name: str, *extra: str) -> Callable[[], list]:
+    """Choices read from ``module.name`` when the parser is built, so that
+    importing the CLI imports no subsystem."""
+
+    def resolve() -> list:
+        values = getattr(importlib.import_module(module, __package__), name)
+        return [getattr(value, "value", value) for value in values] + list(extra)
+
+    return resolve
 
 
-_RUNNERS: dict[str, Callable[[argparse.Namespace], dict]] = {
-    "table1": lambda a: run_table1(_config(a)),
-    "flow": lambda a: run_flow(_config(a), trials=a.trials),
-    "droop": lambda a: run_droop(_config(a)),
-    "fig6": lambda a: run_fig6(
-        _config(a), trials=a.trials, seed=a.seed,
-        max_faults=a.max_faults, **_engine_kwargs(a),
+_SEED, _TRIALS, _FAULTS = _flag("--seed"), _flag("--trials"), _flag("--faults")
+_MAX_FAULTS = _flag("--max-faults")
+_NOC_ENGINES = _choices(".noc.simulator", "ENGINES")
+_ENGINE_BACKED = ("size", "workers", "cache")
+
+# Flags several commands take, each declared once: build_parser makes
+# one parent parser per group.  Every subparser and the top-level parser
+# take "common", so --json/--trace/--metrics go before or after the
+# subcommand.
+_SHARED: dict[str, tuple[tuple[str, dict], ...]] = {
+    "common": (
+        _flag("--json", action="store_true",
+              help="emit the command's structured result as JSON"),
+        _flag("--trace", type=str, metavar="PATH",
+              help="write a Chrome trace_event JSON of the run "
+              "(.jsonl suffix for JSON-lines)"),
+        _flag("--metrics", type=str, metavar="PATH",
+              help="write the metrics registry and run manifests as JSON"),
     ),
-    "clock": lambda a: run_clock(_config(a), faults=a.faults, seed=a.seed),
-    "resiliency": lambda a: run_resiliency(
-        _config(a), trials=a.trials, seed=a.seed,
-        max_faults=a.max_faults, **_engine_kwargs(a),
+    "size": (_flag("--rows", help="tile rows"), _flag("--cols", help="tile columns")),
+    "workers": (
+        _flag("--workers", help="experiment-engine worker processes (0 = all CPUs)"),
     ),
-    "loadtime": lambda a: run_loadtime(_config(a)),
-    "yield": lambda a: run_yield(_config(a)),
-    "shmoo": lambda a: run_shmoo(_config(a), seed=a.seed, **_engine_kwargs(a)),
-    "validate": lambda a: run_validate(_config(a)),
-    "report": lambda a: run_report(_config(a), trials=a.trials, output=a.output),
-    "bringup": lambda a: run_bringup(_config(a), faults=a.faults, seed=a.seed),
-    "remap": lambda a: run_remap(_config(a), faults=a.faults, seed=a.seed),
-    "lot": lambda a: run_lot(
-        _config(a), wafers=a.wafers, seed=a.seed, **_engine_kwargs(a),
-    ),
-    "noc": lambda a: run_noc(
-        _config(a), cycles=a.cycles, rate=a.rate,
-        pattern=a.pattern, seed=a.seed, faults=a.faults,
-        engine=a.engine, check=a.check,
-        checkpoint=a.checkpoint, checkpoint_every=a.checkpoint_every,
-        resume=a.resume, halt_at=a.halt_at,
-    ),
-    "emu": lambda a: run_emu(
-        _config(a), workload=a.workload, engine=a.engine,
-        faults=a.faults, seed=a.seed,
-    ),
-    "collective": lambda a: run_collective(
-        _config(a), pattern=a.pattern, backend=a.backend, engine=a.engine,
-        faults=a.faults, seed=a.seed, ranks=a.ranks, segments=a.segments,
-        root=a.root, stages=a.stages, microbatches=a.microbatches,
-        placement=a.placement, sweep_faults=a.sweep_faults, trials=a.trials,
-        **_engine_kwargs(a),
-    ),
-    "obs": lambda a: run_obs(
-        a.action, a.paths,
-        threshold=getattr(a, "threshold", 0.1),
-        ignore=getattr(a, "ignore", None) or None,
-    ),
-    "verify": lambda a: run_verify_cmd(
-        suite=a.suite, trials=a.trials, seed=a.seed,
-        rows=a.rows, cols=a.cols, workers=a.workers,
+    # The CLI caches by default; library callers opt in with cache=True.
+    "cache": (
+        _flag("--no-cache", dest="cache", action="store_const", const=None,
+              default=True, help="bypass the on-disk result cache"),
     ),
 }
 
-_RENDERERS: dict[str, Callable[[dict], str]] = {
-    "table1": render_table1,
-    "flow": render_flow,
-    "droop": render_droop,
-    "fig6": render_fig6,
-    "clock": render_clock,
-    "resiliency": render_resiliency,
-    "loadtime": render_loadtime,
-    "yield": render_yield,
-    "shmoo": render_shmoo,
-    "validate": render_validate,
-    "report": render_report,
-    "bringup": render_bringup,
-    "remap": render_remap,
-    "lot": render_lot,
-    "noc": render_noc,
-    "emu": render_emu,
-    "collective": render_collective,
-    "obs": render_obs,
-    "verify": render_verify,
-}
+COMMANDS: dict[str, Command] = {command.name: command for command in (
+    Command("table1", "Table I re-derived for a configuration",
+            run_table1, render_table1),
+    Command("flow", "the seven-stage design-flow report",
+            run_flow, render_flow, (_TRIALS,)),
+    Command("droop", "Fig. 2 droop numbers and an ASCII voltage map",
+            run_droop, render_droop),
+    Command("fig6", "the Fig. 6 disconnection Monte Carlo",
+            run_fig6, render_fig6, (_TRIALS, _SEED, _MAX_FAULTS), _ENGINE_BACKED),
+    Command("clock", "clock setup simulation, optionally on a faulted wafer",
+            run_clock, render_clock, (_SEED, _FAULTS)),
+    Command("resiliency", "clock-coverage Monte Carlo vs fault count",
+            run_resiliency, render_resiliency, (_TRIALS, _SEED, _MAX_FAULTS),
+            _ENGINE_BACKED),
+    Command("loadtime", "Section VII JTAG load-time table",
+            run_loadtime, render_loadtime),
+    Command("yield", "Section V bonding-yield table", run_yield, render_yield),
+    Command("shmoo", "prototype characterization (frequency binning)",
+            run_shmoo, render_shmoo, (_SEED,), _ENGINE_BACKED),
+    Command("validate", "cross-subsystem consistency checks",
+            run_validate, render_validate),
+    Command("report", "full Markdown design review (--output writes it to a file)",
+            run_report, render_report, (_TRIALS, _flag("--output", type=str))),
+    Command("bringup", "bring-up sequence on a randomly faulted wafer",
+            run_bringup, render_bringup, (_SEED, _FAULTS)),
+    Command("remap", "logical fault-free grid extraction",
+            run_remap, render_remap, (_SEED, _FAULTS)),
+    Command("lot", "production-lot binning at 1 vs 2 pillars per pad",
+            run_lot, render_lot, (_SEED, _flag("--wafers")), _ENGINE_BACKED),
+    Command("noc", "cycle-level NoC simulation under synthetic traffic",
+            run_noc, render_noc, (
+                _SEED, _FAULTS, _flag("--cycles"),
+                _flag("--rate", type=float,
+                      help="packet injection rate per tile per cycle"),
+                _flag("--pattern", type=str,
+                      choices=_choices(".workloads.traffic", "TrafficPattern")),
+                _flag("--engine", type=str,
+                      choices=_NOC_ENGINES,
+                      help="simulation core: the object-model reference engine "
+                      "or the batched numpy vector engine (fast is an alias of "
+                      "reference) — all bit-identical"),
+                _flag("--check", action="store_true",
+                      help="attach the always-on invariant checkers "
+                      "(flit conservation + delivery legality) to the run"),
+                _flag("--checkpoint", type=str, metavar="PATH",
+                      help="write a resumable .npz snapshot of the run to PATH"),
+                _flag("--checkpoint-every", metavar="K",
+                      help="rewrite the --checkpoint snapshot every K cycles"),
+                _flag("--resume", type=str, metavar="PATH",
+                      help="resume from a --checkpoint snapshot and continue "
+                      "the run bit-identically (traffic parameters must match)"),
+                _flag("--halt-at", metavar="N",
+                      help="stop stepping at cycle N without draining and write "
+                      "the final --checkpoint snapshot (for later --resume)"),
+            )),
+    Command("emu", "one workload end to end on the message-passing emulator",
+            run_emu, render_emu, (
+                _SEED, _FAULTS,
+                _flag("--engine", type=str,
+                      choices=_choices(".arch.emulator", "ENGINES"),
+                      help="emulator: reference or fast (default) run the "
+                      "scalar per-flow oracle, vector the struct-of-arrays "
+                      "engine — all bit-identical"),
+                _flag("--workload", type=str,
+                      choices=("wave", "bfs", "pagerank", "stencil"),
+                      help="emulated workload to run end to end"),
+            )),
+    Command("collective", "a collective workload, or a fault sweep, with its oracle",
+            run_collective, render_collective, (
+                _TRIALS, _SEED, _FAULTS,
+                _flag("--pattern", type=str,
+                      choices=_choices(".workloads.collectives", "PATTERNS",
+                                       "dataflow"),
+                      help="collective pattern, or the demo layer-DAG dataflow"),
+                _flag("--backend", type=str, choices=("noc", "emu"),
+                      help="compile to NoC packet schedules or run the live "
+                      "emulator driver"),
+                _flag("--engine", type=str,
+                      choices=_NOC_ENGINES,
+                      help="simulation/emulation engine: reference or vector, "
+                      "fast being an alias of reference (default: reference "
+                      "for --backend noc, resolved default for --backend emu)"),
+                _flag("--ranks",
+                      help="participant count (default: every healthy tile)"),
+                _flag("--segments"), _flag("--root"), _flag("--stages"),
+                _flag("--microbatches"),
+                _flag("--placement", type=str,
+                      choices=_choices(".workloads.collectives", "PLACEMENTS")),
+                _flag("--sweep-faults", type=str, metavar="N,N,...",
+                      help="comma-separated fault counts: run the bandwidth-vs-"
+                      "faults sweep on the experiment engine instead of one run"),
+            ), _ENGINE_BACKED),
+    Command("verify", "randomized invariant & golden-model verification campaign",
+            run_verify, render_verify, (
+                _flag("--suite", type=str,
+                      choices=_choices(".verify.campaign", "SUITES", "all"),
+                      help="which subsystem campaign to run"),
+                _TRIALS, _SEED,
+            ), ("size", "workers")),
+    Command("obs", "summarize, validate or diff telemetry sink files",
+            run_obs, render_obs, (
+                _flag("action", type=str, choices=("summarize", "validate", "diff"),
+                      help="render a human summary, check the file against its "
+                      "schema, or compare two metrics/bench documents for "
+                      "regressions"),
+                _flag("paths", type=str, nargs="+", metavar="PATH"),
+                _flag("--threshold", type=float,
+                      help="relative change flagged by obs diff (0.1 = 10%%)"),
+                _flag("--ignore", type=str,
+                      help="extra regex of key paths obs diff skips "
+                      "(e.g. timing jitter)"),
+            ), ()),
+)}
+
+# Parsed names that steer the dispatcher rather than the command.
+_DISPATCH_KEYS = ("command", "json", "trace", "metrics")
+
+
+def _run(args: argparse.Namespace) -> dict:
+    """Call the parsed command's ``run_*`` with exactly the flags given.
+
+    A core taking a ``config`` gets one built from ``--rows/--cols``;
+    a dimension left unset keeps the paper's value.
+    """
+    command = COMMANDS[args.command]
+    given = {k: v for k, v in vars(args).items() if k not in _DISPATCH_KEYS}
+    if "config" in inspect.signature(command.run).parameters:
+        size = {key: given.pop(key) for key in ("rows", "cols") if key in given}
+        given["config"] = SystemConfig.from_dict(size)
+    return command.run(**given)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -1242,7 +1336,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         telemetry = Telemetry()
         with use_telemetry(telemetry):
-            result = _RUNNERS[args.command](args)
+            result = _run(args)
         if trace_path:
             telemetry.write_trace(trace_path)
         if metrics_path:
@@ -1250,321 +1344,43 @@ def _dispatch(args: argparse.Namespace) -> int:
         if telemetry.manifests:
             manifest = telemetry.manifests[-1].to_dict()
     else:
-        result = _RUNNERS[args.command](args)
-    if args.command == "report" and result["output"]:
-        with open(result["output"], "w", encoding="utf-8") as handle:
-            handle.write(result["markdown"])
+        result = _run(args)
     if getattr(args, "json", False):
         from .obs import make_envelope
 
         envelope = make_envelope(_jsonify(result), manifest=manifest)
         print(json.dumps(envelope, indent=2))
     else:
-        print(_RENDERERS[args.command](result))
+        print(COMMANDS[args.command].render(result))
     return 0 if result.get("ok", True) else 1
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
+    for name, kwargs in flags:
+        if callable(kwargs.get("choices")):
+            kwargs = {**kwargs, "choices": kwargs["choices"]()}
+        parser.add_argument(name, **{"default": argparse.SUPPRESS, **kwargs})
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests)."""
+    parents = {}
+    for group, flags in _SHARED.items():
+        parents[group] = argparse.ArgumentParser(add_help=False)
+        _add_flags(parents[group], flags)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Waferscale chiplet processor design-flow analyses",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the command's structured result as JSON",
-    )
-    parser.add_argument(
-        "--trace",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace_event JSON of the run "
-        "(.jsonl suffix for JSON-lines)",
-    )
-    parser.add_argument(
-        "--metrics",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the metrics registry and run manifests as JSON",
+        parents=[parents["common"]],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, extras in (
-        ("table1", ()),
-        ("flow", ("trials",)),
-        ("droop", ()),
-        ("fig6", ("trials", "seed", "max_faults")),
-        ("clock", ("seed", "faults")),
-        ("resiliency", ("trials", "seed", "max_faults")),
-        ("loadtime", ()),
-        ("yield", ()),
-        ("shmoo", ("seed",)),
-        ("report", ("trials", "output")),
-        ("bringup", ("seed", "faults")),
-        ("remap", ("seed", "faults")),
-        ("lot", ("seed", "wafers")),
-        ("noc", ("seed", "faults", "cycles", "rate", "pattern", "sim_engine",
-                 "noc_checkpoint")),
-        ("emu", ("seed", "faults", "emu_engine", "workload")),
-        ("collective", ("trials", "seed", "faults", "collective_opts")),
-        ("validate", ()),
-    ):
-        p = sub.add_parser(name)
-        _add_size_args(p)
-        # Accept --json/--trace/--metrics after the subcommand too;
-        # SUPPRESS keeps the top-level default when a flag is absent here.
-        p.add_argument(
-            "--json",
-            action="store_true",
-            default=argparse.SUPPRESS,
-            help=argparse.SUPPRESS,
+    for command in COMMANDS.values():
+        p = sub.add_parser(
+            command.name,
+            help=command.help,
+            parents=[parents[group] for group in ("common", *command.shared)],
         )
-        for sink in ("--trace", "--metrics"):
-            p.add_argument(
-                sink,
-                type=str,
-                default=argparse.SUPPRESS,
-                metavar="PATH",
-                help=argparse.SUPPRESS,
-            )
-        if "trials" in extras:
-            p.add_argument("--trials", type=int, default=10)
-        if "seed" in extras:
-            p.add_argument("--seed", type=int, default=0)
-        if "max_faults" in extras:
-            p.add_argument("--max-faults", dest="max_faults", type=int, default=10)
-        if "faults" in extras:
-            p.add_argument("--faults", type=int, default=0)
-        if "output" in extras:
-            p.add_argument("--output", type=str, default="")
-        if "wafers" in extras:
-            p.add_argument("--wafers", type=int, default=50)
-        if "cycles" in extras:
-            p.add_argument("--cycles", type=int, default=200)
-        if "rate" in extras:
-            p.add_argument(
-                "--rate",
-                type=float,
-                default=0.05,
-                help="packet injection rate per tile per cycle",
-            )
-        if "pattern" in extras:
-            from .workloads.traffic import TrafficPattern
-
-            p.add_argument(
-                "--pattern",
-                type=str,
-                default="uniform",
-                choices=[t.value for t in TrafficPattern],
-            )
-        if "sim_engine" in extras:
-            from .noc.simulator import ENGINES
-
-            p.add_argument(
-                "--engine",
-                type=str,
-                default="reference",
-                choices=list(ENGINES),
-                help="simulation core: the object-model reference engine "
-                "or the batched numpy vector engine (fast is an alias of "
-                "reference) — all bit-identical",
-            )
-            p.add_argument(
-                "--check",
-                action="store_true",
-                help="attach the always-on invariant checkers "
-                "(flit conservation + delivery legality) to the run",
-            )
-        if "emu_engine" in extras:
-            from .arch.emulator import ENGINES as EMULATOR_ENGINES
-
-            p.add_argument(
-                "--engine",
-                type=str,
-                default=None,
-                choices=list(EMULATOR_ENGINES),
-                help="emulator: reference or fast (default) run the "
-                "scalar per-flow oracle, vector the struct-of-arrays "
-                "engine — all bit-identical",
-            )
-        if "workload" in extras:
-            p.add_argument(
-                "--workload",
-                type=str,
-                default="wave",
-                choices=("wave", "bfs", "pagerank", "stencil"),
-                help="emulated workload to run end to end",
-            )
-        if "collective_opts" in extras:
-            from .noc.simulator import ENGINES as NOC_ENGINES
-            from .workloads.collectives import PATTERNS, PLACEMENTS
-
-            p.add_argument(
-                "--pattern",
-                type=str,
-                default="ring-all-reduce",
-                choices=list(PATTERNS) + ["dataflow"],
-                help="collective pattern, or the demo layer-DAG dataflow",
-            )
-            p.add_argument(
-                "--backend",
-                type=str,
-                default="noc",
-                choices=("noc", "emu"),
-                help="compile to NoC packet schedules or run the live "
-                "emulator driver",
-            )
-            p.add_argument(
-                "--engine",
-                type=str,
-                default=None,
-                choices=list(NOC_ENGINES),
-                help="simulation/emulation engine: reference or vector, "
-                "fast being an alias of reference (default: reference "
-                "for --backend noc, resolved default for --backend emu)",
-            )
-            p.add_argument(
-                "--ranks",
-                type=int,
-                default=None,
-                help="participant count (default: every healthy tile)",
-            )
-            p.add_argument("--segments", type=int, default=2)
-            p.add_argument("--root", type=int, default=0)
-            p.add_argument("--stages", type=int, default=2)
-            p.add_argument("--microbatches", type=int, default=4)
-            p.add_argument(
-                "--placement",
-                type=str,
-                default="row-major",
-                choices=list(PLACEMENTS),
-            )
-            p.add_argument(
-                "--sweep-faults",
-                dest="sweep_faults",
-                type=str,
-                default=None,
-                metavar="N,N,...",
-                help="comma-separated fault counts: run the bandwidth-vs-"
-                "faults sweep on the experiment engine instead of one run",
-            )
-        if "noc_checkpoint" in extras:
-            p.add_argument(
-                "--checkpoint",
-                type=str,
-                default=None,
-                metavar="PATH",
-                help="write a resumable .npz snapshot of the run to PATH",
-            )
-            p.add_argument(
-                "--checkpoint-every",
-                dest="checkpoint_every",
-                type=int,
-                default=0,
-                metavar="K",
-                help="rewrite the --checkpoint snapshot every K cycles",
-            )
-            p.add_argument(
-                "--resume",
-                type=str,
-                default=None,
-                metavar="PATH",
-                help="resume from a --checkpoint snapshot and continue the "
-                "run bit-identically (traffic parameters must match)",
-            )
-            p.add_argument(
-                "--halt-at",
-                dest="halt_at",
-                type=int,
-                default=None,
-                metavar="N",
-                help="stop stepping at cycle N without draining and write "
-                "the final --checkpoint snapshot (for later --resume)",
-            )
-        if name in ENGINE_COMMANDS:
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="experiment-engine worker processes (0 = all CPUs)",
-            )
-            p.add_argument(
-                "--no-cache",
-                dest="no_cache",
-                action="store_true",
-                help="bypass the on-disk result cache",
-            )
-        p.set_defaults(handler=_dispatch)
-
-    # `obs` works on sink files, not a wafer configuration, so it sits
-    # outside the sized-command loop: no --rows/--cols.
-    obs = sub.add_parser("obs", help="inspect telemetry sink files")
-    obs.add_argument(
-        "action",
-        choices=("summarize", "validate", "diff"),
-        help="render a human summary, check the file against its schema, "
-        "or compare two metrics/bench documents for regressions",
-    )
-    obs.add_argument("paths", nargs="+", metavar="PATH")
-    obs.add_argument(
-        "--threshold", type=float, default=0.1,
-        help="relative change flagged by obs diff (default 0.1 = 10%%)",
-    )
-    obs.add_argument(
-        "--ignore", type=str, default="",
-        help="extra regex of key paths obs diff skips (e.g. timing jitter)",
-    )
-    obs.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    obs.set_defaults(handler=_dispatch)
-
-    # `verify` runs randomized campaigns on small arrays, so it takes its
-    # own --rows/--cols defaults (8x8, not the paper-scale 32x32).
-    from .verify.campaign import SUITES as VERIFY_SUITES
-
-    verify = sub.add_parser(
-        "verify",
-        help="randomized invariant & golden-model verification campaign",
-    )
-    verify.add_argument(
-        "--suite",
-        type=str,
-        default="all",
-        choices=list(VERIFY_SUITES) + ["all"],
-        help="which subsystem campaign to run",
-    )
-    verify.add_argument("--trials", type=int, default=25)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--rows", type=int, default=8, help="tile rows")
-    verify.add_argument("--cols", type=int, default=8, help="tile columns")
-    verify.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="experiment-engine worker processes (0 = all CPUs)",
-    )
-    verify.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    for sink in ("--trace", "--metrics"):
-        verify.add_argument(
-            sink,
-            type=str,
-            default=argparse.SUPPRESS,
-            metavar="PATH",
-            help=argparse.SUPPRESS,
-        )
-    verify.set_defaults(handler=_dispatch)
+        _add_flags(p, command.flags)
     return parser
 
 
@@ -1580,7 +1396,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _dispatch(args)
     except ReproError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

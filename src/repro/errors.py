@@ -12,6 +12,10 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class UsageError(ReproError):
+    """A command was given a combination of flags it cannot honour."""
+
+
 class ConfigError(ReproError):
     """A system configuration is inconsistent or out of the modeled range."""
 

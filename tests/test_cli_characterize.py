@@ -161,6 +161,23 @@ class TestCliBadInput:
              "a collective needs at least one rank"),
             (["collective", "--rows", "4", "--cols", "4", "--ranks", "1000"],
              "spec asks for 1000 ranks but only 16 tiles are healthy"),
+            (["noc", "--rows", "4", "--cols", "4", "--checkpoint-every", "5"],
+             "--checkpoint-every requires --checkpoint PATH"),
+            (["noc", "--rows", "4", "--cols", "4", "--halt-at", "5"],
+             "--halt-at requires --checkpoint PATH"),
+            (["emu", "--rows", "4", "--cols", "4", "--faults", "1",
+              "--workload", "stencil"],
+             "stencil blocks pin to physical tiles: drop --faults"),
+            (["collective", "--rows", "5", "--cols", "5", "--pattern",
+              "dataflow", "--sweep-faults", "0,2"],
+             "--sweep-faults supports the spec patterns only"),
+            (["obs", "diff", "a.json"],
+             "obs diff takes exactly two paths: A.json B.json"),
+            (["noc", "--rows", "6", "--cols", "6", "--faults", "3", "--seed",
+              "11", "--rate", "0.2", "--resume",
+              str(REPO / "tests" / "data" / "noc_fast_engine_6x6.npz")],
+             "cannot resume: checkpoint traffic parameters disagree with the "
+             "command line: {'rate': {'checkpoint': 0.1, 'requested': 0.2}}"),
         ],
     )
     def test_each_command_reports_one_line(self, argv, message, capsys):

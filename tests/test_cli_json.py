@@ -5,11 +5,14 @@ Every ``--json`` document is a versioned ``repro/v1`` envelope:
 ``result``, and a ``manifest`` field (populated when telemetry ran).
 """
 
+import inspect
 import json
 
 import pytest
 
-from repro.cli import _RENDERERS, _RUNNERS, build_parser, main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.errors import UsageError
 from repro.obs import ENVELOPE_SCHEMA, validate_envelope_document
 
 # Smallest cheap invocation of every command.
@@ -48,6 +51,11 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
 
+def _result(argv: list[str]) -> dict:
+    """The structured result of a command line, without printing it."""
+    return cli._run(build_parser().parse_args(argv))
+
+
 class TestJsonOutput:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_json_is_valid_envelope(self, command, capsys):
@@ -77,10 +85,35 @@ class TestJsonOutput:
             main([command])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-        assert command not in _RUNNERS
+        assert command not in cli.COMMANDS
 
     def test_every_command_has_runner_and_renderer(self):
-        assert set(_RUNNERS) == set(_RENDERERS) == set(COMMANDS)
+        assert set(cli.COMMANDS) == set(COMMANDS)
+        for name, row in cli.COMMANDS.items():
+            assert row.name == name
+            assert callable(row.run) and callable(row.render)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_row_flags_reach_its_core(self, command, capsys):
+        """Every flag a row declares is a keyword of its ``run_*`` (so none
+        is silently dropped), and its help line is in ``repro --help``."""
+        row = cli.COMMANDS[command]
+        params = inspect.signature(row.run).parameters
+        [subparsers] = [
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        dests = {
+            action.dest for action in subparsers.choices[command]._actions
+        } - {"help", "json", "trace", "metrics"}
+        if "config" in params:
+            assert {"rows", "cols"} <= dests
+            dests -= {"rows", "cols"}
+        assert dests <= set(params)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listing = " ".join(capsys.readouterr().out.split())
+        assert row.help and " ".join(row.help.split()) in listing
 
     def test_manifest_populated_with_metrics_flag(self, tmp_path, capsys):
         sink = tmp_path / "metrics.json"
@@ -104,10 +137,8 @@ class TestTextRendering:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_text_is_rendered_dict(self, command, capsys):
-        parser = build_parser()
-        args = parser.parse_args(COMMANDS[command])
-        result = _RUNNERS[command](args)
-        expected = _RENDERERS[command](result)
+        result = _result(COMMANDS[command])
+        expected = cli.COMMANDS[command].render(result)
         assert isinstance(result, dict)
         assert expected    # every command prints something
 
@@ -158,8 +189,8 @@ class TestEmuCommand:
     def test_stencil_rejects_faults(self):
         cmd = ["emu", "--rows", "4", "--cols", "4", "--faults", "1",
                "--workload", "stencil"]
-        with pytest.raises(SystemExit, match="drop --faults"):
-            main(cmd)
+        with pytest.raises(UsageError, match="drop --faults"):
+            _result(cmd)
 
 
 class TestNocCommand:
@@ -182,8 +213,8 @@ class TestNocCommand:
     @pytest.mark.parametrize("flag", ["--checkpoint-every", "--halt-at"])
     def test_checkpoint_flags_need_a_path(self, flag):
         cmd = COMMANDS["noc"] + [flag, "5"]
-        with pytest.raises(SystemExit, match="requires --checkpoint PATH"):
-            main(cmd)
+        with pytest.raises(UsageError, match="requires --checkpoint PATH"):
+            _result(cmd)
 
     def test_invariant_checkers_leave_the_result_alone(self, capsys):
         cmd = ["noc", "--rows", "6", "--cols", "6", "--cycles", "40",
@@ -247,8 +278,8 @@ class TestCollectiveCommand:
     def test_sweep_rejects_dataflow(self):
         cmd = ["collective", "--rows", "5", "--cols", "5", "--pattern",
                "dataflow", "--sweep-faults", "0,2"]
-        with pytest.raises(SystemExit, match="spec patterns only"):
-            main(cmd)
+        with pytest.raises(UsageError, match="spec patterns only"):
+            _result(cmd)
 
     def test_sweep_text_lists_every_fault_count(self, capsys):
         cmd = ["collective", "--rows", "5", "--cols", "5", "--ranks", "6",

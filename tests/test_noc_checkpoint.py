@@ -392,5 +392,6 @@ class TestCliCheckpointResume:
             cwd=self.REPO,
             env={"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
-        assert proc.returncode != 0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro: error: cannot resume: ")
         assert "disagree" in proc.stderr

@@ -20,7 +20,7 @@ import pytest
 from repro.cli import run_obs
 from repro.config import SystemConfig
 from repro.engine.core import ExperimentEngine
-from repro.errors import ObsError
+from repro.errors import ObsError, UsageError
 from repro.obs import (
     MetricsRegistry,
     Telemetry,
@@ -327,7 +327,7 @@ class TestDiff:
         assert result["diff"]["regressions"] == 1
         result = run_obs("diff", [str(a), str(a)])
         assert result["ok"]
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError, match="exactly two paths"):
             run_obs("diff", [str(a)])
 
 
