@@ -1,9 +1,7 @@
 """Analytic-kernel benchmark: PDN and Fig. 6 connectivity.
 
 Times the two fast analytic kernels against their retained reference
-paths, verifies the results are identical, and records the speedups in
-``BENCH_analysis.json`` — the perf trajectory of the analysis layer,
-mirroring ``bench_noc_sim.py`` for the simulator:
+paths, one run each, and verifies the results are identical:
 
 * **PDN** — constant-power fixed point over a series of activity maps:
   per-map fresh-``spsolve`` solves vs sequential :meth:`PdnSolver.solve`
@@ -16,16 +14,10 @@ mirroring ``bench_noc_sim.py`` for the simulator:
 
 The emulator's kernel-vs-oracle floor lives in ``bench_emulator.py``.
 
-Runnable two ways::
-
-    python benchmarks/bench_analysis.py                # writes BENCH_analysis.json
-    python benchmarks/bench_analysis.py --out path.json --scale 0.5
-    pytest benchmarks/bench_analysis.py -s             # under the bench harness
+    python benchmarks/bench_analysis.py [--out PATH]    # see repro.obs.bench
 """
 
-import argparse
-import json
-import time
+from pathlib import Path
 
 import numpy as np
 
@@ -35,14 +27,18 @@ from repro.noc.connectivity import (
     disconnected_fraction,
 )
 from repro.noc.faults import random_fault_map
+from repro.obs import bench
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.pdn.solver import PdnSolver
-
-from conftest import print_series
 
 SEED = 1
 MIN_SPEEDUP_PDN = 5.0           # constant-power fixed point, 32x32
 MIN_SPEEDUP_CONNECTIVITY = 5.0  # Fig. 6 fault maps, 32x32
+PDN_MAPS = 8
+FAULT_COUNTS = (2, 5, 10)
+MAPS_PER_COUNT = 20
+
+CONFIG = {"seed": SEED, "fault_counts": list(FAULT_COUNTS)}
 
 
 def _activity_maps(cfg: SystemConfig, count: int) -> list[np.ndarray]:
@@ -55,154 +51,87 @@ def _activity_maps(cfg: SystemConfig, count: int) -> list[np.ndarray]:
     return maps
 
 
-def _bench_pdn(scale: float) -> dict:
+def _paired(reference, fast) -> bench.Paired:
+    """One timed run each of ``reference()`` and ``fast()``."""
+    return bench.paired({"reference": lambda: reference, "fast": lambda: fast}, pairs=1)
+
+
+def _bench_pdn() -> dict:
     cfg = SystemConfig()
-    n_maps = max(2, int(8 * scale))
-    maps = _activity_maps(cfg, n_maps)
-
-    start = time.perf_counter()
-    reference = [
-        PdnSolver(cfg, engine="reference").solve(m, load_model="constant_power")
-        for m in maps
-    ]
-    ref_s = time.perf_counter() - start
-
+    maps = _activity_maps(cfg, PDN_MAPS)
     tel = Telemetry()
-    start = time.perf_counter()
-    with use_telemetry(tel):
-        solver = PdnSolver(cfg)
-        fast = [solver.solve(m, load_model="constant_power") for m in maps]
-    fast_s = time.perf_counter() - start
 
-    for ref_sol, fast_sol in zip(reference, fast):
+    def fast():
+        with use_telemetry(tel):
+            solver = PdnSolver(cfg)
+            return [solver.solve(m, load_model="constant_power") for m in maps]
+
+    result = _paired(
+        lambda: [
+            PdnSolver(cfg, engine="reference").solve(m, load_model="constant_power")
+            for m in maps
+        ],
+        fast,
+    )
+    solutions = result.results["fast"]
+    for ref_sol, fast_sol in zip(result.results["reference"], solutions):
         if not np.allclose(ref_sol.voltages, fast_sol.voltages, atol=1e-12):
             raise AssertionError("PDN fast/reference voltages diverged")
         if ref_sol.iterations != fast_sol.iterations:
             raise AssertionError("PDN fast/reference iteration counts diverged")
-    return {
-        "label": "pdn constant_power",
-        "maps": n_maps,
-        "iterations": [s.iterations for s in fast],
-        "reference_s": ref_s,
-        "fast_s": fast_s,
-        "speedup": ref_s / fast_s,
-        "telemetry": {
-            "pdn.factorizations": tel.metrics.counter("pdn.factorizations").value,
-            "pdn.factorization_reuses": tel.metrics.counter(
-                "pdn.factorization_reuses"
-            ).value,
+    counter = tel.metrics.counter
+    return bench.case(
+        exact={
+            "maps": len(maps),
+            "iterations": sum(s.iterations for s in solutions),
+            "pdn.factorizations": counter("pdn.factorizations").value,
+            "pdn.factorization_reuses": counter("pdn.factorization_reuses").value,
         },
-    }
+        samples=result.samples,
+        gates=[bench.at_least("speedup", 1 / result.ratio, MIN_SPEEDUP_PDN)],
+    )
 
 
-def _bench_connectivity(scale: float) -> dict:
+def _bench_connectivity() -> dict:
     cfg = SystemConfig()
-    fault_counts = [2, 5, 10]
-    per_count = max(4, int(20 * scale))
     rng = np.random.default_rng(SEED)
     maps = [
         random_fault_map(cfg, count, rng)
-        for count in fault_counts
-        for _ in range(per_count)
+        for count in FAULT_COUNTS
+        for _ in range(MAPS_PER_COUNT)
     ]
-
-    start = time.perf_counter()
-    reference = [_pair_blockage_reference(fmap) for fmap in maps]
-    ref_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fast = [disconnected_fraction(fmap) for fmap in maps]
-    fast_s = time.perf_counter() - start
-
-    for fmap, ref_pair, fast_pair in zip(maps, reference, fast):
+    result = _paired(
+        lambda: [_pair_blockage_reference(fmap) for fmap in maps],
+        lambda: [disconnected_fraction(fmap) for fmap in maps],
+    )
+    pairs = result.results["fast"]
+    for fmap, ref_pair, fast_pair in zip(maps, result.results["reference"], pairs):
         if ref_pair != fast_pair:
             raise AssertionError(
                 f"connectivity kernel diverged from the oracle at fault "
                 f"count {fmap.fault_count}"
             )
-    return {
-        "label": "fig6 32x32 fault maps",
-        "fault_counts": fault_counts,
-        "maps": len(maps),
-        "reference_s": ref_s,
-        "fast_s": fast_s,
-        "speedup": ref_s / fast_s,
-    }
-
-
-def measure(scale: float = 1.0) -> dict:
-    """Benchmark every kernel; verify fast/reference equivalence."""
-    pdn = _bench_pdn(scale)
-    connectivity = _bench_connectivity(scale)
-    points = [pdn, connectivity]
-    ok = (
-        pdn["speedup"] >= MIN_SPEEDUP_PDN
-        and connectivity["speedup"] >= MIN_SPEEDUP_CONNECTIVITY
-    )
-    return {
-        "bench": "analysis_kernels",
-        "config": {"seed": SEED},
-        "thresholds": {
-            "pdn_speedup": MIN_SPEEDUP_PDN,
-            "connectivity_speedup": MIN_SPEEDUP_CONNECTIVITY,
+    return bench.case(
+        exact={
+            "maps": len(maps),
+            "healthy_pairs": sum(p.healthy_pairs for p in pairs),
+            "single_blocked_pairs": sum(round(p.single * p.healthy_pairs) for p in pairs),
+            "dual_blocked_pairs": sum(round(p.dual * p.healthy_pairs) for p in pairs),
         },
-        "results_identical": True,
-        "points": points,
-        "ok": ok,
+        samples=result.samples,
+        gates=[bench.at_least("speedup", 1 / result.ratio, MIN_SPEEDUP_CONNECTIVITY)],
+    )
+
+
+def measure() -> dict:
+    """Every kernel against its reference; results must be identical."""
+    return {
+        "pdn constant_power": _bench_pdn(),
+        "fig6 32x32 fault maps": _bench_connectivity(),
     }
-
-
-def _rows(result: dict) -> list[tuple]:
-    return [
-        (
-            f"{p['label']:<30}",
-            f"ref {p['reference_s']:7.3f}s",
-            f"fast {p['fast_s']:7.3f}s",
-            f"{p['speedup']:5.2f}x",
-        )
-        for p in result["points"]
-    ]
-
-
-def test_analysis_kernel_speedups(benchmark):
-    result = benchmark.pedantic(measure, args=(0.5,), rounds=1, iterations=1)
-    print_series("Analytic kernels, fast vs reference", _rows(result))
-    benchmark.extra_info["measured"] = {
-        p["label"]: p["speedup"] for p in result["points"]
-    }
-    assert result["results_identical"]
-    assert result["ok"], (
-        f"speedups {[p['speedup'] for p in result['points']]} below floors "
-        f"{result['thresholds']}"
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--out", default="BENCH_analysis.json", help="result file path"
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="scale PDN and fault-map counts (CI uses < 1 for speed)",
-    )
-    args = parser.parse_args()
-    result = measure(args.scale)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(f"Analytic kernels, fast vs reference -> {args.out}")
-    for row in _rows(result):
-        print("   ", *row)
-    print(
-        f"  floors: {MIN_SPEEDUP_PDN}x PDN, "
-        f"{MIN_SPEEDUP_CONNECTIVITY}x connectivity -> "
-        f"{'OK' if result['ok'] else 'REGRESSED'}"
-    )
-    return 0 if result["ok"] else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        bench.main(Path(__file__).with_name("BENCH_analysis.json"), measure, CONFIG)
+    )

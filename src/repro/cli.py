@@ -69,6 +69,21 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
+def _require_choice(field: str, value: Any, choices) -> None:
+    """Reject a library caller's ``value`` unless it is one of ``choices``
+    (the CLI's argparse ``choices`` already guard its flags)."""
+    choices = list(choices)
+    if value not in choices:
+        raise UsageError(
+            f"{field} must be one of {', '.join(choices)}; got {value!r}"
+        )
+
+
+#: Workloads of ``repro emu`` and backends of ``repro collective``.
+EMU_WORKLOADS = ("wave", "bfs", "pagerank", "stencil")
+COLLECTIVE_BACKENDS = ("noc", "emu")
+
+
 # ---------------------------------------------------------------------------
 # Structured-result cores: each computes a plain dict.
 # ---------------------------------------------------------------------------
@@ -431,6 +446,7 @@ def run_noc(
     from .noc.simulator import NocSimulator
     from .workloads.traffic import TrafficPattern, drive_schedule, traffic_schedule
 
+    _require_choice("pattern", pattern, (p.value for p in TrafficPattern))
     if checkpoint_every and not checkpoint:
         raise UsageError("--checkpoint-every requires --checkpoint PATH")
     if halt_at is not None and not checkpoint:
@@ -562,6 +578,7 @@ def run_emu(
     from .noc.faults import random_fault_map
     from .workloads.graphs import random_graph
 
+    _require_choice("workload", workload, EMU_WORKLOADS)
     kind = resolve_engine_kind(
         engine, entry_point="repro emu", kinds=VECTOR_ENGINE_KINDS
     )
@@ -669,6 +686,7 @@ def run_collective(
         run_noc_collective,
     )
 
+    _require_choice("backend", backend, COLLECTIVE_BACKENDS)
     kind = engine or "reference"
     spec = CollectiveSpec(
         pattern=pattern if pattern != "dataflow" else "ring-all-reduce",
@@ -1250,8 +1268,7 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
                       help="emulator: reference or fast (default) run the "
                       "scalar per-flow oracle, vector the struct-of-arrays "
                       "engine — all bit-identical"),
-                _flag("--workload", type=str,
-                      choices=("wave", "bfs", "pagerank", "stencil"),
+                _flag("--workload", type=str, choices=EMU_WORKLOADS,
                       help="emulated workload to run end to end"),
             )),
     Command("collective", "a collective workload, or a fault sweep, with its oracle",
@@ -1261,7 +1278,7 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
                       choices=_choices(".workloads.collectives", "PATTERNS",
                                        "dataflow"),
                       help="collective pattern, or the demo layer-DAG dataflow"),
-                _flag("--backend", type=str, choices=("noc", "emu"),
+                _flag("--backend", type=str, choices=COLLECTIVE_BACKENDS,
                       help="compile to NoC packet schedules or run the live "
                       "emulator driver"),
                 _flag("--engine", type=str,

@@ -1,10 +1,9 @@
 """Compare two metrics/bench documents and flag regressions.
 
-``repro obs diff A.json B.json`` answers the question every committed
-``BENCH_*.json`` exists to answer: *did this change make things worse?*
-Both documents are flattened to their numeric leaves (dotted paths), the
-leaves are paired, and each relative change beyond a threshold is
-classified by what the key *means*:
+``repro obs diff A.json B.json`` answers *did this change make things
+worse?* for two metrics or bench documents.  Both are flattened to their
+numeric leaves (dotted paths), the leaves are paired, and each relative
+change beyond a threshold is classified by what the key *means*:
 
 * keys that measure cost (``*_s``, ``*seconds*``, ``*latency*``,
   ``*misses*``, ``*failed*``, ...) regress when they **increase**;
@@ -46,38 +45,19 @@ DEFAULT_IGNORE = re.compile(
 )
 
 
-def _labels(items: list) -> list[str] | None:
-    """The items' ``label`` strings when every item is a dict with a
-    unique one (a bench document's measured points); else None."""
-    labels = [
-        item.get("label") if isinstance(item, dict) else None for item in items
-    ]
-    if not labels or not all(isinstance(label, str) for label in labels):
-        return None
-    return labels if len(set(labels)) == len(labels) else None
-
-
 def flatten_numeric(doc: object, prefix: str = "") -> dict[str, float]:
     """Flatten nested dicts to ``dotted.path -> number`` leaves.
 
-    A list of dicts that each carry a unique string ``label`` (the
-    ``points`` of every ``BENCH_*.json``) is keyed by label, as
-    ``points[<label>].<field>``, so a changed count in one point shows.
-    Every other list is skipped (histogram bucket arrays and manifests
-    are noise for a regression diff; their scalar summaries are already
-    leaves).  Booleans are skipped too — they are flags, not
-    measurements.
+    Lists are skipped (histogram bucket arrays and manifests are noise
+    for a regression diff; their scalar summaries are already leaves; a
+    bench record keys its cases by label, as ``cases.<label>.<field>``).
+    Booleans are skipped too — they are flags, not measurements.
     """
     out: dict[str, float] = {}
     if isinstance(doc, dict):
         for key, value in doc.items():
             path = f"{prefix}.{key}" if prefix else str(key)
             out.update(flatten_numeric(value, path))
-    elif isinstance(doc, list):
-        labels = _labels(doc)
-        if labels is not None:
-            for label, item in zip(labels, doc):
-                out.update(flatten_numeric(item, f"{prefix}[{label}]"))
     elif isinstance(doc, bool):
         pass
     elif isinstance(doc, (int, float)):

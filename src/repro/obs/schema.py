@@ -1,7 +1,7 @@
 """Schema validation for telemetry sink files.
 
 Hand-rolled structural checks (no external JSON-schema dependency) for
-the three document kinds the telemetry layer emits:
+the document kinds the telemetry layer emits:
 
 * **trace** — chrome ``trace_event`` JSON / JSONL (see
   :mod:`repro.obs.trace`);
@@ -11,7 +11,9 @@ the three document kinds the telemetry layer emits:
   :mod:`repro.obs.manifest`);
 * **envelope** — the versioned ``repro/v1`` result envelope every CLI
   ``--json`` document is wrapped in (:func:`make_envelope`), so
-  programmatic clients parse one shape.
+  programmatic clients parse one shape;
+* **bench** — a ``repro.bench/1`` benchmark record (see
+  :mod:`repro.obs.bench`).
 
 Each ``validate_*`` function returns a list of human-readable problems
 (empty = valid); :func:`validate_file` sniffs the kind from the content.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from numbers import Number
 
 from ..errors import ObsError
@@ -33,6 +36,18 @@ from .trace import KNOWN_PHASES, read_trace
 #: Schema tag of the versioned result envelope of the CLI's ``--json``
 #: output.
 ENVELOPE_SCHEMA = "repro/v1"
+
+#: Schema tag of a benchmark record (:mod:`repro.obs.bench`).
+BENCH_SCHEMA = "repro.bench/1"
+
+#: Gate kinds of a bench record and the test each applies to
+#: ``(value, bound)``; a ``max_vs_committed`` bound is a factor times the
+#: committed record's value.
+GATE_TESTS = {
+    "min": operator.ge,
+    "max": operator.le,
+    "max_vs_committed": operator.le,
+}
 
 
 def make_envelope(result: dict, *, manifest: dict | None = None) -> dict:
@@ -202,11 +217,104 @@ def validate_manifest_document(doc: object) -> list[str]:
     return problems
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, Number) and not isinstance(value, bool)
+
+
+def _gate_problems(gate: object) -> list[str]:
+    if not isinstance(gate, dict):
+        return ["not an object"]
+    field = gate.get("field")
+    if not isinstance(field, str) or not field:
+        return ["'field' must be a non-empty string"]
+    problems: list[str] = []
+    kind, bound, value = gate.get("kind"), gate.get("bound"), gate.get("value")
+    if kind not in GATE_TESTS:
+        problems.append(f"kind {kind!r} is not one of {sorted(GATE_TESTS)}")
+    if kind == "max_vs_committed" and not _is_number(gate.get("factor")):
+        problems.append("'factor' must be a number")
+    if not _is_number(bound):
+        problems.append("no bound")
+    if not _is_number(value):
+        problems.append("'value' must be a number")
+    verdict = gate.get("verdict")
+    if not isinstance(verdict, bool):
+        problems.append("'verdict' must be a boolean")
+    elif not problems and verdict != GATE_TESTS[kind](value, bound):
+        problems.append(
+            f"verdict {verdict} disagrees with value {value} and bound {bound}"
+        )
+    return [f"({field}) {problem}" for problem in problems]
+
+
+def _case_problems(case: object) -> list[str]:
+    if not isinstance(case, dict):
+        return ["not an object"]
+    problems: list[str] = []
+    for section in ("exact", "phases"):
+        values = case.get(section)
+        if not isinstance(values, dict):
+            problems.append(f"'{section}' must be an object")
+            continue
+        for key, value in values.items():
+            if not _is_number(value):
+                problems.append(f"{section}.{key} must be a number")
+    timings = case.get("timings")
+    if not isinstance(timings, dict):
+        problems.append("'timings' must be an object")
+    else:
+        for side, stats in timings.items():
+            if (
+                not isinstance(stats, dict)
+                or not all(_is_number(stats.get(k)) for k in ("median", "q1", "q3"))
+                or not isinstance(stats.get("n"), int)
+                or stats["n"] < 1
+            ):
+                problems.append(
+                    f"timings.{side} must hold numeric median, q1 and q3 "
+                    "and a sample count n >= 1"
+                )
+    gates = case.get("gates")
+    if not isinstance(gates, list):
+        problems.append("'gates' must be a list")
+    else:
+        for i, gate in enumerate(gates):
+            problems.extend(f"gates[{i}] {p}" for p in _gate_problems(gate))
+    return problems
+
+
+def validate_bench_document(doc: object) -> list[str]:
+    """Structural problems in one ``repro.bench/1`` record.
+
+    Beyond shapes, each gate's verdict must agree with its value and
+    bound, so a record cannot claim a pass it did not measure.
+    """
+    if not isinstance(doc, dict):
+        return ["bench record must be a JSON object"]
+    problems: list[str] = []
+    if doc.get("schema") != BENCH_SCHEMA:
+        problems.append(f"schema is {doc.get('schema')!r}, expected {BENCH_SCHEMA!r}")
+    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
+        problems.append("'bench' must be a non-empty string")
+    if not isinstance(doc.get("config"), dict):
+        problems.append("'config' must be an object")
+    problems.extend(
+        f"manifest: {p}" for p in validate_manifest_document(doc.get("manifest"))
+    )
+    cases = doc.get("cases")
+    if not isinstance(cases, dict) or not cases:
+        problems.append("'cases' must be a non-empty object")
+    else:
+        for label, case in cases.items():
+            problems.extend(f"cases[{label!r}]: {p}" for p in _case_problems(case))
+    return problems
+
+
 def validate_file(path: str) -> tuple[str, list[str]]:
     """Sniff and validate one telemetry file.
 
     Returns ``(kind, problems)`` where ``kind`` is ``"trace"``,
-    ``"metrics"``, ``"manifest"`` or ``"envelope"``.  Raises
+    ``"metrics"``, ``"manifest"``, ``"envelope"`` or ``"bench"``.  Raises
     :class:`ObsError` when the file is not recognisably any of them.
     """
     try:
@@ -223,6 +331,8 @@ def validate_file(path: str) -> tuple[str, list[str]]:
         schema = doc.get("schema")
         if schema == ENVELOPE_SCHEMA:
             return "envelope", validate_envelope_document(doc)
+        if schema == BENCH_SCHEMA or "cases" in doc:
+            return "bench", validate_bench_document(doc)
         if schema == METRICS_SCHEMA or "histograms" in doc:
             return "metrics", validate_metrics_document(doc)
         if schema == MANIFEST_SCHEMA or "config_hash" in doc:

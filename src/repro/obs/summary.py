@@ -1,7 +1,7 @@
 """Human-readable rendering of telemetry sink files.
 
 Backs the ``repro obs summarize`` CLI subcommand: loads a metrics,
-manifest or trace file and renders it as aligned text tables, so a run's
+manifest, bench or trace file and renders it as aligned text tables, so a run's
 telemetry can be inspected without loading a trace viewer.
 """
 
@@ -157,6 +157,10 @@ def summarize_file(path: str) -> tuple[str, str]:
         doc = json.load(handle)
     if kind == "metrics":
         return kind, f"{path} (metrics)\n" + summarize_metrics_document(doc)
+    if kind == "bench":
+        from .bench import render                   # local: bench-only imports
+
+        return kind, f"{path} (bench)\n" + render(doc)
     if kind == "envelope":
         keys = ", ".join(sorted(doc["result"])) or "(empty)"
         return kind, (

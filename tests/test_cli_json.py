@@ -12,6 +12,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.config import SystemConfig
 from repro.errors import UsageError
 from repro.obs import ENVELOPE_SCHEMA, validate_envelope_document
 
@@ -156,6 +157,26 @@ class TestTextRendering:
         main(COMMANDS["resiliency"])
         out = capsys.readouterr().out
         assert "coverage %" in out.splitlines()[0]
+
+
+class TestLibraryCallerValues:
+    """The ``run_*`` cores name a bad value that argparse would have
+    refused at the CLI."""
+
+    @pytest.mark.parametrize(
+        "run,field,choices",
+        [
+            (cli.run_emu, "workload", "wave, bfs, pagerank, stencil"),
+            (cli.run_collective, "backend", "noc, emu"),
+            (cli.run_noc, "pattern", "uniform, transpose"),
+        ],
+    )
+    def test_bad_value_names_field_and_choices(self, run, field, choices):
+        with pytest.raises(UsageError) as raised:
+            run(SystemConfig(rows=4, cols=4), **{field: "bogus"})
+        message = str(raised.value)
+        assert message.startswith(f"{field} must be one of {choices}")
+        assert message.endswith("got 'bogus'")
 
 
 class TestEmuCommand:

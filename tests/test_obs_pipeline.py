@@ -10,6 +10,8 @@ Covers the observability tentpole end to end:
   counter totals, histogram bucket counts, label sets and non-meta
   trace-event counts — is **identical** to the single-worker run's;
 * metrics/bench document diffing (:mod:`repro.obs.diff`);
+* the bench record's paired timer and its one check
+  (:mod:`repro.obs.bench`);
 * truncated-trailing-JSONL tolerance in :func:`read_trace`.
 """
 
@@ -21,6 +23,7 @@ from repro.cli import run_obs
 from repro.config import SystemConfig
 from repro.engine.core import ExperimentEngine
 from repro.errors import ObsError, UsageError
+from repro.obs import bench
 from repro.obs import (
     MetricsRegistry,
     Telemetry,
@@ -292,26 +295,25 @@ class TestDiff:
         assert [e.kind for e in report.entries] == ["regression"]
 
     def test_bench_point_count_change_flagged(self):
-        # BENCH_*.json keep their measured points in a labelled list.
-        def bench(messages):
-            return {"points": [
-                {"label": "wave", "messages": messages, "vector_s": 0.1},
-                {"label": "bfs", "messages": 7.0, "vector_s": 0.1},
-            ]}
+        # Bench records key their cases by label.
+        def record(messages):
+            return {"cases": {
+                "wave": {"exact": {"messages": messages},
+                         "timings": {"vector": {"median": 0.1}}},
+                "bfs": {"exact": {"messages": 7.0},
+                        "timings": {"vector": {"median": 0.1}}},
+            }}
 
-        report = diff_documents(bench(100.0), bench(130.0), threshold=0.1)
+        report = diff_documents(record(100.0), record(130.0), threshold=0.1)
         assert report.compared == 4
         assert [(e.key, e.kind) for e in report.entries] == [
-            ("points[wave].messages", "changed"),
+            ("cases.wave.exact.messages", "changed"),
         ]
 
     @pytest.mark.parametrize(
         "items",
         [
             [1.0, 2.0, 3.0],                                # histogram buckets
-            [{"label": "a", "n": 1.0}, {"label": "a", "n": 2.0}],   # not unique
-            [{"label": "a", "n": 1.0}, {"n": 2.0}],         # unlabelled item
-            [{"label": 3, "n": 1.0}],                       # non-string label
             [],
         ],
     )
@@ -329,6 +331,114 @@ class TestDiff:
         assert result["ok"]
         with pytest.raises(UsageError, match="exactly two paths"):
             run_obs("diff", [str(a)])
+
+
+# ---------------------------------------------------------------------------
+# Bench records: the paired timer and the one check.
+# ---------------------------------------------------------------------------
+
+
+class TestPairedTimer:
+    def test_alternates_order_and_takes_the_median_pair_ratio(self):
+        clock = [0.0]
+        calls = []
+        seconds = {"a": iter([1.0, 1.0, 1.0]), "b": iter([2.0, 4.0, 3.0]),
+                   "c": iter([5.0, 5.0, 5.0])}
+
+        def side(name):
+            def prepare():
+                clock[0] += 100.0           # untimed setup
+
+                def thunk():
+                    calls.append(name)
+                    clock[0] += next(seconds[name])
+                    return name.upper()
+
+                return thunk
+
+            return prepare
+
+        result = bench.paired({n: side(n) for n in "abc"}, 3, timer=lambda: clock[0])
+        assert calls == ["a", "b", "c", "b", "a", "c", "a", "b", "c"]
+        assert result.samples == {"a": [1.0] * 3, "b": [2.0, 4.0, 3.0], "c": [5.0] * 3}
+        assert result.ratio == 3.0                  # median of 2, 4 and 3
+        assert result.results == {"a": "A", "b": "B", "c": "C"}
+
+    def test_single_side_has_no_ratio(self):
+        result = bench.paired({"a": lambda: lambda: None}, 2)
+        assert result.ratio is None
+        assert len(result.samples["a"]) == 2
+
+
+class TestBenchCheck:
+    """``bench.main`` against a committed record in a temporary directory."""
+
+    @staticmethod
+    def _measure(n=3, speedup=6.0, barrier=1.0):
+        return lambda: {"a": bench.case(
+            exact={"n": n},
+            samples={"x": [0.1, 0.3, 0.2]},
+            gates=[bench.at_least("speedup", speedup, 5.0),
+                   bench.within("barrier", barrier, 1.5)],
+        )}
+
+    def _run(self, committed, capsys, measure, *argv):
+        status = bench.main(committed, measure, {"seed": 1}, list(argv))
+        return status, capsys.readouterr().out
+
+    def test_missing_committed_record_fails_but_writes(self, tmp_path, capsys):
+        committed = tmp_path / "BENCH_toy.json"
+        status, out = self._run(committed, capsys, self._measure(),
+                                "--out", str(committed))
+        assert status == 1
+        assert "committed record missing" in out
+        assert validate_file(str(committed)) == ("bench", [])
+        assert self._run(committed, capsys, self._measure())[0] == 0
+
+    def test_nothing_written_without_out(self, tmp_path, capsys):
+        committed = tmp_path / "BENCH_toy.json"
+        self._run(committed, capsys, self._measure())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "measure,expected",
+        [
+            pytest.param(dict(n=4), "a: exact.n = 4, committed 3", id="exact-changed"),
+            pytest.param(dict(speedup=4.0), "a: gate speedup = 4 is not >= 5",
+                         id="gate-below-bound"),
+            pytest.param(dict(barrier=1.6), "a: gate barrier = 1.6 is not <= 1.5",
+                         id="slower-than-committed"),
+        ],
+    )
+    def test_failure_names_case_and_field(self, tmp_path, capsys, measure, expected):
+        committed = tmp_path / "BENCH_toy.json"
+        self._run(committed, capsys, self._measure(), "--out", str(committed))
+        status, out = self._run(committed, capsys, self._measure(**measure))
+        assert status == 1
+        assert f"FAIL {expected}" in out
+
+    @pytest.mark.parametrize(
+        "path,expected",
+        [
+            pytest.param(("exact", "n"), "a: exact.n missing from committed record",
+                         id="exact-field"),
+            pytest.param(("gates", 0, "bound"),
+                         "committed record malformed: cases['a']: gates[0] (speedup) "
+                         "no bound", id="gate-bound"),
+        ],
+    )
+    def test_deleted_committed_field_is_named(self, tmp_path, capsys, path, expected):
+        committed = tmp_path / "BENCH_toy.json"
+        self._run(committed, capsys, self._measure(), "--out", str(committed))
+        doc = json.loads(committed.read_text())
+        target = doc["cases"]["a"]
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        committed.write_text(json.dumps(doc))
+        status, out = self._run(committed, capsys, self._measure())
+        assert status == 1
+        assert expected in out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ breaks exactly one thing, and asserts the validator names that problem.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ObsError
+from repro.obs import bench
+from repro.obs.schema import validate_bench_document
 from repro.obs import (
     ENVELOPE_SCHEMA,
     Telemetry,
@@ -47,6 +50,16 @@ def _metrics() -> dict:
         histogram.observe(value)
     telemetry.record_manifest(build_manifest("schema-test", trials=1))
     return telemetry.metrics_document()
+
+
+def _bench() -> dict:
+    cases = {"a": bench.case(
+        exact={"n": 3},
+        samples={"x": [0.1, 0.2, 0.3]},
+        phases={"build_s": 0.01},
+        gates=[bench.at_least("speedup", 6.0, 5.0)],
+    )}
+    return bench.build_record("schema-test", {"seed": 1}, cases, None, 0.5)
 
 
 def _trace() -> list:
@@ -89,6 +102,7 @@ class TestValidBaselines:
             pytest.param(validate_manifest_document, _manifest, id="manifest"),
             pytest.param(validate_metrics_document, _metrics, id="metrics"),
             pytest.param(validate_trace_events, _trace, id="trace"),
+            pytest.param(validate_bench_document, _bench, id="bench"),
         ],
     )
     def test_unbroken_document_is_valid(self, validator, build):
@@ -100,8 +114,9 @@ class TestValidBaselines:
             validate_envelope_document,
             validate_manifest_document,
             validate_metrics_document,
+            validate_bench_document,
         ],
-        ids=["envelope", "manifest", "metrics"],
+        ids=["envelope", "manifest", "metrics", "bench"],
     )
     def test_non_object_rejected(self, validator):
         problems = validator(["not", "an", "object"])
@@ -219,6 +234,51 @@ class TestMetricsValidation:
         assert any(expected in p for p in problems), problems
 
 
+class TestBenchValidation:
+    @pytest.mark.parametrize(
+        "mutate,expected",
+        [
+            pytest.param(_set(["schema"], "repro.bench/0"),
+                         "expected 'repro.bench/1'", id="wrong-schema"),
+            pytest.param(_drop(["cases", "a", "gates", 0, "bound"]),
+                         "cases['a']: gates[0] (speedup) no bound", id="gate-without-bound"),
+            pytest.param(_set(["cases", "a", "gates", 0, "verdict"], False),
+                         "cases['a']: gates[0] (speedup) verdict False disagrees "
+                         "with value 6.0 and bound 5.0", id="verdict-disagrees"),
+            pytest.param(_set(["cases", "a", "exact", "n"], "3"),
+                         "cases['a']: exact.n must be a number", id="exact-not-number"),
+            pytest.param(_set(["cases", "a", "exact", "n"], True),
+                         "cases['a']: exact.n must be a number", id="exact-bool"),
+            pytest.param(_set(["cases", "a", "phases", "build_s"], None),
+                         "cases['a']: phases.build_s must be a number",
+                         id="phase-not-number"),
+            pytest.param(_set(["cases", "a", "timings", "x", "n"], 0),
+                         "cases['a']: timings.x must hold", id="timing-without-samples"),
+            pytest.param(_set(["cases", "a", "gates", 0, "kind"], "near"),
+                         "cases['a']: gates[0] (speedup) kind 'near' is not one of",
+                         id="unknown-gate-kind"),
+            pytest.param(_drop(["cases", "a", "gates", 0, "field"]),
+                         "cases['a']: gates[0] 'field' must be a non-empty string",
+                         id="gate-without-field"),
+            pytest.param(_set(["cases"], {}), "'cases' must be a non-empty object",
+                         id="no-cases"),
+            pytest.param(_drop(["manifest", "git"]), "manifest: missing field 'git'",
+                         id="bad-manifest"),
+        ],
+    )
+    def test_single_defect_is_reported(self, mutate, expected):
+        problems = _problems(validate_bench_document, _bench, mutate)
+        assert any(expected in p for p in problems), problems
+
+    def test_committed_records_are_bench_records(self):
+        records = sorted(
+            (Path(__file__).resolve().parents[1] / "benchmarks").glob("BENCH_*.json")
+        )
+        assert len(records) == 6
+        for path in records:
+            assert validate_file(str(path)) == ("bench", []), path
+
+
 class TestTraceValidation:
     @pytest.mark.parametrize(
         "mutate,expected",
@@ -260,6 +320,7 @@ class TestFileSniffing:
             pytest.param(_envelope, "envelope", id="envelope"),
             pytest.param(_manifest, "manifest", id="manifest"),
             pytest.param(_metrics, "metrics", id="metrics"),
+            pytest.param(_bench, "bench", id="bench"),
             pytest.param(_trace, "trace", id="bare-event-list"),
             pytest.param(lambda: {"traceEvents": _trace()}, "trace",
                          id="chrome-object"),
@@ -300,6 +361,14 @@ class TestSummarizeFile:
         assert "command: fig6  ok: True" in text
         assert "manifest: yes" in text
         assert "result keys: points" in text
+
+    def test_bench_summary(self, tmp_path):
+        path = tmp_path / "BENCH_toy.json"
+        path.write_text(json.dumps(_bench()))
+        kind, text = summarize_file(str(path))
+        assert kind == "bench"
+        assert "exact: n 3" in text
+        assert "gate speedup 6 >= 5: ok" in text
 
     def test_manifest_summary(self, tmp_path):
         path = tmp_path / "run.manifest.json"
