@@ -7,9 +7,13 @@ boundary wires get the fattened stitch geometry, the edge fan-out fits
 functional system at a 60% shared-memory cost.
 
 The routing bench runs on a 12x12 array (two reticles in each dimension,
-so stitching is exercised); the full-wafer bench routes and DRCs the
-32x32 netlist (1,062,656 nets) in about 20 s on a 2-vCPU host.
+so stitching is exercised); the full-wafer bench extracts, routes and
+DRCs the 32x32 netlist (1,062,656 nets) in about a second on a 2-vCPU
+host, with a tracemalloc peak under 250 MB.
 """
+
+import time
+import tracemalloc
 
 import pytest
 
@@ -49,11 +53,23 @@ def test_sec8_jogfree_routing(benchmark):
 
 
 def test_sec8_full_wafer_routing(benchmark, paper_cfg):
-    nets = extract_netlist(paper_cfg)
-    router = SubstrateRouter(paper_cfg)
-
-    result = benchmark.pedantic(router.route, args=(nets,), rounds=1, iterations=1)
-    drc = run_drc(result)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        nets = extract_netlist(paper_cfg)
+        router = SubstrateRouter(paper_cfg)
+        netlist_s = time.perf_counter() - start
+        start = time.perf_counter()
+        result = benchmark.pedantic(
+            router.route, args=(nets,), rounds=1, iterations=1
+        )
+        route_s = time.perf_counter() - start
+        start = time.perf_counter()
+        drc = run_drc(result)
+        drc_s = time.perf_counter() - start
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
     rows = [
         ("nets", f"{len(nets):,}"),
@@ -61,6 +77,9 @@ def test_sec8_full_wafer_routing(benchmark, paper_cfg):
         ("stitch (fattened) wires", f"{result.stitch_wire_count():,}"),
         ("max channel utilization", f"{result.max_utilization:.2f}"),
         ("DRC", "clean" if drc.clean else f"{len(drc.violations)} violations"),
+        ("netlist / route / DRC wall (tracemalloc on)",
+         f"{netlist_s:.2f} / {route_s:.2f} / {drc_s:.2f} s"),
+        ("tracemalloc peak", f"{peak_mb:.0f} MB (bound 250 MB)"),
     ]
     print_series("Sec. VIII substrate routing (32x32 full wafer)", rows)
 
@@ -68,6 +87,7 @@ def test_sec8_full_wafer_routing(benchmark, paper_cfg):
     assert result.success and result.routed_count == len(nets)
     assert drc.clean and drc.wires_checked == len(nets)
     assert result.stitch_wire_count() == 90_304
+    assert peak_mb < 250
 
 
 def test_sec8_edge_density(benchmark):

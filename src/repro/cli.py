@@ -43,6 +43,7 @@ import argparse
 import importlib
 import inspect
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -1406,17 +1407,28 @@ def main(argv: list[str] | None = None) -> int:
 
     A :class:`~repro.errors.ReproError` (bad input the library rejected)
     prints one ``repro: error: <message>`` line to stderr and exits 2,
-    like an argparse usage error, instead of a traceback.
+    like an argparse usage error, instead of a traceback.  A reader that
+    closes stdout early (``repro ... | head -1``) ends the run quietly
+    with exit code 141, as a tool killed by SIGPIPE reports to the shell.
     """
     from .errors import ReproError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; send what is left
+        # to devnull so that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":     # pragma: no cover

@@ -46,19 +46,10 @@ def _check_network_ios_match_link_width(cfg: SystemConfig) -> CheckResult:
 
 def _check_channels_fit_links(cfg: SystemConfig) -> CheckResult:
     """Substrate channels must carry the mesh links plus clock/test nets."""
-    from ..substrate.netlist import ChannelKind, InterChipletNet, NetClass
+    from ..substrate.netlist import ChannelKind
     from ..substrate.router import SubstrateRouter
 
-    router = SubstrateRouter(cfg)
-    probe = InterChipletNet(
-        name="probe",
-        net_class=NetClass.MESH_LINK,
-        channel=ChannelKind.HORIZONTAL,
-        tile_a=(0, 0),
-        tile_b=(0, 1),
-        bit_index=0,
-    )
-    capacity = router.channel_capacity(probe, layer=1)
+    capacity = SubstrateRouter(cfg).channel_capacity(ChannelKind.HORIZONTAL, layer=1)
     demand = cfg.link_width_bits + 2 + 4    # link + clock pair + JTAG hop
     return CheckResult(
         name="channel-capacity-covers-links",

@@ -4,8 +4,8 @@ from .connectors import ConnectorPlan, ConnectorTechnology, plan_connectors
 from .degraded import DegradedModeReport, degraded_mode_report
 from .drc import DrcReport, run_drc
 from .fanout import EdgeFanout, plan_edge_fanout
-from .netlist import InterChipletNet, NetClass, extract_netlist
-from .router import RoutedWire, RoutingResult, SubstrateRouter
+from .netlist import InterChipletNet, NetClass, Netlist, extract_netlist
+from .router import RoutedWire, RoutingResult, SubstrateRouter, Wires
 from .stack import LayerStack, MetalLayer, default_stack
 from .stitching import stitch_geometry
 
@@ -21,10 +21,12 @@ __all__ = [
     "plan_edge_fanout",
     "InterChipletNet",
     "NetClass",
+    "Netlist",
     "extract_netlist",
     "RoutedWire",
     "RoutingResult",
     "SubstrateRouter",
+    "Wires",
     "LayerStack",
     "MetalLayer",
     "default_stack",

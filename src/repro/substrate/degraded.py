@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..errors import SubstrateError
-from .netlist import NetClass, extract_netlist
+from .netlist import NET_CLASSES, NetClass, extract_netlist
 from .router import RoutingResult, SubstrateRouter
 from .stack import default_stack
 
@@ -63,19 +65,17 @@ def degraded_mode_report(config: SystemConfig | None = None) -> DegradedModeRepo
     nets = extract_netlist(cfg)
     result = router.route(nets)
 
-    unrouted_classes = {net.net_class for net in result.unrouted}
+    unrouted_classes = {
+        NET_CLASSES[code] for code in np.unique(result.unrouted.net_class).tolist()
+    }
     for essential in (NetClass.MESH_LINK, NetClass.CLOCK, NetClass.TEST):
         if essential in unrouted_classes:
             raise SubstrateError(
                 f"degraded mode must keep {essential.value} nets routable"
             )
 
-    # Banks whose interface nets all routed.  Essential banks are the two
-    # on the inner pad columns; extended banks' nets are unroutable.
-    extended_unrouted = sum(
-        1 for n in result.unrouted if n.net_class is NetClass.BANK_EXTENDED
-    )
-    # Of the five banks, the two on the inner pad columns stay reachable.
+    # Of the five banks, the two on the inner pad columns stay reachable;
+    # the extended banks' nets are unroutable.
     essential_banks = 2
 
     return DegradedModeReport(

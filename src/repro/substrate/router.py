@@ -19,21 +19,26 @@ This module reimplements that router:
   wires, requiring signal layer 2;
 * routing is a greedy, deterministic track assignment — jog-free wires
   cannot conflict except by exhausting tracks, so greedy is optimal here.
-  Everything but the track depends only on the ``(channel, layer)``, so
-  it is computed once per channel and each net is a multiply-add;
+  A net's track is its rank, in netlist order, among the nets of its
+  ``(channel, layer)``.  Everything but the track depends only on the
+  ``(channel, layer)``, so it is computed once per channel and every
+  wire's position is one array multiply-add;
 * wires crossing a reticle boundary get the fattened stitch geometry
   (see :mod:`.stitching`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..config import SystemConfig
 from ..errors import RoutingError, SubstrateError
 from ..geometry.reticle import ReticlePlan, plan_reticles
 from ..geometry.wafer import WaferLayout
-from .netlist import ChannelKind, InterChipletNet, extract_netlist
+from .netlist import ChannelKind, InterChipletNet, Netlist, extract_netlist
 from .stack import LayerStack, default_stack
 from .stitching import stitch_geometry
 
@@ -59,15 +64,60 @@ class RoutedWire:
         return abs(self.x1_mm - self.x0_mm) + abs(self.y1_mm - self.y0_mm)
 
 
+@dataclass(frozen=True, eq=False)
+class Wires:
+    """Routed wires as columns, one row per wire, in netlist order.
+
+    ``net`` indexes ``netlist``; the other columns are the
+    :class:`RoutedWire` fields.  ``len``, indexing and iteration give
+    :class:`RoutedWire` rows.
+    """
+
+    netlist: Netlist
+    net: np.ndarray
+    layer: np.ndarray
+    track: np.ndarray
+    x0_mm: np.ndarray
+    y0_mm: np.ndarray
+    x1_mm: np.ndarray
+    y1_mm: np.ndarray
+    width_um: np.ndarray
+    space_um: np.ndarray
+    crosses_stitch: np.ndarray
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.layer, self.track, self.x0_mm, self.y0_mm, self.x1_mm,
+                self.y1_mm, self.width_um, self.space_um, self.crosses_stitch)
+
+    def __len__(self) -> int:
+        return len(self.net)
+
+    def __getitem__(self, i: int) -> RoutedWire:
+        return RoutedWire(
+            self.netlist[self.net[i].item()],
+            *(column[i].item() for column in self._columns()),
+        )
+
+    def __iter__(self) -> Iterator[RoutedWire]:
+        nets = self.netlist.take(self.net)
+        for net, *row in zip(nets, *(c.tolist() for c in self._columns())):
+            yield RoutedWire(net, *row)
+
+    @property
+    def length_mm(self) -> np.ndarray:
+        """Per-wire length, as :attr:`RoutedWire.length_mm` computes it."""
+        return np.abs(self.x1_mm - self.x0_mm) + np.abs(self.y1_mm - self.y0_mm)
+
+
 @dataclass
 class RoutingResult:
     """Outcome of a substrate routing pass."""
 
     config: SystemConfig
     signal_layers: int
-    wires: list[RoutedWire] = field(default_factory=list)
-    unrouted: list[InterChipletNet] = field(default_factory=list)
-    channel_utilization: dict[tuple, float] = field(default_factory=dict)
+    wires: Wires
+    unrouted: Netlist
+    channel_utilization: dict[tuple, float]
 
     @property
     def routed_count(self) -> int:
@@ -77,12 +127,14 @@ class RoutingResult:
     @property
     def success(self) -> bool:
         """True when every net routed."""
-        return not self.unrouted
+        return not len(self.unrouted)
 
     @property
     def total_wirelength_mm(self) -> float:
         """Sum of all routed wire lengths."""
-        return sum(w.length_mm for w in self.wires)
+        # Summed left to right like the per-wire loop, not pairwise as
+        # ``np.sum`` would, so the float is the same to the last bit.
+        return sum(self.wires.length_mm.tolist())
 
     @property
     def max_utilization(self) -> float:
@@ -93,7 +145,7 @@ class RoutingResult:
 
     def stitch_wire_count(self) -> int:
         """Wires using the fattened reticle-stitch geometry."""
-        return sum(1 for w in self.wires if w.crosses_stitch)
+        return int(np.count_nonzero(self.wires.crosses_stitch))
 
 
 class SubstrateRouter:
@@ -119,13 +171,11 @@ class SubstrateRouter:
     # geometric DRC during development).
     CORNER_MARGIN_MM = 0.05
 
-    def channel_capacity(self, net: InterChipletNet, layer: int) -> int:
-        """Tracks available to one channel on one signal layer."""
+    def channel_capacity(self, channel: ChannelKind, layer: int) -> int:
+        """Tracks available to one channel of a kind on one signal layer."""
         metal = self.stack.signal_layer(layer)
-        if net.channel is ChannelKind.HORIZONTAL:
+        if channel is ChannelKind.HORIZONTAL:
             edge_mm = self.config.compute_chiplet_h_mm
-        elif net.channel is ChannelKind.VERTICAL:
-            edge_mm = self.config.compute_chiplet_w_mm
         else:
             edge_mm = self.config.compute_chiplet_w_mm
         usable_mm = max(edge_mm - 2 * self.CORNER_MARGIN_MM, 0.0)
@@ -189,7 +239,7 @@ class SubstrateRouter:
         x0, y0, x1, y1 = self._wire_endpoints(net, 0, layer)
         along_y = net.channel is ChannelKind.HORIZONTAL
         return _Channel(
-            capacity=self.channel_capacity(net, layer),
+            capacity=self.channel_capacity(net.channel, layer),
             crosses=crosses,
             width_um=width,
             space_um=space,
@@ -201,70 +251,110 @@ class SubstrateRouter:
 
     # -- routing ----------------------------------------------------------
 
-    def route(self, nets: list[InterChipletNet] | None = None) -> RoutingResult:
+    def route(self, nets: Netlist | None = None) -> RoutingResult:
         """Route all nets; extended nets without a second layer stay unrouted.
 
         Raises :class:`RoutingError` only on *capacity* overflow of
         essential nets — missing layer 2 produces a degraded (but legal)
         result recorded in ``unrouted``.
 
-        Greedy track assignment per ``(channel, layer)``: everything that
-        depends only on the channel lives in one :class:`_Channel` record,
-        so each net costs one dict lookup, one multiply-add and one
-        :class:`RoutedWire`.
+        Greedy track assignment per ``(channel, layer)``: a net's track is
+        its rank within its group (a stable sort by group, minus the
+        group's start), and everything that depends only on the channel
+        comes from one :class:`_Channel` record per group.
         """
         if nets is None:
             nets = extract_netlist(self.config)
-        result = RoutingResult(
-            config=self.config, signal_layers=len(self.stack.signal_layers)
+        # Layer 0 marks a net with no eligible layer; the others are 1 or 2.
+        essential = nets.essential
+        layer = np.where(
+            essential, self._layer_for(True) or 0, self._layer_for(False) or 0
+        ).astype(np.int8)
+        placed = np.flatnonzero(layer)
+        group, track, first = _group_ranks(
+            nets.channel_ids()[placed] * 4 + layer[placed]
         )
-        wires, unrouted = result.wires, result.unrouted
-        layer_of = (self._layer_for(False), self._layer_for(True))  # [essential]
-        channels: dict[tuple, _Channel] = {}
+        first = placed[first]
 
-        for net in nets:
-            essential = net.essential
-            layer = layer_of[essential]
-            if layer is None:
-                unrouted.append(net)
-                continue
-            key = (net.channel_key(), layer)
-            channel = channels.get(key)
-            if channel is None:
-                channel = channels[key] = self._open_channel(net, layer)
-            track = channel.next_track
-            if track >= channel.capacity:
-                if essential:
-                    raise RoutingError(
-                        f"essential net {net.name} overflows channel capacity"
-                    )
-                unrouted.append(net)
-                continue
-            channel.next_track = track + 1
-            pos = channel.base_mm + track * channel.pitch_mm
-            a, b = channel.fixed_mm
-            if channel.along_y:
-                x0, y0, x1, y1 = a, pos, b, pos
-            else:
-                x0, y0, x1, y1 = pos, a, pos, b
-            wires.append(
-                RoutedWire(
-                    net, layer, track, x0, y0, x1, y1,
-                    channel.width_um, channel.space_um, channel.crosses,
-                )
+        samples = [nets[i] for i in first.tolist()]
+        group_layer = layer[first].tolist()
+        channels = [
+            self._open_channel(net, lay) for net, lay in zip(samples, group_layer)
+        ]
+        capacity = np.array([ch.capacity for ch in channels], dtype=np.int64)
+        over = track >= capacity[group]
+        overflow = placed[over]
+        essential_overflow = overflow[essential[overflow]]
+        if len(essential_overflow):
+            raise RoutingError(
+                f"essential net {nets.name(essential_overflow[0])} "
+                "overflows channel capacity"
             )
+        unrouted = layer == 0
+        unrouted[overflow] = True
+        routed = ~over
+        placed, group, track = placed[routed], group[routed], track[routed]
 
-        result.channel_utilization = {
-            key: channel.next_track / channel.capacity
-            for key, channel in channels.items()
-            if channel.next_track
-        }
-        return result
+        def per_wire(values: list, dtype: type) -> np.ndarray:
+            return np.array(values, dtype=dtype)[group]
+
+        pos = per_wire([ch.base_mm for ch in channels], float) + (
+            track * per_wire([ch.pitch_mm for ch in channels], float)
+        )
+        along_y = per_wire([ch.along_y for ch in channels], bool)
+        fixed_a = per_wire([ch.fixed_mm[0] for ch in channels], float)
+        fixed_b = per_wire([ch.fixed_mm[1] for ch in channels], float)
+        wires = Wires(
+            netlist=nets,
+            net=placed,
+            layer=layer[placed],
+            track=track,
+            x0_mm=np.where(along_y, fixed_a, pos),
+            y0_mm=np.where(along_y, pos, fixed_a),
+            x1_mm=np.where(along_y, fixed_b, pos),
+            y1_mm=np.where(along_y, pos, fixed_b),
+            width_um=per_wire([ch.width_um for ch in channels], float),
+            space_um=per_wire([ch.space_um for ch in channels], float),
+            crosses_stitch=per_wire([ch.crosses for ch in channels], bool),
+        )
+        # First-use order: groups by their first net; empty groups drop out.
+        used = np.bincount(group, minlength=len(channels)).tolist()
+        utilization = {}
+        for g in np.argsort(first, kind="stable").tolist():
+            if used[g]:
+                key = (samples[g].channel_key(), group_layer[g])
+                utilization[key] = used[g] / channels[g].capacity
+        return RoutingResult(
+            config=self.config,
+            signal_layers=len(self.stack.signal_layers),
+            wires=wires,
+            unrouted=nets.take(np.flatnonzero(unrouted)),
+            channel_utilization=utilization,
+        )
+
+
+def _group_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group each position by its key.
+
+    Returns each position's group id (groups numbered in key order), its
+    rank among the positions of its group in input order, and each
+    group's first position.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
+    del sorted_keys
+    sorted_group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(keys)))
+    group = np.empty_like(sorted_group)
+    group[order] = sorted_group
+    rank = np.empty_like(sorted_group)
+    rank[order] = np.arange(len(keys)) - starts[sorted_group]
+    return group, rank, order[starts]
 
 
 @dataclass(slots=True)
 class _Channel:
-    """Track counter and fixed geometry of one ``(channel, layer)``."""
+    """Capacity and fixed geometry of one ``(channel, layer)``."""
 
     capacity: int
     crosses: bool
@@ -274,39 +364,38 @@ class _Channel:
     along_y: bool                   # tracks step in y (horizontal channel)
     base_mm: float                  # track-0 position: origin + margin
     fixed_mm: tuple[float, float]   # the wire's two ends on the other axis
-    next_track: int = 0
 
 
 def _route_per_net(
-    router: SubstrateRouter, nets: list[InterChipletNet]
-) -> RoutingResult:
+    router: SubstrateRouter, nets: Iterable[InterChipletNet]
+) -> tuple[list[RoutedWire], list[InterChipletNet], dict[tuple, float]]:
     """Per-net greedy routing that recomputes all channel state (test oracle).
 
     The original formulation of :meth:`SubstrateRouter.route`: capacity,
     reticle crossing, wire geometry and endpoints are derived afresh for
-    every net.  ``route`` must agree with it field for field.
+    every net.  Returns ``(wires, unrouted, channel_utilization)``, which
+    ``route`` must match row for row.
     """
-    result = RoutingResult(
-        config=router.config, signal_layers=len(router.stack.signal_layers)
-    )
+    wires: list[RoutedWire] = []
+    unrouted: list[InterChipletNet] = []
     next_track: dict[tuple, int] = {}
 
     for net in nets:
         layers = router.eligible_layers(net)
         if not layers:
-            result.unrouted.append(net)
+            unrouted.append(net)
             continue
         placed = False
         for layer in layers:
             key = (net.channel_key(), layer)
             track = next_track.get(key, 0)
-            capacity = router.channel_capacity(net, layer)
+            capacity = router.channel_capacity(net.channel, layer)
             if track >= capacity:
                 continue
             next_track[key] = track + 1
             crosses, width, space = router._wire_style(net, layer)
             x0, y0, x1, y1 = router._wire_endpoints(net, track, layer)
-            result.wires.append(
+            wires.append(
                 RoutedWire(
                     net=net,
                     layer=layer,
@@ -327,17 +416,18 @@ def _route_per_net(
                 raise RoutingError(
                     f"essential net {net.name} overflows channel capacity"
                 )
-            result.unrouted.append(net)
+            unrouted.append(net)
 
     # Utilisation bookkeeping: one pass, remembering each key's first net.
     counts: dict[tuple, int] = {}
     samples: dict[tuple, InterChipletNet] = {}
-    for wire in result.wires:
+    for wire in wires:
         key = (wire.net.channel_key(), wire.layer)
         if key not in counts:
             samples[key] = wire.net
         counts[key] = counts.get(key, 0) + 1
-    for key, used in counts.items():
-        capacity = router.channel_capacity(samples[key], key[1])
-        result.channel_utilization[key] = used / capacity
-    return result
+    utilization = {
+        key: used / router.channel_capacity(samples[key].channel, key[1])
+        for key, used in counts.items()
+    }
+    return wires, unrouted, utilization

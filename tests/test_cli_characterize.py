@@ -1,5 +1,6 @@
 """Tests for the CLI and the characterization (shmoo) module."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -213,3 +214,21 @@ class TestCliBadInput:
         assert proc.stderr.startswith(f"repro: error: {message}")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader takes one line and closes the pipe while repro is
+        # still writing: the summary of the same record, repeated, is
+        # larger than any pipe buffer, so the next write must fail.
+        record = str(self.REPO / "benchmarks" / "BENCH_collectives.json")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "obs", "summarize", *[record] * 200],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=self.REPO,
+            env={**os.environ, "PYTHONPATH": str(self.REPO / "src")},
+        )
+        assert proc.stdout.readline().startswith(record.encode())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""

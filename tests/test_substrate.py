@@ -1,5 +1,6 @@
 """Tests for repro.substrate (stack, netlist, router, DRC, degraded, fanout)."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -8,12 +9,12 @@ from repro.config import SystemConfig
 from repro.errors import RoutingError, SubstrateError
 from repro.geometry.reticle import ReticlePlan
 from repro.substrate.degraded import degraded_mode_report
-from repro.substrate.drc import run_drc
+from repro.substrate.drc import RULES, _drc_per_wire, run_drc
 from repro.substrate.fanout import plan_edge_fanout
 from repro.substrate.netlist import (
     ChannelKind,
-    InterChipletNet,
     NetClass,
+    _netlist_per_net,
     extract_netlist,
 )
 from repro.substrate.router import SubstrateRouter, _route_per_net
@@ -116,6 +117,7 @@ class TestNetlist:
                 assert net.essential
             if net.net_class is NetClass.BANK_EXTENDED:
                 assert not net.essential
+        assert nets.essential.tolist() == [net.essential for net in nets]
 
     def test_intra_tile_nets_self_referential(self, cfg6):
         for net in extract_netlist(cfg6):
@@ -151,14 +153,12 @@ class TestRouter:
     def test_stitch_wires_on_reticle_boundaries(self):
         # 12x12 spans two reticle columns (12-wide) and two rows (6-tall).
         cfg = SystemConfig(rows=12, cols=12)
-        stitches = [
-            w
-            for w in SubstrateRouter(cfg).route(extract_netlist(cfg)).wires
-            if w.crosses_stitch
-        ]
-        assert stitches
-        for wire in stitches:
-            assert (wire.width_um, wire.space_um) == stitch_geometry()
+        wires = SubstrateRouter(cfg).route(extract_netlist(cfg)).wires
+        stitch = wires.crosses_stitch
+        assert stitch.any()
+        width, space = stitch_geometry()
+        assert (wires.width_um[stitch] == width).all()
+        assert (wires.space_um[stitch] == space).all()
 
     def test_capacity_overflow_raises_for_essential(self):
         router = SubstrateRouter(OVERFLOW_CFG)
@@ -171,67 +171,75 @@ OVERFLOW_CFG = SystemConfig(rows=2, cols=2, link_width_bits=4000,
                             ios_per_compute_chiplet=20000)
 
 
-def _routing_fields(result):
-    """Everything a routing result says, in order."""
-    return (
-        result.wires,
-        result.unrouted,
-        list(result.channel_utilization.items()),
-        result.signal_layers,
-    )
-
-
-class TestRouterOracle:
-    """``route`` (per-channel records) against ``_route_per_net``."""
+class TestArrayPathOracle:
+    """Netlist, route and DRC over arrays against the per-object oracles."""
 
     @pytest.mark.parametrize(
         "rows, cols, signal_layers",
         [
+            (5, 5, 2),      # the design-flow benchmark's array
             (6, 6, 2),      # both layers, no reticle boundary
             (12, 12, 2),    # spans reticles: stitch wires
             (6, 6, 1),      # one layer: extended nets stay unrouted
         ],
-        ids=["6x6", "12x12-stitch", "6x6-one-layer"],
+        ids=["5x5", "6x6", "12x12-stitch", "6x6-one-layer"],
     )
-    def test_route_matches_oracle(self, rows, cols, signal_layers):
+    def test_matches_oracle(self, rows, cols, signal_layers):
         cfg = SystemConfig(rows=rows, cols=cols)
-        router = SubstrateRouter(cfg, stack=default_stack(signal_layers))
         nets = extract_netlist(cfg)
+        oracle_nets = _netlist_per_net(cfg)
+        assert list(nets) == oracle_nets
+        assert [nets[i] for i in (0, len(nets) // 2, len(nets) - 1)] == [
+            oracle_nets[i] for i in (0, len(nets) // 2, len(nets) - 1)
+        ]
+
+        router = SubstrateRouter(cfg, stack=default_stack(signal_layers))
         result = router.route(nets)
-        expected = _route_per_net(router, nets)
-        assert _routing_fields(result) == _routing_fields(expected)
+        wires, unrouted, utilization = _route_per_net(router, oracle_nets)
+        assert list(result.wires) == wires
+        assert [result.wires[i] for i in (0, len(wires) - 1)] == [wires[0], wires[-1]]
+        assert list(result.unrouted) == unrouted
+        assert list(result.channel_utilization.items()) == list(utilization.items())
+        assert result.routed_count == len(wires)
+        assert result.success == (not unrouted)
+        assert result.total_wirelength_mm == sum(w.length_mm for w in wires)
+        assert result.stitch_wire_count() == sum(w.crosses_stitch for w in wires)
         if rows == 12:
             assert result.stitch_wire_count() > 0
         if signal_layers == 1:
             assert result.unrouted
 
+        report = run_drc(result)
+        assert report == _drc_per_wire(result)
+        assert report.clean and report.wires_checked == len(wires)
+
     def test_overflow_names_same_net(self):
         router = SubstrateRouter(OVERFLOW_CFG)
-        nets = extract_netlist(OVERFLOW_CFG)
         with pytest.raises(RoutingError) as kernel:
-            router.route(nets)
+            router.route(extract_netlist(OVERFLOW_CFG))
         with pytest.raises(RoutingError) as oracle:
-            _route_per_net(router, nets)
+            _route_per_net(router, _netlist_per_net(OVERFLOW_CFG))
         assert str(kernel.value) == str(oracle.value)
+        assert "essential net mesh_" in str(kernel.value)
 
     def test_channel_work_done_once(self, monkeypatch):
-        # Per-channel work (capacity, reticle crossing) once per
-        # (channel, layer) and channel_key once per net: a rescan of the
-        # wires per channel fails this without timing anything.
-        calls = {"channel_key": 0}
+        # Capacity and reticle crossing are worked out once per
+        # (channel, layer), never per net: a per-net rescan fails this
+        # without timing anything.
+        opened: Counter = Counter()
         capacity_calls: Counter = Counter()
         crossing_calls: Counter = Counter()
-        channel_key = InterChipletNet.channel_key
+        open_channel = SubstrateRouter._open_channel
         channel_capacity = SubstrateRouter.channel_capacity
         crosses_boundary = ReticlePlan.crosses_boundary
 
-        def counted_key(net):
-            calls["channel_key"] += 1
-            return channel_key(net)
+        def counted_open(router, net, layer):
+            opened[(net.channel_key(), layer)] += 1
+            return open_channel(router, net, layer)
 
-        def counted_capacity(router, net, layer):
-            capacity_calls[(net.channel, net.tile_a, net.tile_b, layer)] += 1
-            return channel_capacity(router, net, layer)
+        def counted_capacity(router, channel, layer):
+            capacity_calls[(channel, layer)] += 1
+            return channel_capacity(router, channel, layer)
 
         def counted_crossing(plan, a, b):
             crossing_calls[(a, b)] += 1
@@ -240,16 +248,48 @@ class TestRouterOracle:
         cfg = SystemConfig(rows=7, cols=7)
         nets = extract_netlist(cfg)
         router = SubstrateRouter(cfg)
-        monkeypatch.setattr(InterChipletNet, "channel_key", counted_key)
+        monkeypatch.setattr(SubstrateRouter, "_open_channel", counted_open)
         monkeypatch.setattr(SubstrateRouter, "channel_capacity", counted_capacity)
         monkeypatch.setattr(ReticlePlan, "crosses_boundary", counted_crossing)
         result = router.route(nets)
 
         assert result.success
-        assert calls["channel_key"] <= len(nets)
-        assert len(capacity_calls) == len(result.channel_utilization)
-        assert max(capacity_calls.values()) == 1
+        assert set(opened) == set(result.channel_utilization)
+        assert max(opened.values()) == 1
+        assert sum(capacity_calls.values()) == len(opened)
         assert crossing_calls and max(crossing_calls.values()) == 1
+
+
+def _tampered(result, i, **changes):
+    """``result`` with wire ``i``'s columns changed, leaving ``result`` alone."""
+    columns = {}
+    for name, value in changes.items():
+        column = getattr(result.wires, name).copy()
+        column[i] = value(result.wires) if callable(value) else value
+        columns[name] = column
+    return dataclasses.replace(
+        result, wires=dataclasses.replace(result.wires, **columns)
+    )
+
+
+# Each case breaks one wire (wire 1: mesh_h_0_0_1, an intra-reticle wire
+# on layer 1 sharing its channel with wire 0) and names the rule that
+# must fire.  A callable computes the new value from the untouched wires.
+DRC_CASES = {
+    "min-width": dict(width_um=0.5, space_um=4.5),
+    "stitch-geometry": dict(width_um=3.0, space_um=2.0),
+    "stitch-flag": dict(crosses_stitch=True),
+    "constant-pitch": dict(space_um=4.0),
+    "track-overlap": dict(track=0),
+    "degenerate-zero-length": dict(x1_mm=lambda w: w.x0_mm[1]),
+    "degenerate-reversed": dict(x0_mm=lambda w: w.x1_mm[1], x1_mm=lambda w: w.x0_mm[1]),
+    "degenerate-jog": dict(y1_mm=lambda w: w.y1_mm[1] + 0.1),
+    "degenerate-nan": dict(x1_mm=float("nan")),
+}
+DRC_RULE = {
+    "stitch-flag": "stitch-geometry",
+    **{case: "degenerate-geometry" for case in DRC_CASES if case.startswith("degenerate")},
+}
 
 
 class TestDrc:
@@ -259,32 +299,22 @@ class TestDrc:
         assert report.clean
         assert report.wires_checked == result.routed_count
 
-    def test_tampered_wire_caught(self, routed6):
-        import dataclasses
-
+    @pytest.mark.parametrize("case", list(DRC_CASES))
+    def test_tampered_wire_caught(self, routed6, case):
         result, _ = routed6
-        bad_wire = dataclasses.replace(result.wires[0], width_um=0.5, space_um=4.5)
-        saved = result.wires[0]
-        result.wires[0] = bad_wire
-        try:
-            report = run_drc(result)
-            assert not report.clean
-            assert "min-width" in report.by_rule()
-        finally:
-            result.wires[0] = saved
+        assert result.wires[1].net.name == "mesh_h_0_0_1"
+        bad = _tampered(result, 1, **DRC_CASES[case])
+        report = run_drc(bad)
+        rule = DRC_RULE.get(case, case)
+        assert rule in report.by_rule()
+        assert {v.wire_name for v in report.violations} == {"mesh_h_0_0_1"}
+        assert report.violations == _drc_per_wire(bad).violations
+        if rule == "track-overlap":
+            assert report.violations[0].message == "track shared with mesh_h_0_0_0"
+        assert run_drc(result).clean
 
-    def test_track_overlap_caught(self, routed6):
-        import dataclasses
-
-        result, _ = routed6
-        dup = dataclasses.replace(result.wires[1], track=result.wires[0].track,
-                                  net=result.wires[0].net)
-        result.wires.append(dup)
-        try:
-            report = run_drc(result)
-            assert "track-overlap" in report.by_rule()
-        finally:
-            result.wires.pop()
+    def test_every_rule_has_a_case(self):
+        assert {DRC_RULE.get(case, case) for case in DRC_CASES} == set(RULES)
 
 
 class TestDegradedMode:
